@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Cost-landscape summary: how far each baseline sits above exhaustive search.
+"""Cost-landscape summary: how far each baseline sits above the exact optimum.
 
 Prints, for a frozen probe, the mean weighted cost of the random,
 cloud-only, and average-distribution placements against the exact optimum,
@@ -36,11 +36,6 @@ def main() -> int:
     probe = make_probe(args.seed + 1, args.probe, config)
     means = scheme_means(probe)
     print(f"probe: {len(probe)} scenarios, alpha {args.alpha:g}, pool seed {args.seed}")
-    if "exact" not in means:
-        print("search space above the enumeration cap; no exact reference")
-        for name in ("ro", "co", "ad"):
-            print(f"{name}: mean Q {means[name]:.4f}")
-        return 0
     exact = means["exact"]
     print(f"exact: mean Q {exact:.4f}")
     for name in ("ro", "co", "ad"):

@@ -6,10 +6,9 @@ documents, ``train`` produces an ensemble checkpoint plus its training trace,
 the named sweeps.  Every run is a pure function of its flags; all randomness
 descends from ``--seed``.
 
-Sweeps default to a desk-scale pool (M=6, N=24, S=3) where exhaustive search
-stays available as the reference row; ``--full`` switches to the full-scale
-shape (M=15, N=120, S=3), whose 4^15 search space is past the enumeration
-cap, so exact rows are omitted there.
+Sweeps default to a desk-scale pool (M=6, N=24, S=3); ``--full`` switches to
+the full-scale shape (M=15, N=120, S=3).  Both carry the exact optimum as
+the reference row.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .ddl import TrainConfig
 from .errors import (
     ContractError,
     DomainError,
-    EnumerationCapError,
     InvalidConfigError,
     ParseError,
     SlotCapacityError,
@@ -43,7 +41,6 @@ from .scenario import GeneratorConfig, from_document, generate_random, to_docume
 _RUNTIME_ERRORS = (
     ContractError,
     DomainError,
-    EnumerationCapError,
     InvalidConfigError,
     ParseError,
     SlotCapacityError,
@@ -344,7 +341,7 @@ def _add_shape_flags(parser: argparse.ArgumentParser, with_full: bool) -> None:
         parser.add_argument(
             "--full",
             action="store_true",
-            help="full-scale shape (M=15, N=120); exact reference rows are omitted",
+            help="full-scale shape (M=15, N=120)",
         )
 
 

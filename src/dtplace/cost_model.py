@@ -207,8 +207,8 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
 
     The objective decomposes per DT, so for any decision ``d`` the scalar
     cost equals ``sum(table[m, d.assignment[m]] for m)`` up to rounding.
-    Shaped ``(num_dts, num_servers_total)``; used for exhaustive search and
-    bulk scoring.
+    Shaped ``(num_dts, num_servers_total)``; used for the exact optimum and
+    for pricing best-of-K proposals.
     """
     own = np.asarray(s.devices.ownership, dtype=int)
     m = s.num_dts

@@ -1,12 +1,13 @@
 """Self-labeling ensemble policy for DT placement.
 
 K sibling networks share one feature extractor and each proposes a complete
-placement for a scenario.  The proposals are scored with the cost model, the
-cheapest one becomes the training label for that scenario, and the pair is
-pushed into a bounded FIFO replay database.  Once the database is full, every
-iteration also draws K independent minibatches: each network trains on its
-own batch, while the shared extractor takes a single step on the average of
-the K gradients flowing back through it.  No externally labeled data is
+placement for a scenario.  The proposals are priced from the scenario's
+per-twin cost table, the cheapest one becomes the training label for that
+scenario, and the pair is pushed into a bounded FIFO replay database.
+Once the database is full, every iteration also draws K independent
+minibatches: each network trains on its own batch, while the shared
+extractor takes a single step on the average of the K gradients flowing
+back through it.  No externally labeled data is
 involved at any point; the ensemble bootstraps from its own best guesses.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
@@ -23,7 +24,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .cost_model import Decision, evaluate
+from .cost_model import CostBreakdown, Decision, evaluate, per_dt_cost_table
 from .errors import ContractError, InvalidConfigError, SlotCapacityError
 from .exact import SchemeResult
 from .neural import (
@@ -309,24 +310,39 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     ])
 
 
+def proposal_costs(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Weighted cost of every proposal, shape ``(count, num_dnns)``.
+
+    ``tables`` stacks per-twin cost tables, ``(count, num_dts, num_servers)``;
+    ``codes`` holds the proposals for those scenarios as returned by
+    :func:`propose_batch`.  The objective is a sum of per-twin terms, so
+    each proposal's cost is a gather from its scenario's table.
+    """
+    count, num_dts = tables.shape[0], tables.shape[1]
+    b = np.arange(count)[:, None, None]
+    m = np.arange(num_dts)[None, :, None]
+    return tables[b, m, codes.transpose(1, 2, 0)].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Proposal:
     decision: Decision
-    cost: float
+    breakdown: CostBreakdown
     dnn_index: int
+
+    @property
+    def cost(self) -> float:
+        return self.breakdown.weighted_cost
 
 
 def _choose(ensemble: DdlEnsemble, s: Scenario, raw: np.ndarray) -> Proposal:
-    codes = propose_batch(ensemble, raw[None, :, :])[:, 0, :]
-    cache: dict[tuple[int, ...], float] = {}
-    costs = np.empty(len(codes))
-    for k, row in enumerate(codes):
-        assignment = tuple(int(c) for c in row)
-        if assignment not in cache:
-            cache[assignment] = evaluate(s, Decision(assignment)).weighted_cost
-        costs[k] = cache[assignment]
+    codes = propose_batch(ensemble, raw[None, :, :])
+    costs = proposal_costs(per_dt_cost_table(s)[None], codes)[0]
     k = int(np.argmin(costs))  # np.argmin keeps the lowest index on ties
-    return Proposal(Decision(tuple(int(c) for c in codes[k])), float(costs[k]), k)
+    decision = Decision(tuple(int(c) for c in codes[k, 0]))
+    # The reported cost comes from the evaluator, not the gathered sum: the
+    # two may differ in the last bit, and training traces record this one.
+    return Proposal(decision, evaluate(s, decision), k)
 
 
 def best_of_k(ensemble: DdlEnsemble, s: Scenario) -> Proposal:
@@ -340,8 +356,7 @@ def infer(ensemble: DdlEnsemble, s: Scenario) -> SchemeResult:
     """Place one scenario; the returned breakdown comes from the evaluator."""
     start = time.perf_counter()
     choice = best_of_k(ensemble, s)
-    breakdown = evaluate(s, choice.decision)
-    return SchemeResult(choice.decision, breakdown, "ddl", time.perf_counter() - start)
+    return SchemeResult(choice.decision, choice.breakdown, "ddl", time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -464,6 +479,11 @@ def load_ensemble(path) -> DdlEnsemble:
         header = json.loads(bytes(data["header"]).decode())
         if header.get("format") != ENSEMBLE_FORMAT:
             raise ContractError("not an ensemble checkpoint")
+        if header.get("version") != ENSEMBLE_VERSION:
+            raise ContractError(
+                f"ensemble checkpoint version {header.get('version')!r} is not "
+                f"the supported version {ENSEMBLE_VERSION}"
+            )
         state = {k: data[k] for k in data.files if k != "header"}
     f = header["feature"]
     feature = FeatureConfig(

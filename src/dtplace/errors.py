@@ -25,9 +25,5 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-class EnumerationCapError(RuntimeError):
-    """The exact search space exceeds the enumeration cap."""
-
-
 class SlotCapacityError(ValueError):
     """A twin owns more devices than the padded feature slots can hold."""

@@ -1,8 +1,9 @@
-"""Exhaustive placement search plus the three non-learning reference schemes.
+"""Exact placement plus the three non-learning reference schemes.
 
-``solve_exact`` enumerates every assignment of DTs to servers, so it is the
-ground truth on small instances and refuses to run past a cap.  The reference
-schemes are the usual yardsticks: uniform random placement, everything on the
+The weighted cost is a sum of per-twin terms and no constraint couples the
+twins, so the optimum places each twin on its own cheapest server: one
+argmin over the per-twin cost table, at any scale.  The reference schemes
+are the usual yardsticks: uniform random placement, everything on the
 cloud, and greedy workload balancing across all servers.
 """
 
@@ -14,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_model import CostBreakdown, Decision, evaluate, per_dt_cost_table
-from .errors import EnumerationCapError
 from .scenario import Scenario
-
-ENUMERATION_CAP = 2 ** 24
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,43 +26,15 @@ class SchemeResult:
     elapsed: float
 
 
-def search_space_size(s: Scenario) -> int:
-    return s.num_servers_total ** s.num_dts
-
-
-def solve_exact(s: Scenario, cap: int = ENUMERATION_CAP) -> SchemeResult:
+def solve_exact(s: Scenario) -> SchemeResult:
     """Minimize the weighted cost over all ``(S+1)^M`` assignments.
 
-    Assignments are scanned as mixed-radix numbers with DT 0 as the most
-    significant digit, and ties keep the earliest (lexicographically
-    smallest) assignment.  The scan is chunked; each chunk reduces to a
-    ``(cost, index)`` pair and pairs merge associatively, so any partition of
-    the index range yields the same result.
+    Each twin takes the server with the smallest entry in its row of
+    :func:`per_dt_cost_table`; ties keep the lowest server index, which makes
+    the result the lexicographically smallest optimal assignment.
     """
     start = time.perf_counter()
-    m, r = s.num_dts, s.num_servers_total
-    total = search_space_size(s)
-    if total > cap:
-        raise EnumerationCapError(
-            f"search space holds {total} assignments, above the cap of {cap}"
-        )
-
-    table = per_dt_cost_table(s)
-    radix = r ** (m - 1 - np.arange(m, dtype=np.int64))
-    cols = np.arange(m)
-    best_cost = np.inf
-    best_index = -1
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % r
-        costs = table[cols[None, :], digits].sum(axis=1)
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost or (costs[k] == best_cost and idx[k] < best_index):
-            best_cost = float(costs[k])
-            best_index = int(idx[k])
-
-    assignment = tuple(int(best_index // radix[j] % r) for j in range(m))
-    decision = Decision(assignment)
+    decision = Decision(tuple(int(j) for j in per_dt_cost_table(s).argmin(axis=1)))
     return SchemeResult(decision, evaluate(s, decision), "exact", time.perf_counter() - start)
 
 

@@ -31,11 +31,9 @@ from . import ddl
 from .ddl import DdlEnsemble, FeatureConfig, TrainConfig, TrainingTrace
 from .errors import ContractError, DomainError
 from .exact import (
-    ENUMERATION_CAP,
     scheme_average_distribution,
     scheme_cloud_only,
     scheme_random,
-    search_space_size,
     solve_exact,
 )
 from .cost_model import per_dt_cost_table
@@ -80,12 +78,8 @@ def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
 def ensemble_probe_costs(ensemble: DdlEnsemble, probe: ProbeSet) -> np.ndarray:
     """Best-of-K weighted cost on every probe scenario, one value per scenario."""
     raws = probe.raw_inputs(ensemble.feature)
-    codes = ddl.propose_batch(ensemble, raws)  # (K, count, M)
-    count, num_dts = probe.tables.shape[0], probe.tables.shape[1]
-    b = np.arange(count)[:, None, None]
-    m = np.arange(num_dts)[None, :, None]
-    per_dt = probe.tables[b, m, codes.transpose(1, 2, 0)]  # (count, M, K)
-    return per_dt.sum(axis=1).min(axis=1)
+    codes = ddl.propose_batch(ensemble, raws)
+    return ddl.proposal_costs(probe.tables, codes).min(axis=1)
 
 
 def convergence_rate(old_costs, new_costs) -> float:
@@ -105,15 +99,14 @@ def scheme_means(probe: ProbeSet) -> dict[str, float]:
     """Mean weighted cost of each non-learning scheme over the probe set.
 
     The random scheme draws one seed per scenario from the probe's own seed,
-    so repeated calls price the same random decisions.  The exact scheme is
-    included only when every scenario's search space fits the enumeration cap.
+    so repeated calls price the same random decisions.
     """
     if not probe._scheme_cache:
-        out: dict[str, float] = {}
-        if all(search_space_size(s) <= ENUMERATION_CAP for s in probe.scenarios):
-            out["exact"] = float(
+        out = {
+            "exact": float(
                 np.mean([solve_exact(s).cost.weighted_cost for s in probe.scenarios])
             )
+        }
         ro_seeds = np.random.default_rng(probe.seed).integers(
             0, 2**63 - 1, size=len(probe)
         )
@@ -268,13 +261,13 @@ def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
 
 def _comparison_rows(probe: ProbeSet, alpha: float, ensemble: DdlEnsemble) -> list:
     ro_seeds = np.random.default_rng(probe.seed).integers(0, 2**63 - 1, size=len(probe))
-    runners = []
-    if all(search_space_size(s) <= ENUMERATION_CAP for s in probe.scenarios):
-        runners.append(("exact", lambda s, i: solve_exact(s)))
-    runners.append(("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))))
-    runners.append(("co", lambda s, i: scheme_cloud_only(s)))
-    runners.append(("ad", lambda s, i: scheme_average_distribution(s)))
-    runners.append(("ddl", lambda s, i: ddl.infer(ensemble, s)))
+    runners = [
+        ("exact", lambda s, i: solve_exact(s)),
+        ("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))),
+        ("co", lambda s, i: scheme_cloud_only(s)),
+        ("ad", lambda s, i: scheme_average_distribution(s)),
+        ("ddl", lambda s, i: ddl.infer(ensemble, s)),
+    ]
     rows = []
     for name, solve in runners:
         start = time.perf_counter()
@@ -297,8 +290,7 @@ def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
 
     ``ensembles`` maps each alpha to the ensemble trained under that alpha;
     a network learned labels for one cost mix, so mixes are not interchangeable.
-    Rows come out grouped by alpha in the order exact (when feasible), ro,
-    co, ad, ddl.
+    Rows come out grouped by alpha in the order exact, ro, co, ad, ddl.
     """
     alphas = list(alphas)
     if not alphas:

@@ -167,8 +167,15 @@ def _check_config(config: GeneratorConfig) -> None:
         raise InvalidConfigError("min_edge_distance must be non-negative")
 
 
+_LOCATION_REDRAWS = 1000
+
+
 def _draw_locations(rng, count, config, edge_locations, centers=None):
-    """Uniform (or clustered) positions, kept min_edge_distance away from edges."""
+    """Uniform (or clustered) positions, kept min_edge_distance away from edges.
+
+    Devices too close to an edge server are redrawn; if some still are after
+    ``_LOCATION_REDRAWS`` rounds, the distance cannot be met and this raises.
+    """
     w, h = config.field_size
     edges = np.asarray(edge_locations, dtype=float)
 
@@ -179,16 +186,24 @@ def _draw_locations(rng, count, config, edge_locations, centers=None):
         pts = centers[idx] + offsets
         return np.clip(pts, (0.0, 0.0), (w, h))
 
+    def too_close():
+        dist = np.hypot(pts[:, None, 0] - edges[None, :, 0],
+                        pts[:, None, 1] - edges[None, :, 1])
+        return dist.min(axis=1) < config.min_edge_distance
+
     idx = np.arange(count)
     pts = draw(count, idx)
     if config.min_edge_distance > 0:
-        for _ in range(1000):
-            dist = np.hypot(pts[:, None, 0] - edges[None, :, 0],
-                            pts[:, None, 1] - edges[None, :, 1])
-            bad = dist.min(axis=1) < config.min_edge_distance
+        for _ in range(_LOCATION_REDRAWS):
+            bad = too_close()
             if not bad.any():
-                break
+                return pts
             pts[bad] = draw(int(bad.sum()), idx[bad])
+        if too_close().any():
+            raise InvalidConfigError(
+                f"min_edge_distance {config.min_edge_distance} leaves devices too "
+                f"close to an edge server after {_LOCATION_REDRAWS} redraws"
+            )
     return pts
 
 

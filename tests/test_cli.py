@@ -120,11 +120,16 @@ class TestSolve:
         assert run("solve", str(tmp_path / "nope.json"), "--scheme", "co") == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_enumeration_cap_refuses_full_scale_exact(self, tmp_path, capsys):
+    def test_full_scale_exact_not_above_cloud_only(self, tmp_path, capsys):
         assert run("generate", "--seed", "2", "--out", str(tmp_path)) == 0
-        code = run("solve", str(tmp_path / "scenario_2.json"), "--scheme", "exact")
-        assert code == 1
-        assert "cap" in capsys.readouterr().err
+        path = str(tmp_path / "scenario_2.json")
+        capsys.readouterr()
+        assert run("solve", path, "--scheme", "exact") == 0
+        exact = self.fields(capsys.readouterr().out)
+        assert run("solve", path, "--scheme", "co") == 0
+        cloud = self.fields(capsys.readouterr().out)
+        assert exact["num_dts"] == "15"
+        assert float(exact["weighted_cost"]) <= float(cloud["weighted_cost"])
 
 
 class TestExperiment:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtplace import ddl
 from dtplace.cost_model import Decision, evaluate
 from dtplace.ddl import (
     DdlEnsemble,
@@ -223,6 +224,30 @@ class TestEnsemble:
         )
         assert result.elapsed > 0
 
+    @staticmethod
+    def count_evaluations(monkeypatch) -> list:
+        calls = []
+
+        def counted(s, d):
+            calls.append(d)
+            return evaluate(s, d)
+
+        monkeypatch.setattr(ddl, "evaluate", counted)
+        return calls
+
+    def test_infer_evaluates_only_the_winner(self, monkeypatch):
+        ens = build_ensemble(desk_config(seed=7))
+        calls = self.count_evaluations(monkeypatch)
+        for seed in range(14, 19):
+            result = infer(ens, generate_random(seed, DESK))
+            assert calls[-1] == result.decision
+        assert len(calls) == 5
+
+    def test_training_evaluates_once_per_iteration(self, monkeypatch):
+        calls = self.count_evaluations(monkeypatch)
+        train(desk_config(iterations=12, db_capacity=8, batch_size=4, num_dnns=4, seed=2))
+        assert len(calls) == 12
+
 
 class TestReplayDatabase:
     def test_fifo_eviction(self):
@@ -404,6 +429,21 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             np.savez(f, header=np.frombuffer(header, dtype=np.uint8))
         with pytest.raises(ContractError):
+            load_ensemble(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        import json
+
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, build_ensemble(desk_config(num_dnns=2)))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        header["version"] = ddl.ENSEMBLE_VERSION + 1
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(ContractError, match="version"):
             load_ensemble(path)
 
     def test_resumed_training_matches_uninterrupted(self, tmp_path):

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtplace.cost_model import Decision, cloud_energy, edge_energy, evaluate
-from dtplace.errors import EnumerationCapError
+from dtplace.cli import ALPHA_GRID
+from dtplace.cost_model import (
+    Decision,
+    cloud_energy,
+    edge_energy,
+    evaluate,
+    per_dt_cost_table,
+)
 from dtplace.exact import (
     scheme_average_distribution,
     scheme_cloud_only,
     scheme_random,
-    search_space_size,
     solve_exact,
 )
 from dtplace.scenario import (
@@ -27,6 +32,7 @@ DESK = GeneratorConfig(num_devices=24, num_dts=6)
 
 
 def brute_force(s):
+    """Enumeration oracle: the first assignment, in lexicographic order, of least cost."""
     best = None
     for assignment in itertools.product(range(s.num_servers_total), repeat=s.num_dts):
         q = evaluate(s, Decision(assignment)).weighted_cost
@@ -72,6 +78,17 @@ class TestSolveExact:
         assert result.decision.assignment == assignment
         assert result.cost.weighted_cost == pytest.approx(q, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_matches_enumeration_across_alpha(self, alpha):
+        for seed in range(3):
+            s = generate_random(
+                seed, GeneratorConfig(num_devices=12, num_dts=4, alpha=alpha)
+            )
+            assignment, q = brute_force(s)
+            result = solve_exact(s)
+            assert result.decision.assignment == assignment
+            assert result.cost.weighted_cost == pytest.approx(q, rel=1e-12)
+
     def test_beats_random_sampling(self):
         s = generate_random(6, DESK)
         result = solve_exact(s)
@@ -86,19 +103,18 @@ class TestSolveExact:
         assert costs[0] == costs[1] == costs[2]
         assert solve_exact(s).decision.assignment == (0,)
 
-    def test_cap_exceeded_names_count(self):
-        s = generate_random(1, GeneratorConfig(num_devices=8, num_dts=4))
-        with pytest.raises(EnumerationCapError, match=str(4 ** 4)):
-            solve_exact(s, cap=100)
-
-    def test_search_space_size(self):
-        s = generate_random(1, DESK)
-        assert search_space_size(s) == 4 ** 6
-
-    def test_full_scale_exceeds_default_cap(self):
+    def test_full_scale_is_table_argmin(self):
+        # 4^15 assignments: no enumeration, but each twin's row of the table
+        # still names its cheapest server and no baseline can do better.
         s = generate_random(1)
-        with pytest.raises(EnumerationCapError):
-            solve_exact(s)
+        result = solve_exact(s)
+        table = per_dt_cost_table(s)
+        assert result.decision.assignment == tuple(int(j) for j in table.argmin(axis=1))
+        q = result.cost.weighted_cost
+        assert q == pytest.approx(table.min(axis=1).sum(), rel=1e-12)
+        assert q <= scheme_cloud_only(s).cost.weighted_cost
+        assert q <= scheme_average_distribution(s).cost.weighted_cost
+        assert q <= scheme_random(s, 3).cost.weighted_cost
 
     @given(seed=st.integers(0, 2**31))
     def test_no_scheme_beats_exact(self, seed):

@@ -31,7 +31,7 @@ from dtplace.scenario import GeneratorConfig
 
 MINI = GeneratorConfig(num_devices=8, num_dts=3, num_edge_servers=2, server_seed=5)
 
-FULL_SHAPE = GeneratorConfig(server_seed=5)  # 4^15 assignments, over the cap
+FULL_SHAPE = GeneratorConfig(server_seed=5)  # 15 twins, 4^15 assignments
 
 
 def points_equal(a, b):
@@ -125,9 +125,12 @@ class TestProbeSet:
             assert means["exact"] <= means[name]
         assert scheme_means(probe) == means
 
-    def test_scheme_means_skips_infeasible_exact(self):
+    def test_scheme_means_full_shape_has_exact_minimum(self):
         probe = make_probe(40, 2, FULL_SHAPE)
-        assert "exact" not in scheme_means(probe)
+        means = scheme_means(probe)
+        assert set(means) == {"exact", "ro", "co", "ad"}
+        for name in ("ro", "co", "ad"):
+            assert means["exact"] <= means[name]
 
 
 class TestTrainingExperiment:

@@ -66,6 +66,12 @@ class TestGenerate:
             for ex, ey in s.servers.edge_locations:
                 assert np.hypot(x - ex, y - ey) >= 5.0
 
+    def test_unreachable_min_edge_distance_rejected(self):
+        # No point of the 1000 m x 800 m field is 2 km from every edge server.
+        cfg = dataclasses.replace(DESK, min_edge_distance=2000.0)
+        with pytest.raises(InvalidConfigError, match="min_edge_distance"):
+            generate_random(17, cfg)
+
     def test_server_seed_pins_pool_across_scenarios(self):
         cfg = dataclasses.replace(DESK, server_seed=99)
         a, b = generate_random(1, cfg), generate_random(2, cfg)
