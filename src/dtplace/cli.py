@@ -197,33 +197,25 @@ class NamedExperimentResult:
 
 def run_named_experiment(
     name: str,
+    base: TrainConfig,
     *,
-    generator: GeneratorConfig,
-    iterations: int,
     probe_count: int,
-    seed: int,
-    base: TrainConfig | None = None,
     cadence: int = 10,
     threads: int = 1,
     out_dir=None,
 ) -> NamedExperimentResult:
     """Run one named sweep; write CSVs under ``out_dir`` when given.
 
-    ``base`` carries the non-swept hyperparameters; each sweep replaces only
-    its own axis.  The probe set is drawn from ``seed + 1`` so it never
-    collides with the scenario stream of a same-seed training run.
+    ``base`` carries the shape, seed, iteration count and the non-swept
+    hyperparameters; each sweep replaces only its own axis.  The probe set
+    is drawn from ``base.seed + 1`` so it never collides with the scenario
+    stream of a same-seed training run.
     """
     if name not in EXPERIMENT_NAMES:
         raise ContractError(
             f"unknown experiment {name!r}; options: {', '.join(EXPERIMENT_NAMES)}"
         )
-    if base is None:
-        base = TrainConfig(iterations=iterations, generator=generator, seed=seed)
-    else:
-        base = dataclasses.replace(
-            base, iterations=iterations, generator=generator, seed=seed
-        )
-    probe = harness.make_probe(seed + 1, probe_count, generator)
+    probe = harness.make_probe(base.seed + 1, probe_count, base.generator)
     rows = None
     if name == "lr-sweep":
         grid = [
@@ -247,7 +239,7 @@ def run_named_experiment(
         ensembles = {}
         for alpha in ALPHA_GRID:
             config = dataclasses.replace(
-                base, generator=dataclasses.replace(generator, alpha=alpha)
+                base, generator=dataclasses.replace(base.generator, alpha=alpha)
             )
             (report,) = harness.run_training_experiment(
                 [(f"alpha_{alpha:g}", config)],
@@ -290,22 +282,10 @@ def cmd_experiment(args) -> int:
     generator = _shape(args, default_desk=True)
     if generator.server_seed is None:
         generator = dataclasses.replace(generator, server_seed=args.seed)
-    base = TrainConfig(
-        iterations=args.iters,
-        num_dnns=args.k,
-        learning_rate=args.lr,
-        db_capacity=args.db,
-        batch_size=args.batch,
-        generator=generator,
-        seed=args.seed,
-    )
     result = run_named_experiment(
         args.name,
-        generator=generator,
-        iterations=args.iters,
+        _train_config(args, generator),
         probe_count=args.probe,
-        seed=args.seed,
-        base=base,
         cadence=1 if args.every_iteration else args.cadence,
         threads=args.threads,
         out_dir=args.out,
@@ -365,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="master seed; every random choice derives from it"
     )
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=_positive, default=1, help="worker cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser(
@@ -403,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=EXPERIMENT_NAMES)
     e.add_argument("--iters", type=_nonnegative, default=3000, help="iterations per grid point")
     e.add_argument("--probe", type=_positive, default=256, help="probe scenario count")
+    e.add_argument("--threads", type=_positive, default=1, help="worker cap")
     _add_train_flags(e)
     e.add_argument(
         "--every-iteration",

@@ -20,12 +20,11 @@ energy with weight ``alpha``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .scenario import Scenario
 
 
@@ -37,11 +36,6 @@ class Decision:
     """
 
     assignment: tuple[int, ...]
-
-    def one_hot(self, num_servers: int) -> np.ndarray:
-        out = np.zeros((len(self.assignment), num_servers))
-        out[np.arange(len(self.assignment)), list(self.assignment)] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -66,72 +60,13 @@ class CostBreakdown:
         }
 
 
-def _positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
-
-
-def cloud_tx_time(w: float, b: float, gamma: float) -> float:
-    """Seconds to push ``w`` data units over the discounted cloud path."""
-    _positive("w", w)
-    _positive("b", b)
-    if not 0 < gamma <= 1:
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma!r}")
-    return w / (b * gamma)
-
-
-def cloud_exec_time(w: float, delta: float, f_c: float) -> float:
-    """Seconds to execute ``delta * w`` instructions at ``f_c`` GHz."""
-    _positive("w", w)
-    _positive("delta", delta)
-    _positive("f_c", f_c)
-    return delta * w / (f_c * 1e9)
-
-
-def cloud_energy(w: float, e_t_c: float, theta_c: float, delta: float) -> float:
-    """Transmission plus execution energy (mJ) for a cloud-served device."""
-    _positive("w", w)
-    _positive("e_t_c", e_t_c)
-    _positive("theta_c", theta_c)
-    _positive("delta", delta)
-    return e_t_c * w + theta_c * delta * w
-
-
-def edge_rate(loc_n: tuple[float, float], loc_s: tuple[float, float], lambda_: float) -> float:
-    """Edge uplink rate in Mbps; distance is clamped to one meter."""
-    dist = math.hypot(loc_n[0] - loc_s[0], loc_n[1] - loc_s[1])
-    return lambda_ / max(dist, 1.0)
-
-
-def edge_tx_time(w: float, loc_n: tuple[float, float], loc_s: tuple[float, float],
-                 lambda_: float) -> float:
-    """Seconds to push ``w`` data units to an edge server."""
-    return w / edge_rate(loc_n, loc_s, lambda_)
-
-
-def edge_exec_time(w: float, delta: float, f_e: float) -> float:
-    """Seconds to execute ``delta * w`` instructions at ``f_e`` GHz."""
-    _positive("w", w)
-    _positive("delta", delta)
-    _positive("f_e", f_e)
-    return delta * w / (f_e * 1e9)
-
-
-def edge_energy(w: float, e_t_e: float, theta_e: float, delta: float) -> float:
-    """Transmission plus execution energy (mJ) for an edge-served device."""
-    _positive("w", w)
-    _positive("e_t_e", e_t_e)
-    _positive("theta_e", theta_e)
-    _positive("delta", delta)
-    return e_t_e * w + theta_e * delta * w
-
-
 def _device_matrices(s: Scenario):
     """Per-device, per-server transmission time, execution time, and energy.
 
     Returns ``(tx, ex, en)``, each shaped ``(N, S+1)`` with the cloud in the
-    last column.  Shares its arithmetic with :func:`evaluate` so the two
-    agree to rounding.
+    last column.  This is the only place the transmission, execution and
+    energy formulas are written; :func:`evaluate` and
+    :func:`per_dt_cost_table` both read their device costs from it.
     """
     pool, dev, par = s.servers, s.devices, s.params
     w = np.asarray(dev.workloads, dtype=float)
@@ -152,6 +87,24 @@ def _device_matrices(s: Scenario):
     en[:, :-1] = (pool.edge_tx_energy * w + pool.edge_exec_energy * par.delta * w)[:, None]
     en[:, -1] = pool.cloud_tx_energy * w + pool.cloud_exec_energy * par.delta * w
     return tx, ex, en
+
+
+def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
+    """Per-DT sync time and per-cycle time from per-device rows.
+
+    ``tx`` and ``ex`` hold one row per device: shaped ``(N, S+1)`` with
+    every server for the cost table, or ``(N,)`` with each device's chosen
+    server for :func:`evaluate`.  Returns ``(sync, dt_time)``, shaped
+    ``(num_dts, S+1)`` or ``(num_dts,)`` to match.
+    """
+    shape = (num_dts,) + tx.shape[1:]
+    counts = np.bincount(own, minlength=num_dts).astype(float)
+    sync = np.zeros(shape)
+    np.maximum.at(sync, own, tx)
+    exec_sum = np.zeros(shape)
+    np.add.at(exec_sum, own, ex)
+    # one count per DT, broadcast over the server columns if there are any
+    return sync, counts.reshape(-1, *[1] * (tx.ndim - 1)) * (sync + exec_sum)
 
 
 def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
@@ -176,13 +129,7 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
     tx = tx_all[rows, chosen]
     ex = ex_all[rows, chosen]
     en = en_all[rows, chosen]
-
-    counts = np.bincount(own, minlength=m).astype(float)
-    sync = np.zeros(m)
-    np.maximum.at(sync, own, tx)
-    exec_sum = np.zeros(m)
-    np.add.at(exec_sum, own, ex)
-    dt_time = counts * (sync + exec_sum)
+    sync, dt_time = _per_dt_time(own, m, tx, ex)
 
     # Sequential sums keep the totals bit-identical to summing the reported
     # per-DT and per-device components.
@@ -211,17 +158,9 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
     for pricing best-of-K proposals.
     """
     own = np.asarray(s.devices.ownership, dtype=int)
-    m = s.num_dts
     tx, ex, en = _device_matrices(s)
-
-    counts = np.bincount(own, minlength=m).astype(float)
-    sync = np.zeros((m, tx.shape[1]))
-    np.maximum.at(sync, own, tx)
-    exec_sum = np.zeros_like(sync)
-    np.add.at(exec_sum, own, ex)
-    energy_sum = np.zeros_like(sync)
+    _, dt_time = _per_dt_time(own, s.num_dts, tx, ex)
+    energy_sum = np.zeros_like(dt_time)
     np.add.at(energy_sum, own, en)
-
     alpha = s.params.alpha
-    dt_time = counts[:, None] * (sync + exec_sum)
     return alpha * dt_time + (1.0 - alpha) * energy_sum

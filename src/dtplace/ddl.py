@@ -145,11 +145,6 @@ def decode_codes(outputs: np.ndarray, num_dts: int, num_servers: int) -> np.ndar
     return (raised @ weights) % num_servers
 
 
-def decode_decision(outputs: np.ndarray, num_dts: int, num_servers: int) -> Decision:
-    codes = decode_codes(outputs, num_dts, num_servers)[0]
-    return Decision(tuple(int(c) for c in codes))
-
-
 def encode_decision(d: Decision, num_servers: int) -> np.ndarray:
     """Target bit vector whose decode is ``d`` (plain binary expansion)."""
     bits = bits_per_dt(num_servers)

@@ -95,38 +95,29 @@ def convergence_rate(old_costs, new_costs) -> float:
     return float(np.mean(np.minimum(old, new) / np.maximum(old, new)))
 
 
-def scheme_means(probe: ProbeSet) -> dict[str, float]:
-    """Mean weighted cost of each non-learning scheme over the probe set.
+def _baseline_runners(probe: ProbeSet) -> list:
+    """The non-learning schemes as ``(name, solve(scenario, index))`` pairs.
 
     The random scheme draws one seed per scenario from the probe's own seed,
-    so repeated calls price the same random decisions.
+    so every caller prices the same random decisions.
     """
+    ro_seeds = np.random.default_rng(probe.seed).integers(0, 2**63 - 1, size=len(probe))
+    return [
+        ("exact", lambda s, i: solve_exact(s)),
+        ("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))),
+        ("co", lambda s, i: scheme_cloud_only(s)),
+        ("ad", lambda s, i: scheme_average_distribution(s)),
+    ]
+
+
+def scheme_means(probe: ProbeSet) -> dict[str, float]:
+    """Mean weighted cost of each non-learning scheme over the probe set."""
     if not probe._scheme_cache:
-        out = {
-            "exact": float(
-                np.mean([solve_exact(s).cost.weighted_cost for s in probe.scenarios])
-            )
-        }
-        ro_seeds = np.random.default_rng(probe.seed).integers(
-            0, 2**63 - 1, size=len(probe)
-        )
-        out["ro"] = float(
-            np.mean(
-                [
-                    scheme_random(s, int(sd)).cost.weighted_cost
-                    for s, sd in zip(probe.scenarios, ro_seeds)
-                ]
-            )
-        )
-        out["co"] = float(
-            np.mean([scheme_cloud_only(s).cost.weighted_cost for s in probe.scenarios])
-        )
-        out["ad"] = float(
-            np.mean(
-                [scheme_average_distribution(s).cost.weighted_cost for s in probe.scenarios]
-            )
-        )
-        probe._scheme_cache.update(out)
+        probe._scheme_cache.update({
+            name: float(np.mean([solve(s, i).cost.weighted_cost
+                                 for i, s in enumerate(probe.scenarios)]))
+            for name, solve in _baseline_runners(probe)
+        })
     return dict(probe._scheme_cache)
 
 
@@ -260,14 +251,7 @@ def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
 
 
 def _comparison_rows(probe: ProbeSet, alpha: float, ensemble: DdlEnsemble) -> list:
-    ro_seeds = np.random.default_rng(probe.seed).integers(0, 2**63 - 1, size=len(probe))
-    runners = [
-        ("exact", lambda s, i: solve_exact(s)),
-        ("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))),
-        ("co", lambda s, i: scheme_cloud_only(s)),
-        ("ad", lambda s, i: scheme_average_distribution(s)),
-        ("ddl", lambda s, i: ddl.infer(ensemble, s)),
-    ]
+    runners = _baseline_runners(probe) + [("ddl", lambda s, i: ddl.infer(ensemble, s))]
     rows = []
     for name, solve in runners:
         start = time.perf_counter()

@@ -11,7 +11,6 @@ single ``(in,)`` vector, weight matrices are ``(out, in)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,9 +19,6 @@ import numpy as np
 from .errors import ContractError
 
 LOSS_CLAMP = 1e-7
-
-CHECKPOINT_FORMAT = "dtplace-model"
-CHECKPOINT_VERSION = 1
 
 
 class Activation(str, Enum):
@@ -256,20 +252,3 @@ def load_state(meta: dict, state: dict, prefix: str = "") -> MlpModel:
     model.v_b = [np.asarray(state[f"{prefix}vb{i}"], dtype=float) for i in range(n)]
     model.step = int(state[f"{prefix}step"])
     return model
-
-
-def save_model(path, model: MlpModel) -> None:
-    """Versioned binary checkpoint; round-trips bit-exactly."""
-    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "model": model_meta(model)}
-    with open(path, "wb") as f:
-        np.savez(f, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-                 **model_state(model))
-
-
-def load_model(path) -> MlpModel:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ContractError("not a model checkpoint")
-        state = {k: data[k] for k in data.files if k != "header"}
-    return load_state(header["model"], state)

@@ -1,22 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtplace.cost_model import (
-    Decision,
-    cloud_energy,
-    cloud_exec_time,
-    cloud_tx_time,
-    edge_energy,
-    edge_exec_time,
-    edge_rate,
-    edge_tx_time,
-    evaluate,
-    per_dt_cost_table,
-)
-from dtplace.errors import ContractError, DomainError
+from dtplace.cost_model import Decision, evaluate, per_dt_cost_table
+from dtplace.errors import ContractError
 from dtplace.scenario import (
     DeviceSet,
     GeneratorConfig,
@@ -78,110 +68,120 @@ def worked_scenario():
     return Scenario(servers, devices, params, num_dts=2, num_servers_total=2)
 
 
+EDGE, CLOUD = 0, 1
+
+
+def device_costs(server, *, servers=None, devices=None, params=None):
+    """(tx, exec, energy) of tiny_scenario's one device hosted on ``server``.
+
+    Keyword dicts replace fields of the matching scenario part; device
+    fields take the single device's value, not a tuple.
+    """
+    s = tiny_scenario()
+    s = dataclasses.replace(
+        s,
+        servers=dataclasses.replace(s.servers, **(servers or {})),
+        devices=dataclasses.replace(
+            s.devices, **{k: (v,) for k, v in (devices or {}).items()}
+        ),
+        params=dataclasses.replace(s.params, **(params or {})),
+    )
+    cost = evaluate(s, Decision((server,)))
+    return cost.per_device_tx_time[0], cost.per_device_exec_time[0], cost.per_device_energy[0]
+
+
 class TestCloudFormulas:
     def test_tx_unit_case(self):
-        assert cloud_tx_time(1000.0, 1000.0, 1.0) == 1.0
+        tx, _, _ = device_costs(CLOUD, devices={"workloads": 1000.0}, params={"gamma": 1.0})
+        assert tx == 1.0
 
     def test_tx_discount_halves_rate(self):
-        assert cloud_tx_time(1000.0, 1000.0, 0.5) == 2.0
+        tx, _, _ = device_costs(CLOUD, devices={"workloads": 1000.0}, params={"gamma": 0.5})
+        assert tx == 2.0
 
     def test_tx_hand_value(self):
-        assert cloud_tx_time(80.0, 1000.0, 0.8) == pytest.approx(0.1, rel=1e-12)
-
-    def test_tx_domain_errors(self):
-        with pytest.raises(DomainError):
-            cloud_tx_time(0.0, 1000.0, 0.5)
-        with pytest.raises(DomainError):
-            cloud_tx_time(10.0, -1.0, 0.5)
-        with pytest.raises(DomainError):
-            cloud_tx_time(10.0, 1000.0, 0.0)
-        with pytest.raises(DomainError):
-            cloud_tx_time(10.0, 1000.0, 1.5)
+        assert device_costs(CLOUD)[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_exec_unit_case(self):
-        assert cloud_exec_time(1.0, 3.5e9, 3.5) == 1.0
+        _, ex, _ = device_costs(CLOUD, devices={"workloads": 1.0}, params={"delta": 3.5e9})
+        assert ex == 1.0
 
     def test_exec_linear_in_workload(self):
-        assert cloud_exec_time(2.0, 1000.0, 2.0) == 2 * cloud_exec_time(1.0, 1000.0, 2.0)
+        one = device_costs(CLOUD, devices={"workloads": 1.0})[1]
+        two = device_costs(CLOUD, devices={"workloads": 2.0})[1]
+        assert two == 2 * one
 
     def test_exec_hand_value(self):
-        assert cloud_exec_time(80.0, 1000.0, 3.5) == pytest.approx(80.0 * 1000.0 / 3.5e9, rel=1e-12)
-
-    def test_exec_domain_error(self):
-        with pytest.raises(DomainError):
-            cloud_exec_time(1.0, 1000.0, 0.0)
+        assert device_costs(CLOUD)[1] == pytest.approx(80.0 * 1000.0 / 3.5e9, rel=1e-12)
 
     def test_energy_unit_case(self):
-        assert cloud_energy(1.0, 0.15, 0.1, 1.0) == pytest.approx(0.25, rel=1e-12)
+        _, _, en = device_costs(CLOUD, devices={"workloads": 1.0}, params={"delta": 1.0})
+        assert en == pytest.approx(0.25, rel=1e-12)
 
     def test_energy_hand_value(self):
-        assert cloud_energy(80.0, 0.15, 0.1, 1000.0) == pytest.approx(8012.0, rel=1e-12)
+        assert device_costs(CLOUD)[2] == pytest.approx(8012.0, rel=1e-12)
 
     def test_energy_scales_linearly(self):
-        assert cloud_energy(160.0, 0.15, 0.1, 1000.0) == 2 * cloud_energy(80.0, 0.15, 0.1, 1000.0)
-
-    def test_energy_domain_error(self):
-        with pytest.raises(DomainError):
-            cloud_energy(-1.0, 0.15, 0.1, 1000.0)
+        double = device_costs(CLOUD, devices={"workloads": 160.0})[2]
+        assert double == 2 * device_costs(CLOUD)[2]
 
 
 class TestEdgeFormulas:
     def test_rate_hand_value(self):
-        assert edge_rate((0.0, 0.0), (100.0, 0.0), 10000.0) == 100.0
+        # 100 m from the edge server: rate 10000 / 100 = 100 units per second.
+        assert device_costs(EDGE)[0] == 80.0 / 100.0
 
     def test_rate_halves_with_distance(self):
-        near = edge_rate((0.0, 0.0), (100.0, 0.0), 10000.0)
-        far = edge_rate((0.0, 0.0), (200.0, 0.0), 10000.0)
-        assert far == pytest.approx(near / 2, rel=1e-12)
+        near = device_costs(EDGE)[0]
+        far = device_costs(EDGE, servers={"edge_locations": ((200.0, 0.0),)})[0]
+        assert far == pytest.approx(2 * near, rel=1e-12)
 
     def test_rate_clamps_colocated_device(self):
-        assert edge_rate((5.0, 5.0), (5.0, 5.0), 10000.0) == 10000.0
-        assert edge_rate((5.0, 5.0), (5.0, 5.5), 10000.0) == 10000.0
+        for location in ((100.0, 0.0), (100.0, 0.5)):
+            tx, _, _ = device_costs(EDGE, devices={"locations": location})
+            assert tx == 80.0 / 10000.0
 
     def test_tx_hand_value(self):
-        assert edge_tx_time(100.0, (0.0, 0.0), (100.0, 0.0), 10000.0) == 1.0
+        assert device_costs(EDGE, devices={"workloads": 100.0})[0] == 1.0
 
     def test_tx_is_workload_over_rate(self):
         loc_n, loc_s = (3.0, 4.0), (120.0, 250.0)
         w, lam = 77.0, 12345.0
-        assert edge_tx_time(w, loc_n, loc_s, lam) == w / edge_rate(loc_n, loc_s, lam)
+        tx, _, _ = device_costs(
+            EDGE,
+            servers={"edge_locations": (loc_s,)},
+            devices={"workloads": w, "locations": loc_n},
+            params={"lambda_": lam},
+        )
+        rate = lam / math.hypot(loc_n[0] - loc_s[0], loc_n[1] - loc_s[1])
+        assert tx == pytest.approx(w / rate, rel=1e-12)
 
     def test_exec_matches_cloud_formula(self):
-        assert edge_exec_time(80.0, 1000.0, 2.2) == cloud_exec_time(80.0, 1000.0, 2.2)
+        same_clock = {"edge_clock_speeds": (2.2,), "cloud_clock_speed": 2.2}
+        edge = device_costs(EDGE, servers=same_clock)[1]
+        assert edge == device_costs(CLOUD, servers=same_clock)[1]
 
     def test_exec_clock_ratio(self):
-        slow = edge_exec_time(100.0, 500.0, 1.8)
-        fast = edge_exec_time(100.0, 500.0, 3.0)
+        slow = device_costs(EDGE, servers={"edge_clock_speeds": (1.8,)})[1]
+        fast = device_costs(EDGE, servers={"edge_clock_speeds": (3.0,)})[1]
         assert slow / fast == pytest.approx(3.0 / 1.8, rel=1e-12)
 
     def test_energy_hand_value(self):
-        assert edge_energy(80.0, 0.125, 0.125, 1000.0) == pytest.approx(10010.0, rel=1e-12)
-
-    def test_energy_domain_error(self):
-        with pytest.raises(DomainError):
-            edge_energy(80.0, 0.0, 0.125, 1000.0)
+        assert device_costs(EDGE)[2] == pytest.approx(10010.0, rel=1e-12)
 
 
 class TestEvaluate:
     def test_single_cloud_device_composes_primitives(self):
-        s = tiny_scenario(alpha=1.0)
-        cost = evaluate(s, Decision((1,)))
-        tx = cloud_tx_time(80.0, 1000.0, 0.8)
-        ex = cloud_exec_time(80.0, 1000.0, 3.5)
-        assert cost.per_device_tx_time[0] == pytest.approx(tx, rel=1e-12)
-        assert cost.per_device_exec_time[0] == pytest.approx(ex, rel=1e-12)
+        cost = evaluate(tiny_scenario(alpha=1.0), Decision((CLOUD,)))
+        tx, ex = 0.1, 80.0 * 1000.0 / 3.5e9
+        assert cost.per_dt_sync_time[0] == cost.per_device_tx_time[0]
         assert cost.total_time == pytest.approx(tx + ex, rel=1e-12)
         assert cost.weighted_cost == cost.total_time
 
     def test_single_edge_device_composes_primitives(self):
-        s = tiny_scenario(alpha=0.0)
-        cost = evaluate(s, Decision((0,)))
-        assert cost.per_device_tx_time[0] == pytest.approx(
-            edge_tx_time(80.0, (0.0, 0.0), (100.0, 0.0), 10000.0), rel=1e-12
-        )
-        assert cost.total_energy == pytest.approx(
-            edge_energy(80.0, 0.125, 0.125, 1000.0), rel=1e-12
-        )
+        cost = evaluate(tiny_scenario(alpha=0.0), Decision((EDGE,)))
+        assert cost.total_time == pytest.approx(0.8 + 80.0 * 1000.0 / 2e9, rel=1e-12)
+        assert cost.total_energy == pytest.approx(10010.0, rel=1e-12)
         assert cost.weighted_cost == cost.total_energy
 
     def test_worked_example_against_reference(self):
@@ -248,13 +248,6 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(s, Decision((s.num_servers_total,) * s.num_dts))
 
-    def test_one_hot_shape(self):
-        d = Decision((2, 0, 1))
-        oh = d.one_hot(4)
-        assert oh.shape == (3, 4)
-        assert (oh.sum(axis=1) == 1.0).all()
-        assert oh[0, 2] == oh[1, 0] == oh[2, 1] == 1.0
-
 
 class TestInvariances:
     @given(seed=st.integers(0, 2**31), dseed=st.integers(0, 2**31))
@@ -316,5 +309,10 @@ class TestInvariances:
         s = generate_random(seed, dataclasses.replace(DESK, alpha=alpha))
         d = random_decision(s, dseed)
         table = per_dt_cost_table(s)
-        q = sum(table[m, d.assignment[m]] for m in range(s.num_dts))
-        assert q == pytest.approx(evaluate(s, d).weighted_cost, rel=1e-12)
+        cost = evaluate(s, d)
+        a = s.params.alpha
+        for m in range(s.num_dts):
+            energy = sum(
+                e for e, g in zip(cost.per_device_energy, s.devices.ownership) if g == m
+            )
+            assert table[m, d.assignment[m]] == a * cost.per_dt_time[m] + (1 - a) * energy

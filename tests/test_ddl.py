@@ -17,7 +17,6 @@ from dtplace.ddl import (
     bits_per_dt,
     build_ensemble,
     decode_codes,
-    decode_decision,
     encode_decision,
     infer,
     load_ensemble,
@@ -52,15 +51,15 @@ class TestCodes:
     def test_decode_thresholds_at_half(self):
         # Two DTs, four servers: big-endian pairs (0.9, 0.9) -> 3, (0.1, 0.9) -> 1.
         out = np.array([0.9, 0.9, 0.1, 0.9])
-        assert decode_decision(out, 2, 4).assignment == (3, 1)
+        assert decode_codes(out, 2, 4)[0].tolist() == [3, 1]
 
     def test_decode_all_low_is_server_zero(self):
-        assert decode_decision(np.full(6, 0.1), 3, 4).assignment == (0, 0, 0)
+        assert decode_codes(np.full(6, 0.1), 3, 4)[0].tolist() == [0, 0, 0]
 
     def test_decode_wraps_modulo(self):
         # Code 3 with only 3 servers wraps to 0.
         out = np.array([0.9, 0.9])
-        assert decode_decision(out, 1, 3).assignment == (0,)
+        assert decode_codes(out, 1, 3)[0].tolist() == [0]
 
     def test_decode_batch_shape(self):
         out = np.array([[0.9, 0.1, 0.1, 0.9], [0.1, 0.1, 0.9, 0.9]])
@@ -70,7 +69,7 @@ class TestCodes:
 
     def test_decode_width_mismatch(self):
         with pytest.raises(ContractError):
-            decode_decision(np.zeros(5), 2, 4)
+            decode_codes(np.zeros(5), 2, 4)
 
     def test_encode_examples(self):
         target = encode_decision(Decision((3, 0, 2)), 4)
@@ -84,7 +83,8 @@ class TestCodes:
     def test_encode_decode_round_trip(self, m, num_servers, seed):
         rng = np.random.default_rng(seed)
         d = Decision(tuple(int(v) for v in rng.integers(0, num_servers, size=m)))
-        assert decode_decision(encode_decision(d, num_servers), m, num_servers) == d
+        codes = decode_codes(encode_decision(d, num_servers), m, num_servers)[0]
+        assert tuple(codes.tolist()) == d.assignment
 
 
 class TestRawInput:
@@ -413,10 +413,11 @@ class TestCheckpoint:
         for got, want in models:
             assert isinstance(got, MlpModel)
             assert got.arch == want.arch
+            assert got.hyper == want.hyper
             assert got.step == want.step
             for i in range(want.num_layers):
-                assert np.array_equal(got.weights[i], want.weights[i])
-                assert np.array_equal(got.m_w[i], want.m_w[i])
+                for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
+                    assert np.array_equal(getattr(got, name)[i], getattr(want, name)[i])
 
         s = generate_random(55, DESK)
         assert best_of_k(loaded, s) == best_of_k(result.ensemble, s)

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtplace.cli import ALPHA_GRID
-from dtplace.cost_model import (
-    Decision,
-    cloud_energy,
-    edge_energy,
-    evaluate,
-    per_dt_cost_table,
-)
+from dtplace.cost_model import Decision, evaluate, per_dt_cost_table
 from dtplace.exact import (
     scheme_average_distribution,
     scheme_cloud_only,
@@ -158,8 +152,9 @@ class TestSchemeCloudOnly:
     def test_energy_composes_per_device(self):
         s = generate_random(2, dataclasses.replace(DESK, num_devices=5, num_dts=2))
         result = scheme_cloud_only(s)
+        pool, delta = s.servers, s.params.delta
         expected = sum(
-            cloud_energy(w, s.servers.cloud_tx_energy, s.servers.cloud_exec_energy, s.params.delta)
+            pool.cloud_tx_energy * w + pool.cloud_exec_energy * delta * w
             for w in s.devices.workloads
         )
         assert result.cost.total_energy == pytest.approx(expected, rel=1e-12)
@@ -167,8 +162,9 @@ class TestSchemeCloudOnly:
     def test_edge_energy_differs(self):
         s = generate_random(2, dataclasses.replace(DESK, num_devices=5, num_dts=2))
         all_edge = evaluate(s, Decision((0,) * s.num_dts))
+        pool, delta = s.servers, s.params.delta
         expected = sum(
-            edge_energy(w, s.servers.edge_tx_energy, s.servers.edge_exec_energy, s.params.delta)
+            pool.edge_tx_energy * w + pool.edge_exec_energy * delta * w
             for w in s.devices.workloads
         )
         assert all_edge.total_energy == pytest.approx(expected, rel=1e-12)

@@ -249,6 +249,15 @@ class TestComparison:
             for name, row in group.items():
                 assert group["exact"].mean_q <= row.mean_q + 1e-12
 
+    def test_rows_price_the_same_baselines_as_scheme_means(self):
+        probe = make_probe(100, 4, MINI)
+        alpha = MINI.alpha
+        rows = run_comparison(probe, [alpha], {alpha: build_ensemble(mini_train(0, seed=9))})
+        means = scheme_means(probe)
+        assert [r.scheme for r in rows[:4]] == list(means)
+        for row in rows[:4]:
+            assert row.mean_q == means[row.scheme]
+
     def test_alpha_endpoints_reduce_to_time_and_energy(self):
         probe = make_probe(100, 4, MINI)
         ensembles = {a: build_ensemble(mini_train(0, seed=9)) for a in (0.0, 1.0)}

@@ -10,8 +10,9 @@ from dtplace.neural import (
     MlpArch,
     MlpModel,
     init_random,
-    load_model,
-    save_model,
+    load_state,
+    model_meta,
+    model_state,
 )
 
 SIG = Activation.SIGMOID
@@ -274,7 +275,7 @@ class TestInit:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         model = init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9,
                             hyper=AdamHyper(learning_rate=0.005))
         rng = np.random.default_rng(10)
@@ -283,9 +284,7 @@ class TestCheckpoint:
             t = rng.integers(0, 2, size=(4, 3)).astype(float)
             model.adam_step(model.backward(x, t).gradients)
 
-        path = tmp_path / "model.npz"
-        save_model(path, model)
-        loaded = load_model(path)
+        loaded = load_state(model_meta(model), model_state(model, prefix="net."), prefix="net.")
         assert loaded.arch == model.arch
         assert loaded.step == model.step
         assert loaded.hyper == model.hyper
@@ -297,9 +296,3 @@ class TestCheckpoint:
 
         x = rng.normal(size=(2, 6))
         assert np.array_equal(loaded.forward(x), model.forward(x))
-
-    def test_wrong_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, header=np.frombuffer(b'{"format": "other"}', dtype=np.uint8))
-        with pytest.raises(ContractError):
-            load_model(path)

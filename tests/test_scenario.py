@@ -113,6 +113,32 @@ class TestValidate:
         bad = dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=1.5))
         assert any("alpha out of range" in v for v in validate(bad))
 
+    @pytest.mark.parametrize(
+        "part, field, value, message",
+        [
+            pytest.param("devices", "workloads", 0.0, "non-positive workload", id="workload"),
+            pytest.param("devices", "bandwidths", -1.0, "non-positive bandwidth", id="bandwidth"),
+            pytest.param("params", "gamma", 0.0, "gamma out of range", id="gamma-zero"),
+            pytest.param("params", "gamma", 1.5, "gamma out of range", id="gamma-above-one"),
+            pytest.param("params", "lambda_", 0.0, "non-positive lambda_", id="lambda_"),
+            pytest.param("params", "delta", 0.0, "non-positive delta", id="delta"),
+            pytest.param("servers", "edge_clock_speeds", 0.0, "edge clock speed", id="edge-clock"),
+            pytest.param("servers", "cloud_clock_speed", 0.0, "cloud clock speed", id="cloud-clock"),
+            pytest.param("servers", "edge_tx_energy", 0.0, "edge_tx_energy", id="edge_tx_energy"),
+            pytest.param("servers", "edge_exec_energy", 0.0, "edge_exec_energy", id="edge_exec_energy"),
+            pytest.param("servers", "cloud_tx_energy", 0.0, "cloud_tx_energy", id="cloud_tx_energy"),
+            pytest.param("servers", "cloud_exec_energy", -1.0, "cloud_exec_energy", id="cloud_exec_energy"),
+        ],
+    )
+    def test_cost_model_domain_reported(self, part, field, value, message):
+        # The cost model assumes these domains; validate is where they are enforced.
+        s = generate_random(1, DESK)
+        group = getattr(s, part)
+        old = getattr(group, field)
+        new = (value,) + old[1:] if isinstance(old, tuple) else value
+        bad = dataclasses.replace(s, **{part: dataclasses.replace(group, **{field: new})})
+        assert any(message in v for v in validate(bad))
+
     def test_multiple_violations_collected(self):
         s = generate_random(1, DESK)
         bad = dataclasses.replace(
