@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtplace.cost_model import Decision, evaluate, per_dt_cost_table
-from dtplace.errors import ContractError
+from dtplace.errors import ContractError, ValidationError
 from dtplace.scenario import (
     DeviceSet,
     GeneratorConfig,
     PhysicalParams,
     Scenario,
     ServerPool,
+    from_document,
     generate_random,
+    to_document,
 )
 
 from _oracle import reference_cost
@@ -71,14 +73,14 @@ def worked_scenario():
 EDGE, CLOUD = 0, 1
 
 
-def device_costs(server, *, servers=None, devices=None, params=None):
-    """(tx, exec, energy) of tiny_scenario's one device hosted on ``server``.
+def tiny_variant(*, servers=None, devices=None, params=None):
+    """tiny_scenario with fields replaced.
 
     Keyword dicts replace fields of the matching scenario part; device
     fields take the single device's value, not a tuple.
     """
     s = tiny_scenario()
-    s = dataclasses.replace(
+    return dataclasses.replace(
         s,
         servers=dataclasses.replace(s.servers, **(servers or {})),
         devices=dataclasses.replace(
@@ -86,8 +88,23 @@ def device_costs(server, *, servers=None, devices=None, params=None):
         ),
         params=dataclasses.replace(s.params, **(params or {})),
     )
-    cost = evaluate(s, Decision((server,)))
+
+
+def device_costs(server, **fields):
+    """(tx, exec, energy) of tiny_variant's one device hosted on ``server``."""
+    cost = evaluate(tiny_variant(**fields), Decision((server,)))
     return cost.per_device_tx_time[0], cost.per_device_exec_time[0], cost.per_device_energy[0]
+
+
+def domain_violations(**fields):
+    """Violations that loading tiny_variant's document reports.
+
+    The cost model assumes its input domains; loading a document is where
+    they are enforced.
+    """
+    with pytest.raises(ValidationError) as info:
+        from_document(to_document(tiny_variant(**fields)))
+    return info.value.violations
 
 
 class TestCloudFormulas:
@@ -101,6 +118,15 @@ class TestCloudFormulas:
 
     def test_tx_hand_value(self):
         assert device_costs(CLOUD)[0] == pytest.approx(0.1, rel=1e-12)
+
+    def test_tx_domain_errors(self):
+        for fields, message in (
+            ({"devices": {"workloads": 0.0}}, "non-positive workload"),
+            ({"devices": {"bandwidths": -1.0}}, "non-positive bandwidth"),
+            ({"params": {"gamma": 0.0}}, "gamma out of range"),
+            ({"params": {"gamma": 1.5}}, "gamma out of range"),
+        ):
+            assert any(message in v for v in domain_violations(**fields)), fields
 
     def test_exec_unit_case(self):
         _, ex, _ = device_costs(CLOUD, devices={"workloads": 1.0}, params={"delta": 3.5e9})
@@ -124,6 +150,10 @@ class TestCloudFormulas:
     def test_energy_scales_linearly(self):
         double = device_costs(CLOUD, devices={"workloads": 160.0})[2]
         assert double == 2 * device_costs(CLOUD)[2]
+
+    def test_energy_domain_error(self):
+        violations = domain_violations(devices={"workloads": -1.0})
+        assert any("non-positive workload" in v for v in violations)
 
 
 class TestEdgeFormulas:

@@ -296,3 +296,11 @@ class TestCheckpoint:
 
         x = rng.normal(size=(2, 6))
         assert np.array_equal(loaded.forward(x), model.forward(x))
+
+    def test_wrong_file_rejected(self, tmp_path):
+        # A state file written for another architecture does not load under this header.
+        path = tmp_path / "other.npz"
+        np.savez(path, **model_state(init_random(MlpArch((6, 4, 3), (RELU, SIG)), seed=1)))
+        meta = model_meta(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=1))
+        with np.load(path) as state, pytest.raises(ContractError):
+            load_state(meta, dict(state))
