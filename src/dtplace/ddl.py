@@ -10,6 +10,10 @@ extractor takes a single step on the average of the K gradients flowing
 back through it.  No externally labeled data is
 involved at any point; the ensemble bootstraps from its own best guesses.
 
+The networks and the replay database hold float32, which halves the bytes
+each replay update moves; those updates take most of a training run.  The
+cost model, the cost tables and every reported cost stay float64.
+
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
 count R.  Labels are the plain binary expansion of the chosen server index.
@@ -43,6 +47,7 @@ ENSEMBLE_FORMAT = "dtplace-ensemble"
 ENSEMBLE_VERSION = 1
 
 _FEATURES_PER_DEVICE = 4  # workload, x, y, bandwidth
+NETWORK_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,8 @@ class ReplayDatabase:
     def __init__(self, capacity: int, state_shape: tuple[int, ...], target_width: int):
         if capacity < 1:
             raise ContractError("capacity must be at least 1")
-        self._states = np.zeros((capacity, *state_shape))
-        self._targets = np.zeros((capacity, target_width))
+        self._states = np.zeros((capacity, *state_shape), dtype=NETWORK_DTYPE)
+        self._targets = np.zeros((capacity, target_width), dtype=NETWORK_DTYPE)
         self._next = 0
         self._count = 0
 
@@ -259,6 +264,7 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
 
     Network seeds derive sequentially from ``config.seed``, so ensembles that
     differ only in ``num_dnns`` agree on their common prefix of networks.
+    Weights are drawn in float64 and stored as ``NETWORK_DTYPE``.
     """
     _check_ensemble_config(config)
     gen = config.generator
@@ -278,11 +284,18 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
     )
 
     seeds = np.random.default_rng(config.seed)
-    extractor = init_random(ext_arch, seed=int(seeds.integers(2 ** 63)), hyper=hyper)
-    dnns = [
-        init_random(dnn_arch, seed=int(seeds.integers(2 ** 63)), hyper=hyper)
-        for _ in range(config.num_dnns)
-    ]
+
+    def draw(arch: MlpArch) -> MlpModel:
+        drawn = init_random(arch, seed=int(seeds.integers(2 ** 63)))
+        return MlpModel(
+            arch,
+            [w.astype(NETWORK_DTYPE) for w in drawn.weights],
+            [b.astype(NETWORK_DTYPE) for b in drawn.biases],
+            hyper,
+        )
+
+    extractor = draw(ext_arch)
+    dnns = [draw(dnn_arch) for _ in range(config.num_dnns)]
     return DdlEnsemble(feat, m, num_servers, extractor, dnns)
 
 

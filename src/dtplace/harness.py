@@ -240,22 +240,27 @@ class ComparisonRow:
     elapsed: float
 
 
+def _reweighted(scenarios, alpha: float) -> tuple:
+    return tuple(
+        dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=alpha))
+        for s in scenarios
+    )
+
+
 def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
     """The same scenarios under a different time/energy mix."""
-    scenarios = tuple(
-        dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=alpha))
-        for s in probe.scenarios
-    )
+    scenarios = _reweighted(probe.scenarios, alpha)
     tables = np.stack([per_dt_cost_table(s) for s in scenarios])
     return ProbeSet(scenarios=scenarios, seed=probe.seed, tables=tables)
 
 
 def _comparison_rows(probe: ProbeSet, alpha: float, ensemble: DdlEnsemble) -> list:
+    scenarios = _reweighted(probe.scenarios, alpha)
     runners = _baseline_runners(probe) + [("ddl", lambda s, i: ddl.infer(ensemble, s))]
     rows = []
     for name, solve in runners:
         start = time.perf_counter()
-        results = [solve(s, i) for i, s in enumerate(probe.scenarios)]
+        results = [solve(s, i) for i, s in enumerate(scenarios)]
         rows.append(
             ComparisonRow(
                 alpha=alpha,
@@ -284,7 +289,7 @@ def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
         raise ContractError(f"no trained ensemble supplied for alpha={missing[0]}")
     rows: list[ComparisonRow] = []
     for alpha in alphas:
-        rows.extend(_comparison_rows(with_alpha(probe, alpha), alpha, ensembles[alpha]))
+        rows.extend(_comparison_rows(probe, alpha, ensembles[alpha]))
     return rows
 
 

@@ -7,6 +7,10 @@ from N(0, 1/fan_in); biases start at zero.
 
 Shapes follow the row-per-sample convention: inputs are ``(batch, in)`` or a
 single ``(in,)`` vector, weight matrices are ``(out, in)``.
+
+A model computes in the floating dtype of its parameters: inputs, targets
+and upstream gradients are cast to it, and gradients and Adam moments come
+out in it.  Losses are Python floats whatever the dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ class Activation(str, Enum):
         if self is Activation.RELU:
             return np.maximum(z, 0.0)
         if self is Activation.SIGMOID:
-            return 1.0 / (1.0 + np.exp(-z))
+            # exp(-z) overflows to inf below z ≈ -88 in float32, giving the limit 0.
+            with np.errstate(over="ignore"):
+                return 1.0 / (1.0 + np.exp(-z))
         return z
 
     def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -75,17 +81,28 @@ class BackwardResult:
     loss: float
 
 
+def _floating(a) -> np.ndarray:
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(float)
+
+
 class MlpModel:
-    """Mutable network state; one instance is owned by one trainer."""
+    """Mutable network state; one instance is owned by one trainer.
+
+    Parameters keep their floating dtype (others become float64), and all
+    of them must share it: it is the dtype the model computes in.
+    """
 
     def __init__(self, arch: MlpArch, weights, biases, hyper: AdamHyper = AdamHyper()):
         self.arch = arch
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.weights = [_floating(w) for w in weights]
+        self.biases = [_floating(b) for b in biases]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             expected = (arch.sizes[i + 1], arch.sizes[i])
             if w.shape != expected or b.shape != (arch.sizes[i + 1],):
                 raise ContractError(f"layer {i} parameters do not match the architecture")
+        if len({p.dtype for p in self.weights + self.biases}) != 1:
+            raise ContractError("all parameters must share one floating dtype")
         self.hyper = hyper
         self.m_w = [np.zeros_like(w) for w in self.weights]
         self.v_w = [np.zeros_like(w) for w in self.weights]
@@ -96,6 +113,10 @@ class MlpModel:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
 
     def _forward_cached(self, x: np.ndarray):
         pre, post = [], [x]
@@ -108,7 +129,7 @@ class MlpModel:
         return pre, post
 
     def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
         single = x.ndim == 1
         batch = x[None, :] if single else x
         if batch.shape[1] != self.arch.sizes[0]:
@@ -139,8 +160,8 @@ class MlpModel:
         """
         if self.arch.activations[-1] is not Activation.SIGMOID:
             raise ContractError("cross-entropy backward requires a sigmoid output layer")
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(targets, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
+        t = np.asarray(targets, dtype=self.dtype)
         if x.ndim == 1:
             x = x[None, :]
         if t.ndim == 1:
@@ -160,8 +181,8 @@ class MlpModel:
 
     def backward_from_output(self, x, output_gradient) -> BackwardResult:
         """Chain-rule pass for an upstream gradient on this net's output."""
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(output_gradient, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
+        g = np.asarray(output_gradient, dtype=self.dtype)
         if x.ndim == 1:
             x = x[None, :]
         if g.ndim == 1:
@@ -246,9 +267,9 @@ def load_state(meta: dict, state: dict, prefix: str = "") -> MlpModel:
         [state[f"{prefix}b{i}"] for i in range(n)],
         hyper,
     )
-    model.m_w = [np.asarray(state[f"{prefix}mw{i}"], dtype=float) for i in range(n)]
-    model.v_w = [np.asarray(state[f"{prefix}vw{i}"], dtype=float) for i in range(n)]
-    model.m_b = [np.asarray(state[f"{prefix}mb{i}"], dtype=float) for i in range(n)]
-    model.v_b = [np.asarray(state[f"{prefix}vb{i}"], dtype=float) for i in range(n)]
+    model.m_w = [np.asarray(state[f"{prefix}mw{i}"]) for i in range(n)]
+    model.v_w = [np.asarray(state[f"{prefix}vw{i}"]) for i in range(n)]
+    model.m_b = [np.asarray(state[f"{prefix}mb{i}"]) for i in range(n)]
+    model.v_b = [np.asarray(state[f"{prefix}vb{i}"]) for i in range(n)]
     model.step = int(state[f"{prefix}step"])
     return model

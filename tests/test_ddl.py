@@ -396,6 +396,47 @@ class TestTrain:
         assert len(after_distinct) >= 16
 
 
+def as_dtype(model, dtype):
+    return MlpModel(
+        model.arch,
+        [w.astype(dtype) for w in model.weights],
+        [b.astype(dtype) for b in model.biases],
+        model.hyper,
+    )
+
+
+class TestNetworkDtype:
+    def test_trained_ensemble_and_replay_database_are_float32(self, monkeypatch):
+        databases = []
+
+        class Recorded(ReplayDatabase):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                databases.append(self)
+
+        monkeypatch.setattr(ddl, "ReplayDatabase", Recorded)
+        assert build_ensemble(desk_config(num_dnns=2)).extractor.dtype == np.float32
+        cfg = desk_config(iterations=12, db_capacity=8, batch_size=4, num_dnns=3, seed=8)
+        ensemble = train(cfg).ensemble
+        for model in [ensemble.extractor, *ensemble.dnns]:
+            assert model.step > 0
+            for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
+                assert all(a.dtype == np.float32 for a in getattr(model, name))
+        (db,) = databases
+        assert db.full
+        for arrays in (db.contents(), db.sample(np.random.default_rng(0), 4)):
+            assert [a.dtype for a in arrays] == [np.float32, np.float32]
+
+    def test_costs_stay_float64(self):
+        ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))
+        s = generate_random(57, DESK)
+        raw = raw_group_input(s, ensemble.feature)
+        codes = propose_batch(ensemble, raw)
+        costs = ddl.proposal_costs(ddl.per_dt_cost_table(s)[None], codes)
+        assert costs.dtype == np.float64
+        assert type(infer(ensemble, s).cost.weighted_cost) is float
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = desk_config(iterations=12, db_capacity=8, batch_size=4, num_dnns=3, seed=8)
@@ -417,10 +458,33 @@ class TestCheckpoint:
             assert got.step == want.step
             for i in range(want.num_layers):
                 for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
-                    assert np.array_equal(getattr(got, name)[i], getattr(want, name)[i])
+                    got_a, want_a = getattr(got, name)[i], getattr(want, name)[i]
+                    # np.array_equal ignores dtype, so the dtype is compared on its own.
+                    assert got_a.dtype == want_a.dtype == np.float32
+                    assert np.array_equal(got_a, want_a)
 
         s = generate_random(55, DESK)
         assert best_of_k(loaded, s) == best_of_k(result.ensemble, s)
+
+    def test_float64_ensemble_loads_and_infers_in_float64(self, tmp_path):
+        ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))
+        wide = dataclasses.replace(
+            ensemble,
+            extractor=as_dtype(ensemble.extractor, np.float64),
+            dnns=[as_dtype(d, np.float64) for d in ensemble.dnns],
+        )
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, wide)
+        loaded = load_ensemble(path)
+        for model in [loaded.extractor, *loaded.dnns]:
+            for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
+                assert all(a.dtype == np.float64 for a in getattr(model, name))
+        s = generate_random(56, DESK)
+        raw = raw_group_input(s, loaded.feature)
+        emb = loaded.extractor.forward(raw)
+        assert emb.dtype == np.float64
+        assert loaded.dnns[0].forward(emb.reshape(1, -1)).dtype == np.float64
+        assert infer(loaded, s).decision == infer(wide, s).decision
 
     def test_wrong_format_rejected(self, tmp_path):
         import json

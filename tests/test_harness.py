@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtplace import ddl
+from dtplace import ddl, harness
 from dtplace.ddl import TrainConfig, build_ensemble
 from dtplace.errors import ContractError, DomainError, InvalidConfigError
 from dtplace.harness import (
@@ -257,6 +257,16 @@ class TestComparison:
         assert [r.scheme for r in rows[:4]] == list(means)
         for row in rows[:4]:
             assert row.mean_q == means[row.scheme]
+
+    def test_rows_build_no_probe_tables(self, monkeypatch):
+        # Every scheme prices its own scenarios, so stacked probe tables go unread.
+        probe = make_probe(100, 4, MINI)
+        calls = []
+        real = harness.per_dt_cost_table
+        monkeypatch.setattr(harness, "per_dt_cost_table", lambda s: calls.append(s) or real(s))
+        alphas = [0.0, 0.5]
+        run_comparison(probe, alphas, {a: build_ensemble(mini_train(0, seed=9)) for a in alphas})
+        assert calls == []
 
     def test_alpha_endpoints_reduce_to_time_and_energy(self):
         probe = make_probe(100, 4, MINI)

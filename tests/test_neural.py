@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def finite_difference_grads(model, x, t, h=1e-6):
             d_b[idx] = (up - down) / (2 * h)
         grads.append((d_w, d_b))
     return grads
+
+
+def cast(model, dtype):
+    """The same network with its weights and biases converted to ``dtype``."""
+    return MlpModel(
+        model.arch,
+        [w.astype(dtype) for w in model.weights],
+        [b.astype(dtype) for b in model.biases],
+        model.hyper,
+    )
 
 
 def max_relative_error(analytic, numeric):
@@ -195,6 +206,66 @@ class TestBackward:
         assert np.allclose(back_result.gradients[0][0], joint_result.gradients[1][0])
 
 
+class TestDtype:
+    ARCH = MlpArch((5, 4, 3), (RELU, SIG))
+
+    def arrays(self, result):
+        for d_w, d_b in result.gradients:
+            yield d_w
+            yield d_b
+        yield result.input_gradient
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_computes_in_parameter_dtype(self, dtype):
+        # Inputs, targets and upstream gradients arrive in the other dtype.
+        other = np.float32 if dtype == np.float64 else np.float64
+        model = cast(init_random(self.ARCH, seed=4), dtype)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 5)).astype(other)
+        t = rng.integers(0, 2, size=(6, 3)).astype(other)
+        assert model.dtype == dtype
+        assert model.forward(x).dtype == dtype
+        assert model.forward(x[0]).dtype == dtype
+        result = model.backward(x, t)
+        assert type(result.loss) is float
+        assert all(a.dtype == dtype for a in self.arrays(result))
+        upstream = model.backward_from_output(x, np.ones((6, 3), dtype=other))
+        assert all(a.dtype == dtype for a in self.arrays(upstream))
+        model.adam_step(result.gradients)
+        for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
+            assert all(a.dtype == dtype for a in getattr(model, name))
+
+    def test_float32_agrees_with_float64_to_its_precision(self):
+        wide = init_random(self.ARCH, seed=4)
+        narrow = cast(wide, np.float32)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(6, 5))
+        t = rng.integers(0, 2, size=(6, 3)).astype(float)
+        assert np.allclose(narrow.forward(x), wide.forward(x), rtol=1e-5, atol=1e-6)
+        got, want = narrow.backward(x, t), wide.backward(x, t)
+        assert got.loss == pytest.approx(want.loss, rel=1e-5)
+        for g, w in zip(self.arrays(got), self.arrays(want)):
+            assert np.allclose(g, w, rtol=1e-4, atol=1e-6)
+
+    def test_float32_sigmoid_saturates_without_warning(self):
+        model = cast(MlpModel(MlpArch((1, 1), (SIG,)), [[[1.0]]], [[0.0]]), np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = model.forward(np.array([-200.0, 200.0])[:, None])
+        assert out.ravel().tolist() == [0.0, 1.0]
+
+    def test_integer_parameters_become_float64(self):
+        model = MlpModel(MlpArch((2, 1), (SIG,)), [np.ones((1, 2), dtype=int)], [[0]])
+        assert model.dtype == np.float64
+        assert model.biases[0].dtype == np.float64
+
+    def test_mixed_dtypes_rejected(self):
+        model = init_random(self.ARCH, seed=4)
+        with pytest.raises(ContractError):
+            MlpModel(self.ARCH, [model.weights[0].astype(np.float32), model.weights[1]],
+                     model.biases)
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         arch = MlpArch((1, 1), (SIG,))
@@ -276,26 +347,31 @@ class TestInit:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self):
-        model = init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9,
-                            hyper=AdamHyper(learning_rate=0.005))
-        rng = np.random.default_rng(10)
-        for _ in range(3):
-            x = rng.normal(size=(4, 6))
-            t = rng.integers(0, 2, size=(4, 3)).astype(float)
-            model.adam_step(model.backward(x, t).gradients)
+        # np.array_equal ignores dtype, so the dtype is compared on its own.
+        for dtype in (np.float64, np.float32):
+            model = cast(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9,
+                                     hyper=AdamHyper(learning_rate=0.005)), dtype)
+            rng = np.random.default_rng(10)
+            for _ in range(3):
+                x = rng.normal(size=(4, 6))
+                t = rng.integers(0, 2, size=(4, 3)).astype(float)
+                model.adam_step(model.backward(x, t).gradients)
 
-        loaded = load_state(model_meta(model), model_state(model, prefix="net."), prefix="net.")
-        assert loaded.arch == model.arch
-        assert loaded.step == model.step
-        assert loaded.hyper == model.hyper
-        for i in range(model.num_layers):
-            assert np.array_equal(loaded.weights[i], model.weights[i])
-            assert np.array_equal(loaded.biases[i], model.biases[i])
-            assert np.array_equal(loaded.m_w[i], model.m_w[i])
-            assert np.array_equal(loaded.v_w[i], model.v_w[i])
+            state = model_state(model, prefix="net.")
+            loaded = load_state(model_meta(model), state, prefix="net.")
+            assert loaded.arch == model.arch
+            assert loaded.step == model.step
+            assert loaded.hyper == model.hyper
+            for i in range(model.num_layers):
+                for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
+                    got, want = getattr(loaded, name)[i], getattr(model, name)[i]
+                    assert got.dtype == want.dtype == dtype
+                    assert np.array_equal(got, want)
 
-        x = rng.normal(size=(2, 6))
-        assert np.array_equal(loaded.forward(x), model.forward(x))
+            x = rng.normal(size=(2, 6))
+            out = loaded.forward(x)
+            assert out.dtype == dtype
+            assert np.array_equal(out, model.forward(x))
 
     def test_wrong_file_rejected(self, tmp_path):
         # A state file written for another architecture does not load under this header.
