@@ -44,84 +44,53 @@ from .neural import (
 from .scenario import GeneratorConfig, Scenario, generate_random
 
 ENSEMBLE_FORMAT = "dtplace-ensemble"
-ENSEMBLE_VERSION = 1
-
-_FEATURES_PER_DEVICE = 4  # workload, x, y, bandwidth
+ENSEMBLE_VERSION = 2
 NETWORK_DTYPE = np.float32
 
+# Each twin is flattened into SLOTS rows of (workload, x, y, bandwidth),
+# members first in a canonical order, zero rows after.  The scales bring
+# every entry near [0, 1]; the bandwidth column doubles as an occupancy
+# flag because real devices always have positive bandwidth.  SLOTS bounds
+# the devices one twin may own, with slack over the expected maximum
+# occupancy (24 covers 120 devices over 15 twins with room to spare).
+SLOTS = 24
+WORKLOAD_SCALE = 320.0
+COORD_SCALE = (1000.0, 800.0)
+BANDWIDTH_SCALE = 1000.0
+_FEATURES_PER_DEVICE = 4  # workload, x, y, bandwidth
+INPUT_WIDTH = SLOTS * _FEATURES_PER_DEVICE
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Fixed-width encoding of one DT's member devices.
-
-    Each DT is flattened into ``slots`` rows of (workload, x, y, bandwidth),
-    members first in a canonical order, zero rows after.  Scales bring every
-    entry near [0, 1]; the bandwidth column doubles as an occupancy flag
-    because real devices always have positive bandwidth.  ``slots`` bounds
-    the devices one DT may own, so it is sized with slack over the expected
-    maximum occupancy (24 covers 120 devices over 15 DTs with room to spare).
-
-    ``head_activation`` sets the extractor's last layer: identity passes
-    unbounded embeddings through, sigmoid squashes them into (0, 1).  The
-    identity default keeps embeddings informative once training drives the
-    extractor far from initialization; a squashed head can saturate there,
-    leaving the decision networks blind to the scenario.
-    """
-
-    slots: int = 24
-    embedding_sizes: tuple[int, ...] = (32, 8)
-    head_activation: Activation = Activation.IDENTITY
-    workload_scale: float = 320.0
-    coord_scale: tuple[float, float] = (1000.0, 800.0)
-    bandwidth_scale: float = 1000.0
-
-    def __post_init__(self):
-        if self.slots < 1:
-            raise InvalidConfigError("slots must be at least 1")
-        if not self.embedding_sizes or any(n < 1 for n in self.embedding_sizes):
-            raise InvalidConfigError("embedding_sizes must be positive")
-        if self.head_activation not in (Activation.IDENTITY, Activation.SIGMOID):
-            raise InvalidConfigError("head_activation must be identity or sigmoid")
-        for name in ("workload_scale", "bandwidth_scale"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be positive")
-        if self.coord_scale[0] <= 0 or self.coord_scale[1] <= 0:
-            raise InvalidConfigError("coord_scale must be positive")
-
-    @property
-    def input_width(self) -> int:
-        return self.slots * _FEATURES_PER_DEVICE
-
-    @property
-    def embedding_width(self) -> int:
-        return self.embedding_sizes[-1]
+# Extractor layer widths.  Its last layer is identity: unbounded embeddings
+# stay informative once training drives the extractor far from
+# initialization, where a squashed head could saturate and leave the
+# decision networks blind to the scenario.
+EMBEDDING_SIZES = (32, 8)
 
 
-def raw_group_input(s: Scenario, config: FeatureConfig) -> np.ndarray:
-    """Per-DT raw feature rows, shape ``(num_dts, input_width)``.
+def raw_group_input(s: Scenario) -> np.ndarray:
+    """Per-DT raw feature rows, shape ``(num_dts, INPUT_WIDTH)``.
 
     Members are sorted by (workload, x, y) so the encoding does not depend
     on device enumeration order.
     """
-    out = np.zeros((s.num_dts, config.input_width))
+    out = np.zeros((s.num_dts, INPUT_WIDTH))
     dev = s.devices
     members: list[list[int]] = [[] for _ in range(s.num_dts)]
     for i, dt in enumerate(dev.ownership):
         members[dt].append(i)
     for dt, idx in enumerate(members):
-        if len(idx) > config.slots:
+        if len(idx) > SLOTS:
             raise SlotCapacityError(
-                f"DT {dt} owns {len(idx)} devices but the encoding has "
-                f"{config.slots} slots"
+                f"DT {dt} owns {len(idx)} devices but the encoding has {SLOTS} slots"
             )
         idx.sort(key=lambda i: (dev.workloads[i], dev.locations[i][0], dev.locations[i][1]))
         for slot, i in enumerate(idx):
             x, y = dev.locations[i]
             base = slot * _FEATURES_PER_DEVICE
-            out[dt, base] = dev.workloads[i] / config.workload_scale
-            out[dt, base + 1] = x / config.coord_scale[0]
-            out[dt, base + 2] = y / config.coord_scale[1]
-            out[dt, base + 3] = dev.bandwidths[i] / config.bandwidth_scale
+            out[dt, base] = dev.workloads[i] / WORKLOAD_SCALE
+            out[dt, base + 1] = x / COORD_SCALE[0]
+            out[dt, base + 2] = y / COORD_SCALE[1]
+            out[dt, base + 3] = dev.bandwidths[i] / BANDWIDTH_SCALE
     return out
 
 
@@ -214,7 +183,6 @@ class ReplayDatabase:
 class DdlEnsemble:
     """Shared feature extractor plus K sibling placement networks."""
 
-    feature: FeatureConfig
     num_dts: int
     num_servers: int
     extractor: MlpModel
@@ -235,7 +203,6 @@ class TrainConfig:
     db_capacity: int = 1024
     batch_size: int = 128
     hidden_sizes: tuple[int, ...] = (128, 64)
-    feature: FeatureConfig = field(default_factory=FeatureConfig)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 0
 
@@ -270,16 +237,14 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
     gen = config.generator
     m = gen.num_dts
     num_servers = gen.num_edge_servers + 1
-    feat = config.feature
     hyper = AdamHyper(learning_rate=config.learning_rate)
 
     ext_arch = MlpArch(
-        sizes=(feat.input_width, *feat.embedding_sizes),
-        activations=(Activation.RELU,) * (len(feat.embedding_sizes) - 1)
-        + (feat.head_activation,),
+        sizes=(INPUT_WIDTH, *EMBEDDING_SIZES),
+        activations=(Activation.RELU,) * (len(EMBEDDING_SIZES) - 1) + (Activation.IDENTITY,),
     )
     dnn_arch = MlpArch(
-        sizes=(m * feat.embedding_width, *config.hidden_sizes, m * bits_per_dt(num_servers)),
+        sizes=(m * EMBEDDING_SIZES[-1], *config.hidden_sizes, m * bits_per_dt(num_servers)),
         activations=(Activation.RELU,) * len(config.hidden_sizes) + (Activation.SIGMOID,),
     )
 
@@ -296,20 +261,20 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
 
     extractor = draw(ext_arch)
     dnns = [draw(dnn_arch) for _ in range(config.num_dnns)]
-    return DdlEnsemble(feat, m, num_servers, extractor, dnns)
+    return DdlEnsemble(m, num_servers, extractor, dnns)
 
 
 def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     """Placements from every network for a batch of raw inputs.
 
-    ``raw_batch`` is ``(batch, num_dts, input_width)``; the result holds
+    ``raw_batch`` is ``(batch, num_dts, INPUT_WIDTH)``; the result holds
     server indices with shape ``(num_dnns, batch, num_dts)``.
     """
     raw = np.asarray(raw_batch)
     if raw.ndim == 2:
         raw = raw[None, :, :]
     b, m, width = raw.shape
-    if m != ensemble.num_dts or width != ensemble.feature.input_width:
+    if m != ensemble.num_dts or width != INPUT_WIDTH:
         raise ContractError("raw input shape does not match the ensemble")
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
     return np.stack([
@@ -357,7 +322,7 @@ def best_of_k(ensemble: DdlEnsemble, s: Scenario) -> Proposal:
     """Cheapest of the K proposed placements, lowest network index on ties."""
     if s.num_dts != ensemble.num_dts or s.num_servers_total != ensemble.num_servers:
         raise ContractError("scenario shape does not match the ensemble")
-    return _choose(ensemble, s, raw_group_input(s, ensemble.feature))
+    return _choose(ensemble, s, raw_group_input(s))
 
 
 def infer(ensemble: DdlEnsemble, s: Scenario) -> SchemeResult:
@@ -401,7 +366,7 @@ def train(config: TrainConfig, callback=None) -> TrainResult:
     bits = bits_per_dt(ensemble.num_servers)
     db = ReplayDatabase(
         config.db_capacity,
-        state_shape=(ensemble.num_dts, config.feature.input_width),
+        state_shape=(ensemble.num_dts, INPUT_WIDTH),
         target_width=ensemble.num_dts * bits,
     )
 
@@ -416,7 +381,7 @@ def train(config: TrainConfig, callback=None) -> TrainResult:
 
     for it in range(config.iterations):
         s = generate_random(int(scenario_seeds.integers(2 ** 63)), config.generator)
-        raw = raw_group_input(s, config.feature)
+        raw = raw_group_input(s)
         choice = _choose(ensemble, s, raw)
         db.insert(raw, encode_decision(choice.decision, ensemble.num_servers))
 
@@ -433,7 +398,7 @@ def train(config: TrainConfig, callback=None) -> TrainResult:
 def _update(ensemble, db, rng, batch_size) -> list[float]:
     """One training step: per-network batches, averaged extractor gradient."""
     ext = ensemble.extractor
-    m, width = ensemble.num_dts, ensemble.feature.input_width
+    m, width = ensemble.num_dts, INPUT_WIDTH
     ext_grads = None
     losses = []
     for dnn in ensemble.dnns:
@@ -458,18 +423,9 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:
     """Single-file checkpoint of the extractor and all K networks."""
-    feat = ensemble.feature
     header = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
-        "feature": {
-            "slots": feat.slots,
-            "embedding_sizes": list(feat.embedding_sizes),
-            "head_activation": feat.head_activation.value,
-            "workload_scale": feat.workload_scale,
-            "coord_scale": list(feat.coord_scale),
-            "bandwidth_scale": feat.bandwidth_scale,
-        },
         "num_dts": ensemble.num_dts,
         "num_servers": ensemble.num_servers,
         "extractor": model_meta(ensemble.extractor),
@@ -493,20 +449,9 @@ def load_ensemble(path) -> DdlEnsemble:
                 f"the supported version {ENSEMBLE_VERSION}"
             )
         state = {k: data[k] for k in data.files if k != "header"}
-    f = header["feature"]
-    feature = FeatureConfig(
-        slots=int(f["slots"]),
-        embedding_sizes=tuple(int(n) for n in f["embedding_sizes"]),
-        head_activation=Activation(f["head_activation"]),
-        workload_scale=float(f["workload_scale"]),
-        coord_scale=(float(f["coord_scale"][0]), float(f["coord_scale"][1])),
-        bandwidth_scale=float(f["bandwidth_scale"]),
-    )
     extractor = load_state(header["extractor"], state, prefix="ext.")
     dnns = [
         load_state(meta, state, prefix=f"dnn{k}.")
         for k, meta in enumerate(header["dnns"])
     ]
-    return DdlEnsemble(
-        feature, int(header["num_dts"]), int(header["num_servers"]), extractor, dnns
-    )
+    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ddl
-from .ddl import DdlEnsemble, FeatureConfig, TrainConfig, TrainingTrace
+from .ddl import DdlEnsemble, TrainConfig, TrainingTrace
 from .errors import ContractError, DomainError
 from .exact import (
     scheme_average_distribution,
@@ -45,25 +46,24 @@ class ProbeSet:
     """Immutable evaluation set shared by every configuration in one study.
 
     ``tables`` stacks the per-DT cost tables of all scenarios, shape
-    (count, num_dts, num_servers).  Raw network inputs are cached per
-    feature configuration on first use.
+    (count, num_dts, num_servers).
     """
 
     scenarios: tuple
     seed: int
     tables: np.ndarray
-    _raw_cache: dict = field(default_factory=dict, repr=False)
     _scheme_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.scenarios)
 
-    def raw_inputs(self, feature: FeatureConfig) -> np.ndarray:
-        if feature not in self._raw_cache:
-            self._raw_cache[feature] = np.stack(
-                [ddl.raw_group_input(s, feature) for s in self.scenarios]
-            )
-        return self._raw_cache[feature]
+    @functools.cached_property
+    def raw_inputs(self) -> np.ndarray:
+        """Stacked network inputs, encoded on first use.
+
+        Callers that only price the baselines never encode.
+        """
+        return np.stack([ddl.raw_group_input(s) for s in self.scenarios])
 
 
 def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
@@ -77,8 +77,7 @@ def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
 
 def ensemble_probe_costs(ensemble: DdlEnsemble, probe: ProbeSet) -> np.ndarray:
     """Best-of-K weighted cost on every probe scenario, one value per scenario."""
-    raws = probe.raw_inputs(ensemble.feature)
-    codes = ddl.propose_batch(ensemble, raws)
+    codes = ddl.propose_batch(ensemble, probe.raw_inputs)
     return ddl.proposal_costs(probe.tables, codes).min(axis=1)
 
 
@@ -218,8 +217,7 @@ def run_training_experiment(
     if threads < 1:
         raise ContractError("threads must be at least 1")
     means = scheme_means(probe)
-    for _, config in grid:  # warm shared caches before any thread reads them
-        probe.raw_inputs(config.feature)
+    probe.raw_inputs  # warm the shared cache before any thread reads it
     if threads == 1 or len(grid) == 1:
         return [_run_grid_point(lb, cf, probe, cadence, means) for lb, cf in grid]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -313,18 +311,19 @@ def write_trace_csv(path, report: ExperimentReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["iteration", "chosen_q", "convergence", "mean_probe_q"]
+            ["iteration", "chosen_q", "chosen_dnn", "convergence", "mean_probe_q"]
             + [f"loss_{i}" for i in range(k)]
         )
         if 0 in snapshots:
             p = snapshots[0]
-            writer.writerow(["0", "", _cell(p.convergence), _cell(p.mean_probe_q)] + [""] * k)
+            writer.writerow(["0", "", "", _cell(p.convergence), _cell(p.mean_probe_q)] + [""] * k)
         for t in report.traces:
             p = snapshots.get(t.iteration)
             writer.writerow(
                 [
                     str(t.iteration),
                     _cell(t.chosen_q),
+                    str(t.chosen_dnn),
                     _cell(p.convergence) if p else "",
                     _cell(p.mean_probe_q) if p else "",
                 ]

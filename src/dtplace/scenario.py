@@ -394,6 +394,9 @@ def from_document(data: bytes | str) -> Scenario:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid document at line {e.lineno} column {e.colno}: {e.msg}") from None
 
+    for key, expected in (("format", DOCUMENT_FORMAT), ("version", DOCUMENT_VERSION)):
+        if _get(doc, key, "") != expected:
+            raise ParseError(f"unknown document {key} {doc[key]!r}, expected {expected!r}")
     srv = _get(doc, "servers", "")
     dev = _get(doc, "devices", "")
     par = _get(doc, "params", "")

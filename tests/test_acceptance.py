@@ -13,8 +13,8 @@ evaluation points of the replay database filling, leaving the ordering to
 seed noise (1/3 under the first-reach statistic and under the stricter
 stay-above reading alike).  Larger ensembles do end more accurate, which
 criterion 5 pins; they just do not cross the convergence bar earlier.  The
-decisions ledger records the full evidence; the assertions stay faithful
-instead of being inverted or re-tuned to pass.
+README's "Tests" section and CHANGES.md record the evidence; the assertions
+stay faithful instead of being inverted or re-tuned to pass.
 """
 
 import csv
@@ -299,8 +299,8 @@ def test_criterion_7_hyperparameter_directionality(sweep_runs):
         f"K direction {k_votes}/3 ({'; '.join(k_detail)})"
     )
     assert lr_votes >= 2 and k_votes >= 2, (
-        "directional expectations not reproduced (see module docstring and the "
-        f"decisions ledger): lr {lr_votes}/3 ({'; '.join(lr_detail)}); "
+        "directional expectations not reproduced (see the module docstring, the "
+        f"README's Tests section and CHANGES.md): lr {lr_votes}/3 ({'; '.join(lr_detail)}); "
         f"K {k_votes}/3 ({'; '.join(k_detail)})"
     )
 

@@ -10,7 +10,6 @@ from dtplace import ddl
 from dtplace.cost_model import Decision, evaluate
 from dtplace.ddl import (
     DdlEnsemble,
-    FeatureConfig,
     ReplayDatabase,
     TrainConfig,
     best_of_k,
@@ -90,9 +89,8 @@ class TestCodes:
 class TestRawInput:
     def test_shape_and_padding(self):
         s = generate_random(3, DESK)
-        feat = FeatureConfig()
-        raw = raw_group_input(s, feat)
-        assert raw.shape == (6, feat.input_width)
+        raw = raw_group_input(s)
+        assert raw.shape == (6, ddl.INPUT_WIDTH)
         counts = np.bincount(s.devices.ownership, minlength=6)
         for dt in range(6):
             # bandwidth column marks occupied slots
@@ -102,7 +100,7 @@ class TestRawInput:
 
     def test_values_normalized(self):
         s = generate_random(4, DESK)
-        raw = raw_group_input(s, FeatureConfig())
+        raw = raw_group_input(s)
         assert (raw >= 0).all()
         assert (raw <= 1.5).all()
 
@@ -120,20 +118,17 @@ class TestRawInput:
             ),
         )
         assert np.array_equal(
-            raw_group_input(s, FeatureConfig()),
-            raw_group_input(shuffled, FeatureConfig()),
+            raw_group_input(s),
+            raw_group_input(shuffled),
         )
 
     def test_overflow_names_the_dt(self):
-        s = generate_random(3, DESK)
+        # 60 devices over 2 twins: by pigeonhole one twin owns at least 30,
+        # more than the encoding's slots.
+        s = generate_random(3, GeneratorConfig(num_devices=60, num_dts=2))
+        assert np.bincount(s.devices.ownership).max() > ddl.SLOTS
         with pytest.raises(SlotCapacityError, match="DT "):
-            raw_group_input(s, FeatureConfig(slots=2))
-
-    def test_bad_feature_config(self):
-        with pytest.raises(InvalidConfigError):
-            FeatureConfig(slots=0)
-        with pytest.raises(InvalidConfigError):
-            FeatureConfig(workload_scale=0.0)
+            raw_group_input(s)
 
 
 class TestEnsemble:
@@ -142,9 +137,8 @@ class TestEnsemble:
         assert ens.num_dts == 6
         assert ens.num_servers == 4
         assert ens.num_dnns == 12
-        feat = ens.feature
-        assert ens.extractor.arch.sizes == (feat.input_width, *feat.embedding_sizes)
-        assert ens.dnns[0].arch.sizes == (6 * feat.embedding_width, 128, 64, 6 * 2)
+        assert ens.extractor.arch.sizes == (ddl.INPUT_WIDTH, *ddl.EMBEDDING_SIZES)
+        assert ens.dnns[0].arch.sizes == (6 * ddl.EMBEDDING_SIZES[-1], 128, 64, 6 * 2)
 
     def test_seed_prefix_chain(self):
         small = build_ensemble(desk_config(num_dnns=3, seed=9))
@@ -157,7 +151,7 @@ class TestEnsemble:
     def test_proposals_are_valid_placements(self):
         ens = build_ensemble(desk_config(seed=2))
         s = generate_random(10, DESK)
-        raw = raw_group_input(s, ens.feature)
+        raw = raw_group_input(s)
         codes = propose_batch(ens, raw[None])
         assert codes.shape == (12, 1, 6)
         assert ((codes >= 0) & (codes < 4)).all()
@@ -165,13 +159,13 @@ class TestEnsemble:
     def test_propose_rejects_wrong_shape(self):
         ens = build_ensemble(desk_config())
         with pytest.raises(ContractError):
-            propose_batch(ens, np.zeros((1, 5, ens.feature.input_width)))
+            propose_batch(ens, np.zeros((1, 5, ddl.INPUT_WIDTH)))
 
     def test_best_of_k_matches_per_candidate_evaluation(self):
         ens = build_ensemble(desk_config(seed=3))
         s = generate_random(11, DESK)
         choice = best_of_k(ens, s)
-        raw = raw_group_input(s, ens.feature)
+        raw = raw_group_input(s)
         codes = propose_batch(ens, raw[None])[:, 0, :]
         costs = [
             evaluate(s, Decision(tuple(int(c) for c in row))).weighted_cost
@@ -377,7 +371,7 @@ class TestTrain:
         cfg = TrainConfig(iterations=2000, generator=gen, seed=7)
         probes = [generate_random(40_000 + i, gen) for i in range(64)]
         tables = np.stack([per_dt_cost_table(s) for s in probes])
-        raws = np.stack([raw_group_input(s, cfg.feature) for s in probes])
+        raws = np.stack([raw_group_input(s) for s in probes])
         b_idx = np.arange(len(probes))[:, None, None]
         m_idx = np.arange(6)[None, :, None]
 
@@ -430,7 +424,7 @@ class TestNetworkDtype:
     def test_costs_stay_float64(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))
         s = generate_random(57, DESK)
-        raw = raw_group_input(s, ensemble.feature)
+        raw = raw_group_input(s)
         codes = propose_batch(ensemble, raw)
         costs = ddl.proposal_costs(ddl.per_dt_cost_table(s)[None], codes)
         assert costs.dtype == np.float64
@@ -445,7 +439,6 @@ class TestCheckpoint:
         save_ensemble(path, result.ensemble)
         loaded = load_ensemble(path)
 
-        assert loaded.feature == result.ensemble.feature
         assert loaded.num_dts == result.ensemble.num_dts
         assert loaded.num_servers == result.ensemble.num_servers
         assert loaded.num_dnns == 3
@@ -480,7 +473,7 @@ class TestCheckpoint:
             for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
                 assert all(a.dtype == np.float64 for a in getattr(model, name))
         s = generate_random(56, DESK)
-        raw = raw_group_input(s, loaded.feature)
+        raw = raw_group_input(s)
         emb = loaded.extractor.forward(raw)
         assert emb.dtype == np.float64
         assert loaded.dnns[0].forward(emb.reshape(1, -1)).dtype == np.float64
@@ -496,7 +489,8 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             load_ensemble(path)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
+    def test_unknown_version_rejected(self, tmp_path, offset):
         import json
 
         path = tmp_path / "ensemble.npz"
@@ -504,11 +498,12 @@ class TestCheckpoint:
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         header = json.loads(bytes(arrays["header"]).decode())
-        header["version"] = ddl.ENSEMBLE_VERSION + 1
+        version = ddl.ENSEMBLE_VERSION + offset
+        header["version"] = version
         arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         with open(path, "wb") as f:
             np.savez(f, **arrays)
-        with pytest.raises(ContractError, match="version"):
+        with pytest.raises(ContractError, match=f"version {version} "):
             load_ensemble(path)
 
     def test_resumed_training_matches_uninterrupted(self, tmp_path):
@@ -521,7 +516,7 @@ class TestCheckpoint:
         loaded = load_ensemble(path)
 
         s = generate_random(77, DESK)
-        raw = raw_group_input(s, loaded.feature)
+        raw = raw_group_input(s)
         batch = np.repeat(raw.reshape(1, -1), 4, axis=0)
         targets = np.tile(encode_decision(best_of_k(loaded, s).decision, 4), (4, 1))
         emb_a = result.ensemble.extractor.forward(raw).reshape(1, -1)

@@ -139,8 +139,7 @@ class TestTrainingExperiment:
         (report,) = run_training_experiment([("blank", mini_train(0))], probe)
         assert report.eval_points == ()
         assert report.traces == ()
-        raws = probe.raw_inputs(report.config.feature)
-        assert ddl.propose_batch(report.ensemble, raws).shape == (3, 4, 3)
+        assert ddl.propose_batch(report.ensemble, probe.raw_inputs).shape == (3, 4, 3)
 
     def test_snapshot_cadence_and_series_shape(self):
         probe = make_probe(200, 4, MINI)
@@ -290,16 +289,17 @@ class TestCsvOutput:
         write_trace_csv(path, report)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "chosen_q", "convergence", "mean_probe_q"] + [
-            f"loss_{i}" for i in range(3)
-        ]
+        assert rows[0] == [
+            "iteration", "chosen_q", "chosen_dnn", "convergence", "mean_probe_q"
+        ] + [f"loss_{i}" for i in range(3)]
         assert len(rows) == 1 + 1 + 25  # header, snapshot-only row 0, one per iteration
-        assert rows[1][0] == "0" and rows[1][1] == "" and rows[1][3] != ""
+        assert rows[1][:3] == ["0", "", ""] and rows[1][4] != ""
+        assert [int(r[2]) for r in rows[2:]] == [t.chosen_dnn for t in report.traces]
         # database fills at iteration 16; losses are blank before, present after
         by_iter = {r[0]: r for r in rows[1:]}
-        assert by_iter["10"][4] == ""
-        assert float(by_iter["20"][4]) > 0
-        assert float(by_iter["20"][2]) <= 1.0
+        assert by_iter["10"][5] == ""
+        assert float(by_iter["20"][5]) > 0
+        assert float(by_iter["20"][3]) <= 1.0
 
     def test_trace_csv_byte_identical_across_runs(self, tmp_path):
         probe = make_probe(200, 4, MINI)

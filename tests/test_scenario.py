@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dtplace.errors import InvalidConfigError, ParseError, ValidationError
 from dtplace.scenario import (
+    DOCUMENT_VERSION,
     DeviceSet,
     GeneratorConfig,
     PhysicalParams,
@@ -182,6 +184,16 @@ class TestDocuments:
         broken = doc.replace('"gamma"', '"gamma_typo"')
         with pytest.raises(ParseError, match="gamma"):
             from_document(broken)
+
+    @pytest.mark.parametrize("field", ["format", "version"])
+    def test_unknown_or_missing_header_is_parse_error(self, field):
+        doc = json.loads(to_document(generate_random(1, DESK)))
+        doc[field] = "dt-placement-other" if field == "format" else DOCUMENT_VERSION + 1
+        with pytest.raises(ParseError, match=f"unknown document {field} "):
+            from_document(json.dumps(doc))
+        del doc[field]
+        with pytest.raises(ParseError, match=f"missing field {field}"):
+            from_document(json.dumps(doc))
 
     def test_negative_workload_is_validation_error(self):
         s = generate_random(1, DESK)
