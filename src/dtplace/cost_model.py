@@ -68,11 +68,9 @@ def _device_matrices(s: Scenario):
     energy formulas are written; :func:`evaluate` and
     :func:`per_dt_cost_table` both read their device costs from it.
     """
-    pool, dev, par = s.servers, s.devices, s.params
-    w = np.asarray(dev.workloads, dtype=float)
-    b = np.asarray(dev.bandwidths, dtype=float)
-    loc = np.asarray(dev.locations, dtype=float).reshape(len(dev.workloads), 2)
-    eloc = np.asarray(pool.edge_locations, dtype=float).reshape(pool.num_edge, 2)
+    pool, par = s.servers, s.params
+    w, loc, b, _ = s.devices.arrays
+    clocks, eloc = pool.arrays
 
     dist = np.hypot(loc[:, None, 0] - eloc[None, :, 0], loc[:, None, 1] - eloc[None, :, 1])
     dist = np.maximum(dist, 1.0)
@@ -80,7 +78,6 @@ def _device_matrices(s: Scenario):
     tx[:, :-1] = w[:, None] / (par.lambda_ / dist)
     tx[:, -1] = w / (b * par.gamma)
 
-    clocks = np.append(np.asarray(pool.edge_clock_speeds, dtype=float), pool.cloud_clock_speed)
     ex = par.delta * w[:, None] / (clocks[None, :] * 1e9)
 
     en = np.empty_like(tx)
@@ -122,7 +119,7 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
     if assign.size and (assign.min() < 0 or assign.max() >= s.num_servers_total):
         raise ContractError("server index out of range in decision")
 
-    own = np.asarray(s.devices.ownership, dtype=int)
+    own = s.devices.arrays.owner
     tx_all, ex_all, en_all = _device_matrices(s)
     chosen = assign[own]
     rows = np.arange(own.size)
@@ -157,7 +154,7 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
     Shaped ``(num_dts, num_servers_total)``; used for the exact optimum and
     for pricing best-of-K proposals.
     """
-    own = np.asarray(s.devices.ownership, dtype=int)
+    own = s.devices.arrays.owner
     tx, ex, en = _device_matrices(s)
     _, dt_time = _per_dt_time(own, s.num_dts, tx, ex)
     energy_sum = np.zeros_like(dt_time)

@@ -58,6 +58,7 @@ WORKLOAD_SCALE = 320.0
 COORD_SCALE = (1000.0, 800.0)
 BANDWIDTH_SCALE = 1000.0
 _FEATURES_PER_DEVICE = 4  # workload, x, y, bandwidth
+_SCALES = np.array([WORKLOAD_SCALE, *COORD_SCALE, BANDWIDTH_SCALE])
 INPUT_WIDTH = SLOTS * _FEATURES_PER_DEVICE
 
 # Extractor layer widths.  Its last layer is identity: unbounded embeddings
@@ -70,28 +71,24 @@ EMBEDDING_SIZES = (32, 8)
 def raw_group_input(s: Scenario) -> np.ndarray:
     """Per-DT raw feature rows, shape ``(num_dts, INPUT_WIDTH)``.
 
-    Members are sorted by (workload, x, y) so the encoding does not depend
-    on device enumeration order.
+    Members are sorted by (workload, x, y), ties kept in device order, so the
+    encoding does not depend on device enumeration order.
     """
-    out = np.zeros((s.num_dts, INPUT_WIDTH))
-    dev = s.devices
-    members: list[list[int]] = [[] for _ in range(s.num_dts)]
-    for i, dt in enumerate(dev.ownership):
-        members[dt].append(i)
-    for dt, idx in enumerate(members):
-        if len(idx) > SLOTS:
-            raise SlotCapacityError(
-                f"DT {dt} owns {len(idx)} devices but the encoding has {SLOTS} slots"
-            )
-        idx.sort(key=lambda i: (dev.workloads[i], dev.locations[i][0], dev.locations[i][1]))
-        for slot, i in enumerate(idx):
-            x, y = dev.locations[i]
-            base = slot * _FEATURES_PER_DEVICE
-            out[dt, base] = dev.workloads[i] / WORKLOAD_SCALE
-            out[dt, base + 1] = x / COORD_SCALE[0]
-            out[dt, base + 2] = y / COORD_SCALE[1]
-            out[dt, base + 3] = dev.bandwidths[i] / BANDWIDTH_SCALE
-    return out
+    dev = s.devices.arrays
+    counts = np.bincount(dev.owner, minlength=s.num_dts)
+    over = np.flatnonzero(counts > SLOTS)
+    if over.size:
+        raise SlotCapacityError(
+            f"DT {over[0]} owns {counts[over[0]]} devices but the encoding has {SLOTS} slots"
+        )
+    order = np.lexsort((dev.xy[:, 1], dev.xy[:, 0], dev.workload, dev.owner))
+    owner = dev.owner[order]
+    # members of one twin are contiguous in ``order``; a member's slot is its
+    # offset from the twin's first position
+    slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    out = np.zeros((s.num_dts, SLOTS, _FEATURES_PER_DEVICE))
+    out[owner, slot] = np.column_stack((dev.workload, dev.xy, dev.bandwidth))[order] / _SCALES
+    return out.reshape(s.num_dts, INPUT_WIDTH)
 
 
 def bits_per_dt(num_servers: int) -> int:

@@ -63,10 +63,9 @@ def scheme_average_distribution(s: Scenario) -> SchemeResult:
     workload.
     """
     start = time.perf_counter()
-    w = np.asarray(s.devices.workloads, dtype=float)
-    own = np.asarray(s.devices.ownership, dtype=int)
+    dev = s.devices.arrays
     dt_load = np.zeros(s.num_dts)
-    np.add.at(dt_load, own, w)
+    np.add.at(dt_load, dev.owner, dev.workload)
 
     order = sorted(range(s.num_dts), key=lambda m: (-dt_load[m], m))
     server_load = np.zeros(s.num_servers_total)

@@ -24,7 +24,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ProbeSet:
     scenarios: tuple
     seed: int
     tables: np.ndarray
-    _scheme_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -64,6 +63,13 @@ class ProbeSet:
         Callers that only price the baselines never encode.
         """
         return np.stack([ddl.raw_group_input(s) for s in self.scenarios])
+
+    @functools.cached_property
+    def _scheme_means(self) -> dict[str, float]:
+        return {
+            name: float(np.mean([solve(s, i).cost.weighted_cost for i, s in enumerate(self.scenarios)]))
+            for name, solve in _baseline_runners(self)
+        }
 
 
 def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
@@ -110,14 +116,8 @@ def _baseline_runners(probe: ProbeSet) -> list:
 
 
 def scheme_means(probe: ProbeSet) -> dict[str, float]:
-    """Mean weighted cost of each non-learning scheme over the probe set."""
-    if not probe._scheme_cache:
-        probe._scheme_cache.update({
-            name: float(np.mean([solve(s, i).cost.weighted_cost
-                                 for i, s in enumerate(probe.scenarios)]))
-            for name, solve in _baseline_runners(probe)
-        })
-    return dict(probe._scheme_cache)
+    """Mean weighted cost of each non-learning scheme over the probe set, computed once per probe."""
+    return dict(probe._scheme_means)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,12 @@ energies millijoules.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,28 @@ Coord = tuple[float, float]
 
 DOCUMENT_FORMAT = "dt-placement-scenario"
 DOCUMENT_VERSION = 1
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+class PoolArrays(NamedTuple):
+    """Read-only array view of a :class:`ServerPool`."""
+
+    clock: np.ndarray  # (S+1,) clock speeds, the cloud last
+    edge_xy: np.ndarray  # (S, 2) edge server positions
+
+
+class DeviceArrays(NamedTuple):
+    """Read-only array view of a :class:`DeviceSet`."""
+
+    workload: np.ndarray  # (N,) float
+    xy: np.ndarray  # (N, 2) float
+    bandwidth: np.ndarray  # (N,) float
+    owner: np.ndarray  # (N,) int, the twin each device feeds
 
 
 @dataclass(frozen=True)
@@ -51,6 +77,16 @@ class ServerPool:
     def num_edge(self) -> int:
         return len(self.edge_clock_speeds)
 
+    # The views are cached on the groups, not on Scenario, because scenarios
+    # re-weighted to another alpha share their groups.
+    @functools.cached_property
+    def arrays(self) -> PoolArrays:
+        """The pool as read-only arrays, built on first use."""
+        return PoolArrays(
+            clock=_frozen(self.edge_clock_speeds + (self.cloud_clock_speed,)),
+            edge_xy=_frozen(self.edge_locations).reshape(-1, 2),
+        )
+
 
 @dataclass(frozen=True)
 class DeviceSet:
@@ -64,6 +100,16 @@ class DeviceSet:
     @property
     def num_devices(self) -> int:
         return len(self.workloads)
+
+    @functools.cached_property
+    def arrays(self) -> DeviceArrays:
+        """The devices as read-only arrays, built on first use."""
+        return DeviceArrays(
+            workload=_frozen(self.workloads),
+            xy=_frozen(self.locations).reshape(-1, 2),
+            bandwidth=_frozen(self.bandwidths),
+            owner=_frozen(self.ownership, int),
+        )
 
 
 @dataclass(frozen=True)
@@ -330,34 +376,19 @@ def validate(s: Scenario) -> list[str]:
 
 
 def to_document(s: Scenario) -> bytes:
-    """Serialize to a stable JSON document (UTF-8 bytes)."""
+    """Serialize to a stable JSON document (UTF-8 bytes).
+
+    Each group lists its fields in declaration order; tuples become lists.
+    """
     doc = {
         "format": DOCUMENT_FORMAT,
         "version": DOCUMENT_VERSION,
         "num_dts": s.num_dts,
         "num_servers_total": s.num_servers_total,
-        "servers": {
-            "edge_clock_speeds": list(s.servers.edge_clock_speeds),
-            "cloud_clock_speed": s.servers.cloud_clock_speed,
-            "edge_locations": [list(p) for p in s.servers.edge_locations],
-            "edge_exec_energy": s.servers.edge_exec_energy,
-            "cloud_exec_energy": s.servers.cloud_exec_energy,
-            "edge_tx_energy": s.servers.edge_tx_energy,
-            "cloud_tx_energy": s.servers.cloud_tx_energy,
-        },
-        "devices": {
-            "workloads": list(s.devices.workloads),
-            "locations": [list(p) for p in s.devices.locations],
-            "bandwidths": list(s.devices.bandwidths),
-            "ownership": list(s.devices.ownership),
-        },
-        "params": {
-            "gamma": s.params.gamma,
-            "lambda_": s.params.lambda_,
-            "delta": s.params.delta,
-            "alpha": s.params.alpha,
-        },
     }
+    for name in ("servers", "devices", "params"):
+        group = getattr(s, name)
+        doc[name] = {f.name: getattr(group, f.name) for f in fields(group)}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
@@ -367,71 +398,79 @@ def _get(mapping, key, path):
     return mapping[key]
 
 
-def _floats(values, path):
+# Types are compared exactly: a boolean is an int to Python but no number in
+# a document.
+_NUMBERS = {int, float}
+
+
+def _numbers(values, path, what):
+    """A JSON list of finite numbers as a tuple of floats."""
     try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ParseError(f"field {path} must be a list of numbers") from None
+        if type(values) is list and set(map(type, values)) <= _NUMBERS and all(map(isfinite, values)):
+            return tuple(map(float, values))
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ParseError(f"field {path} must be {what}")
+
+
+def _integers(values, path, what):
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return tuple(values)
+    raise ParseError(f"field {path} must be {what}")
 
 
 def _coords(values, path):
-    try:
-        return tuple((float(x), float(y)) for x, y in values)
-    except (TypeError, ValueError):
-        raise ParseError(f"field {path} must be a list of [x, y] pairs") from None
+    what = "a list of [x, y] pairs"
+    if type(values) is not list or not set(map(type, values)) <= {list} or not set(map(len, values)) <= {2}:
+        raise ParseError(f"field {path} must be {what}")
+    flat = _numbers(list(chain.from_iterable(values)), path, what)
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+def _parse(cls, raw, prefix):
+    """Build the dataclass ``cls`` from ``raw``, converting each field by its declared type."""
+    return cls(**{
+        f.name: _CONVERTERS[f.type](_get(raw, f.name, prefix), prefix + f.name)
+        for f in fields(cls)
+    })
+
+
+# Keyed by each field's annotation as written: under postponed evaluation of
+# annotations, ``dataclasses.Field.type`` is that string.
+_CONVERTERS = {
+    "float":lambda v, path: _numbers([v], path, "a number")[0],
+    "int": lambda v, path: _integers([v], path, "an integer")[0],
+    "tuple[float, ...]": lambda v, path: _numbers(v, path, "a list of numbers"),
+    "tuple[int, ...]": lambda v, path: _integers(v, path, "a list of integers"),
+    "tuple[Coord, ...]": _coords,
+}
+_CONVERTERS.update(
+    (cls.__name__, lambda raw, path, cls=cls: _parse(cls, raw, path + "."))
+    for cls in (ServerPool, DeviceSet, PhysicalParams)
+)
 
 
 def from_document(data: bytes | str) -> Scenario:
     """Parse a document produced by :func:`to_document`.
 
-    Raises :class:`ParseError` for malformed input (with a location where the
-    JSON parser provides one) and :class:`ValidationError`, listing every
+    Raises :class:`ParseError` for malformed input, with a location where the
+    JSON parser provides one and the field's name where a value has the
+    wrong type: numbers must be finite, integers take no fraction, and
+    booleans are neither.  Raises :class:`ValidationError`, listing every
     violation, when the parsed scenario breaks invariants.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        doc = json.loads(text)
+        # NaN and Infinity arrive as strings, which no number field accepts.
+        doc = json.loads(text, parse_constant=str)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid document at line {e.lineno} column {e.colno}: {e.msg}") from None
 
     for key, expected in (("format", DOCUMENT_FORMAT), ("version", DOCUMENT_VERSION)):
-        if _get(doc, key, "") != expected:
-            raise ParseError(f"unknown document {key} {doc[key]!r}, expected {expected!r}")
-    srv = _get(doc, "servers", "")
-    dev = _get(doc, "devices", "")
-    par = _get(doc, "params", "")
-    try:
-        servers = ServerPool(
-            edge_clock_speeds=_floats(_get(srv, "edge_clock_speeds", "servers."), "servers.edge_clock_speeds"),
-            cloud_clock_speed=float(_get(srv, "cloud_clock_speed", "servers.")),
-            edge_locations=_coords(_get(srv, "edge_locations", "servers."), "servers.edge_locations"),
-            edge_exec_energy=float(_get(srv, "edge_exec_energy", "servers.")),
-            cloud_exec_energy=float(_get(srv, "cloud_exec_energy", "servers.")),
-            edge_tx_energy=float(_get(srv, "edge_tx_energy", "servers.")),
-            cloud_tx_energy=float(_get(srv, "cloud_tx_energy", "servers.")),
-        )
-        devices = DeviceSet(
-            workloads=_floats(_get(dev, "workloads", "devices."), "devices.workloads"),
-            locations=_coords(_get(dev, "locations", "devices."), "devices.locations"),
-            bandwidths=_floats(_get(dev, "bandwidths", "devices."), "devices.bandwidths"),
-            ownership=tuple(int(v) for v in _get(dev, "ownership", "devices.")),
-        )
-        params = PhysicalParams(
-            gamma=float(_get(par, "gamma", "params.")),
-            lambda_=float(_get(par, "lambda_", "params.")),
-            delta=float(_get(par, "delta", "params.")),
-            alpha=float(_get(par, "alpha", "params.")),
-        )
-        scenario = Scenario(
-            servers, devices, params,
-            num_dts=int(_get(doc, "num_dts", "")),
-            num_servers_total=int(_get(doc, "num_servers_total", "")),
-        )
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ParseError):
-            raise
-        raise ParseError(f"malformed document: {e}") from None
-
+        value = _get(doc, key, "")
+        if type(value) is not type(expected) or value != expected:
+            raise ParseError(f"unknown document {key} {value!r}, expected {expected!r}")
+    scenario = _parse(Scenario, doc, "")
     violations = validate(scenario)
     if violations:
         raise ValidationError(violations)

@@ -116,6 +116,15 @@ class TestSolve:
         assert run("solve", scenario_path, "--scheme", "ddl") == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_nan_document_is_refused(self, scenario_path, capsys):
+        with open(scenario_path) as fh:
+            doc = json.load(fh)
+        doc["devices"]["locations"][0][0] = float("nan")
+        with open(scenario_path, "w") as fh:
+            json.dump(doc, fh)  # writes the NaN token
+        assert run("solve", scenario_path, "--scheme", "exact") == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert run("solve", str(tmp_path / "nope.json"), "--scheme", "co") == 1
         assert "error:" in capsys.readouterr().err

@@ -26,9 +26,32 @@ from dtplace.ddl import (
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
 from dtplace.neural import MlpModel
-from dtplace.scenario import GeneratorConfig, generate_random
+from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
+
+
+def reference_raw_input(s) -> np.ndarray:
+    """The per-device loop that ``raw_group_input`` vectorizes."""
+    out = np.zeros((s.num_dts, ddl.SLOTS, 4))
+    dev = s.devices
+    for dt in range(s.num_dts):
+        members = [i for i, owner in enumerate(dev.ownership) if owner == dt]
+        members.sort(key=lambda i: (dev.workloads[i], *dev.locations[i]))
+        for slot, i in enumerate(members):
+            x, y = dev.locations[i]
+            out[dt, slot] = (
+                dev.workloads[i] / ddl.WORKLOAD_SCALE,
+                x / ddl.COORD_SCALE[0],
+                y / ddl.COORD_SCALE[1],
+                dev.bandwidths[i] / ddl.BANDWIDTH_SCALE,
+            )
+    return out.reshape(s.num_dts, ddl.INPUT_WIDTH)
+
+
+def with_devices(s, num_dts, workloads, locations, bandwidths, ownership):
+    devices = DeviceSet(tuple(workloads), tuple(locations), tuple(bandwidths), tuple(ownership))
+    return dataclasses.replace(s, devices=devices, num_dts=num_dts)
 
 
 def desk_config(**kw) -> TrainConfig:
@@ -121,6 +144,48 @@ class TestRawInput:
             raw_group_input(s),
             raw_group_input(shuffled),
         )
+
+    @pytest.mark.parametrize(
+        "config",
+        [DESK, GeneratorConfig(), GeneratorConfig(cluster_devices=True)],
+        ids=["desk", "full", "clustered"],
+    )
+    def test_matches_the_per_device_loop(self, config):
+        for seed in range(5):
+            s = generate_random(seed, config)
+            assert np.array_equal(raw_group_input(s), reference_raw_input(s))
+
+    def test_workload_ties_break_by_x_then_y_then_device_order(self):
+        # Devices 1, 2 and 4 share a workload; 1, 2 and 4 also share x, and
+        # 1 and 4 are identical but for bandwidth.
+        s = with_devices(
+            generate_random(1, DESK), 1,
+            workloads=(100.0, 100.0, 100.0, 50.0, 100.0),
+            locations=((300.0, 10.0), (200.0, 40.0), (200.0, 20.0), (900.0, 5.0), (200.0, 40.0)),
+            bandwidths=(1000.0, 1000.0, 1000.0, 1000.0, 500.0),
+            ownership=(0, 0, 0, 0, 0),
+        )
+        dev = s.devices
+        expected = [
+            (dev.workloads[i] / ddl.WORKLOAD_SCALE, dev.locations[i][0] / ddl.COORD_SCALE[0],
+             dev.locations[i][1] / ddl.COORD_SCALE[1], dev.bandwidths[i] / ddl.BANDWIDTH_SCALE)
+            for i in (3, 2, 1, 4, 0)
+        ]
+        rows = raw_group_input(s).reshape(ddl.SLOTS, 4)
+        assert np.array_equal(rows[:5], expected)
+        assert not rows[5:].any()
+
+    def test_overflow_names_the_lowest_over_full_dt_and_its_count(self):
+        # Twin 0 fits; twins 1 and 2 both overflow the slots.
+        ownership = [0] + [1] * 26 + [2] * 30
+        n = len(ownership)
+        s = with_devices(
+            generate_random(1, DESK), 3,
+            workloads=[100.0] * n, locations=[(1.0, 1.0)] * n, bandwidths=[1000.0] * n,
+            ownership=ownership[::-1],
+        )
+        with pytest.raises(SlotCapacityError, match=f"DT 1 owns 26 devices but the encoding has {ddl.SLOTS} slots"):
+            raw_group_input(s)
 
     def test_overflow_names_the_dt(self):
         # 60 devices over 2 twins: by pigeonhole one twin owns at least 30,

@@ -1,10 +1,16 @@
+import ast
 import dataclasses
+import functools
 import json
+import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dtplace
 from dtplace.errors import InvalidConfigError, ParseError, ValidationError
 from dtplace.scenario import (
     DOCUMENT_VERSION,
@@ -20,6 +26,7 @@ from dtplace.scenario import (
 )
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
+GOLDEN = Path(__file__).with_name("golden_scenario.json")
 
 
 class TestGenerate:
@@ -207,3 +214,110 @@ class TestDocuments:
     def test_document_bytes_are_stable(self):
         s = generate_random(9, DESK)
         assert to_document(s) == to_document(s)
+
+    def test_golden_document_round_trips_byte_for_byte(self):
+        data = GOLDEN.read_bytes()
+        s = from_document(data)
+        assert to_document(s) == data
+        assert s == Scenario(
+            ServerPool(
+                edge_clock_speeds=(2.0, 2.5),
+                cloud_clock_speed=3.5,
+                edge_locations=((100.0, 200.0), (700.5, 400.25)),
+                edge_exec_energy=0.125,
+                cloud_exec_energy=0.1,
+                edge_tx_energy=0.125,
+                cloud_tx_energy=0.15,
+            ),
+            DeviceSet(
+                workloads=(80.0, 120.5, 96.25, 300.0),
+                locations=((10.0, 20.0), (950.0, 780.5), (500.0, 0.0), (123.456, 654.321)),
+                bandwidths=(1000.0, 1000.0, 500.0, 1000.0),
+                ownership=(0, 1, 1, 0),
+            ),
+            PhysicalParams(gamma=0.004, lambda_=2000.0, delta=1.5, alpha=0.5),
+            num_dts=2,
+            num_servers_total=3,
+        )
+
+    @pytest.mark.parametrize(
+        "path, text",
+        [
+            pytest.param(("devices", "ownership", 0), "1.7", id="ownership-fraction"),
+            pytest.param(("devices", "ownership", 0), "true", id="ownership-bool"),
+            pytest.param(("num_dts",), "6.9", id="num_dts-fraction"),
+            pytest.param(("num_dts",), "true", id="num_dts-bool"),
+            pytest.param(("num_servers_total",), "4.0", id="num_servers_total-float"),
+            pytest.param(("num_servers_total",), "true", id="num_servers_total-bool"),
+            pytest.param(("version",), "1.0", id="version-float"),
+            pytest.param(("version",), "true", id="version-bool"),
+            pytest.param(("params", "gamma"), '"0.004"', id="scalar-string"),
+            pytest.param(("params", "alpha"), "true", id="scalar-bool"),
+            pytest.param(("devices", "workloads", 0), '"nan"', id="list-string"),
+            pytest.param(("devices", "locations", 0, 0), "false", id="pair-bool"),
+            pytest.param(("devices", "locations", 0, 0), "NaN", id="NaN"),
+            pytest.param(("devices", "workloads", 0), "Infinity", id="Infinity"),
+            pytest.param(("servers", "edge_clock_speeds", 0), "-Infinity", id="-Infinity"),
+            pytest.param(("params", "lambda_"), "1e999", id="float-overflow"),
+            pytest.param(("devices", "bandwidths", 0), "1" + "0" * 400, id="integer-overflow"),
+        ],
+    )
+    def test_wrong_value_type_is_parse_error_naming_the_field(self, path, text):
+        # Each of these was read without complaint, or only reported as a
+        # violation of some other invariant, before documents were strict.
+        doc = json.loads(to_document(generate_random(1, DESK)))
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, doc)[last] = "@"
+        field = ".".join(key for key in path if isinstance(key, str))
+        with pytest.raises(ParseError, match=re.escape(field)):
+            from_document(json.dumps(doc).replace('"@"', text))
+
+
+LAYOUT_FIELDS = {
+    "workloads", "locations", "bandwidths", "ownership", "edge_locations", "edge_clock_speeds",
+}
+
+
+def test_only_scenario_reads_the_tuple_layout():
+    """Every other module reads a scenario through its array views."""
+    package = Path(dtplace.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "scenario.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_FIELDS
+    ]
+    assert reads == []
+
+
+class TestArrayViews:
+    def test_views_hold_the_fields(self):
+        s = generate_random(3, DESK)
+        dev, pool = s.devices.arrays, s.servers.arrays
+        assert np.array_equal(dev.workload, s.devices.workloads)
+        assert np.array_equal(dev.xy, s.devices.locations)
+        assert np.array_equal(dev.bandwidth, s.devices.bandwidths)
+        assert np.array_equal(dev.owner, s.devices.ownership)
+        assert dev.owner.dtype.kind == "i" and dev.workload.dtype == np.float64
+        assert np.array_equal(pool.clock, s.servers.edge_clock_speeds + (s.servers.cloud_clock_speed,))
+        assert np.array_equal(pool.edge_xy, s.servers.edge_locations)
+
+    def test_writing_into_a_view_raises(self):
+        s = generate_random(3, DESK)
+        for array in (*s.devices.arrays, *s.servers.arrays):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_reading_the_view_leaves_equality_hash_and_bytes_alone(self):
+        s, twin = generate_random(3, DESK), generate_random(3, DESK)
+        before = to_document(s)
+        s.devices.arrays, s.servers.arrays
+        assert s == twin and hash(s) == hash(twin)
+        assert to_document(s) == before
+
+    def test_reweighted_scenarios_share_one_view(self):
+        s = generate_random(3, DESK)
+        other = dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=0.9))
+        assert other.devices.arrays is s.devices.arrays
+        assert other.servers.arrays is s.servers.arrays
