@@ -71,11 +71,17 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _shape(args, default_desk: bool) -> GeneratorConfig:
-    """Generator config from shape flags over a desk or full-scale base."""
+def _shape(args, training: bool) -> GeneratorConfig:
+    """Generator config from shape flags over a desk or full-scale base.
+
+    Training defaults to the desk shape and pins the server pool to
+    ``--seed``, because one ensemble serves one server deployment.
+    """
     config = GeneratorConfig()
-    if default_desk and not getattr(args, "full", False):
-        config = dataclasses.replace(config, num_devices=24, num_dts=6)
+    if training:
+        config = dataclasses.replace(config, server_seed=args.seed)
+        if not args.full:
+            config = dataclasses.replace(config, num_devices=24, num_dts=6)
     overrides = {}
     for flag, field_name in (
         ("devices", "num_devices"),
@@ -91,7 +97,7 @@ def _shape(args, default_desk: bool) -> GeneratorConfig:
 
 
 def cmd_generate(args) -> int:
-    config = _shape(args, default_desk=False)
+    config = _shape(args, training=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -123,10 +129,7 @@ def _train_config(args, generator: GeneratorConfig) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    generator = _shape(args, default_desk=True)
-    if generator.server_seed is None:
-        # one ensemble serves one server deployment, so pin the pool
-        generator = dataclasses.replace(generator, server_seed=args.seed)
+    generator = _shape(args, training=True)
     config = _train_config(args, generator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,14 +140,10 @@ def cmd_train(args) -> int:
             [("train", config)], probe, cadence=args.cadence
         )
     else:
-        if args.iters == 0:
-            ensemble = ddl.build_ensemble(config)
-            traces: tuple = ()
-        else:
-            result = ddl.train(config)
-            ensemble, traces = result.ensemble, tuple(result.traces)
+        result = ddl.train(config)
         report = harness.ExperimentReport(
-            "train", config, (), traces, ensemble, {}, time.perf_counter() - start
+            "train", config, (), tuple(result.traces), result.ensemble, {},
+            time.perf_counter() - start,
         )
     checkpoint = out / "ensemble.npz"
     ddl.save_ensemble(checkpoint, report.ensemble)
@@ -181,7 +180,7 @@ def cmd_solve(args) -> int:
     print(f"num_dts: {scenario.num_dts}")
     print(f"num_servers: {scenario.num_servers_total}")
     print("assignment: " + " ".join(str(x) for x in result.decision.assignment))
-    for key, value in result.cost.as_record().items():
+    for key, value in dataclasses.asdict(result.cost).items():
         print(f"{key}: {value!r}")
     print(f"elapsed_s: {result.elapsed:.6f}")
     return 0
@@ -216,38 +215,32 @@ def run_named_experiment(
             f"unknown experiment {name!r}; options: {', '.join(EXPERIMENT_NAMES)}"
         )
     probe = harness.make_probe(base.seed + 1, probe_count, base.generator)
-    rows = None
     if name == "lr-sweep":
         grid = [
             (f"lr_{lr:g}", dataclasses.replace(base, learning_rate=lr))
             for lr in LEARNING_RATE_GRID
         ]
-        reports = harness.run_training_experiment(grid, probe, cadence, threads)
     elif name == "dnn-sweep":
         grid = [
             (f"k_{k}", dataclasses.replace(base, num_dnns=k)) for k in DNN_COUNT_GRID
         ]
-        reports = harness.run_training_experiment(grid, probe, cadence, threads)
     elif name == "dbsize-sweep":
         grid = [
             (f"db_{n}", dataclasses.replace(base, db_capacity=n, batch_size=min(base.batch_size, n)))
             for n in DB_SIZE_GRID
         ]
-        reports = harness.run_training_experiment(grid, probe, cadence, threads)
     else:  # alpha-compare: the cost mix changes, so each alpha trains its own ensemble
-        reports = []
-        ensembles = {}
-        for alpha in ALPHA_GRID:
-            config = dataclasses.replace(
-                base, generator=dataclasses.replace(base.generator, alpha=alpha)
+        grid = [
+            (
+                f"alpha_{alpha:g}",
+                dataclasses.replace(base, generator=dataclasses.replace(base.generator, alpha=alpha)),
             )
-            (report,) = harness.run_training_experiment(
-                [(f"alpha_{alpha:g}", config)],
-                harness.with_alpha(probe, alpha),
-                cadence,
-            )
-            reports.append(report)
-            ensembles[alpha] = report.ensemble
+            for alpha in ALPHA_GRID
+        ]
+    reports = harness.run_training_experiment(grid, probe, cadence, threads)
+    rows = None
+    if name == "alpha-compare":
+        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
         rows = harness.run_comparison(probe, list(ALPHA_GRID), ensembles)
     if out_dir is not None:
         out = Path(out_dir)
@@ -279,14 +272,11 @@ def run_named_experiment(
 
 
 def cmd_experiment(args) -> int:
-    generator = _shape(args, default_desk=True)
-    if generator.server_seed is None:
-        generator = dataclasses.replace(generator, server_seed=args.seed)
     result = run_named_experiment(
         args.name,
-        _train_config(args, generator),
+        _train_config(args, _shape(args, training=True)),
         probe_count=args.probe,
-        cadence=1 if args.every_iteration else args.cadence,
+        cadence=args.cadence,
         threads=args.threads,
         out_dir=args.out,
     )
@@ -384,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--probe", type=_positive, default=256, help="probe scenario count")
     e.add_argument("--threads", type=_positive, default=1, help="worker cap")
     _add_train_flags(e)
-    e.add_argument(
-        "--every-iteration",
-        action="store_true",
-        help="snapshot the probe after every iteration",
-    )
     _add_shape_flags(e, with_full=True)
     e.set_defaults(func=cmd_experiment)
     return parser

@@ -40,24 +40,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Per-device and per-DT components behind one scalar cost."""
+    """The two totals behind one scalar cost, and the cost itself."""
 
-    per_device_tx_time: tuple[float, ...]
-    per_device_exec_time: tuple[float, ...]
-    per_device_energy: tuple[float, ...]
-    per_dt_sync_time: tuple[float, ...]
-    per_dt_time: tuple[float, ...]
     total_time: float
     total_energy: float
     weighted_cost: float
-
-    def as_record(self) -> dict[str, float]:
-        """Flat scalars, ready for one CSV row."""
-        return {
-            "total_time": self.total_time,
-            "total_energy": self.total_energy,
-            "weighted_cost": self.weighted_cost,
-        }
 
 
 def _device_matrices(s: Scenario):
@@ -87,12 +74,12 @@ def _device_matrices(s: Scenario):
 
 
 def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
-    """Per-DT sync time and per-cycle time from per-device rows.
+    """Per-DT per-cycle time from per-device rows.
 
     ``tx`` and ``ex`` hold one row per device: shaped ``(N, S+1)`` with
     every server for the cost table, or ``(N,)`` with each device's chosen
-    server for :func:`evaluate`.  Returns ``(sync, dt_time)``, shaped
-    ``(num_dts, S+1)`` or ``(num_dts,)`` to match.
+    server for :func:`evaluate`.  The result is shaped ``(num_dts, S+1)``
+    or ``(num_dts,)`` to match.
     """
     shape = (num_dts,) + tx.shape[1:]
     counts = np.bincount(own, minlength=num_dts).astype(float)
@@ -101,7 +88,7 @@ def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
     exec_sum = np.zeros(shape)
     np.add.at(exec_sum, own, ex)
     # one count per DT, broadcast over the server columns if there are any
-    return sync, counts.reshape(-1, *[1] * (tx.ndim - 1)) * (sync + exec_sum)
+    return counts.reshape(-1, *[1] * (tx.ndim - 1)) * (sync + exec_sum)
 
 
 def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
@@ -121,29 +108,17 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
 
     own = s.devices.arrays.owner
     tx_all, ex_all, en_all = _device_matrices(s)
+    # Gather each device's chosen column and aggregate in 1-D, then sum
+    # sequentially: summing the table's per-twin energies instead would move
+    # the last bit of totals that training traces record.
     chosen = assign[own]
     rows = np.arange(own.size)
-    tx = tx_all[rows, chosen]
-    ex = ex_all[rows, chosen]
-    en = en_all[rows, chosen]
-    sync, dt_time = _per_dt_time(own, m, tx, ex)
-
-    # Sequential sums keep the totals bit-identical to summing the reported
-    # per-DT and per-device components.
+    dt_time = _per_dt_time(own, m, tx_all[rows, chosen], ex_all[rows, chosen])
     total_time = float(sum(dt_time.tolist()))
-    total_energy = float(sum(en.tolist()))
+    total_energy = float(sum(en_all[rows, chosen].tolist()))
     alpha = s.params.alpha
     weighted = float(alpha * total_time + (1.0 - alpha) * total_energy)
-    return CostBreakdown(
-        per_device_tx_time=tuple(float(v) for v in tx),
-        per_device_exec_time=tuple(float(v) for v in ex),
-        per_device_energy=tuple(float(v) for v in en),
-        per_dt_sync_time=tuple(float(v) for v in sync),
-        per_dt_time=tuple(float(v) for v in dt_time),
-        total_time=total_time,
-        total_energy=total_energy,
-        weighted_cost=weighted,
-    )
+    return CostBreakdown(total_time, total_energy, weighted)
 
 
 def per_dt_cost_table(s: Scenario) -> np.ndarray:
@@ -156,7 +131,7 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
     """
     own = s.devices.arrays.owner
     tx, ex, en = _device_matrices(s)
-    _, dt_time = _per_dt_time(own, s.num_dts, tx, ex)
+    dt_time = _per_dt_time(own, s.num_dts, tx, ex)
     energy_sum = np.zeros_like(dt_time)
     np.add.at(energy_sum, own, en)
     alpha = s.params.alpha

@@ -167,14 +167,6 @@ class ReplayDatabase:
         idx = rng.integers(0, self._count, size=batch_size)
         return self._states[idx], self._targets[idx]
 
-    def contents(self):
-        """Stored (states, targets) in insertion order, oldest first."""
-        if self._count < self.capacity:
-            order = np.arange(self._count)
-        else:
-            order = (np.arange(self.capacity) + self._next) % self.capacity
-        return self._states[order].copy(), self._targets[order].copy()
-
 
 @dataclass
 class DdlEnsemble:
@@ -204,19 +196,15 @@ class TrainConfig:
     seed: int = 0
 
 
-def _check_ensemble_config(c: TrainConfig) -> None:
+def _check_config(c: TrainConfig) -> None:
+    if c.iterations < 0:
+        raise InvalidConfigError("iterations must not be negative")
     if c.num_dnns < 1:
         raise InvalidConfigError("num_dnns must be at least 1")
     if c.learning_rate <= 0:
         raise InvalidConfigError("learning_rate must be positive")
     if any(n < 1 for n in c.hidden_sizes):
         raise InvalidConfigError("hidden_sizes must be positive")
-
-
-def _check_train_config(c: TrainConfig) -> None:
-    _check_ensemble_config(c)
-    if c.iterations < 1:
-        raise InvalidConfigError("iterations must be at least 1")
     if c.db_capacity < 1 or c.batch_size < 1:
         raise InvalidConfigError("db_capacity and batch_size must be at least 1")
     if c.batch_size > c.db_capacity:
@@ -230,7 +218,7 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
     differ only in ``num_dnns`` agree on their common prefix of networks.
     Weights are drawn in float64 and stored as ``NETWORK_DTYPE``.
     """
-    _check_ensemble_config(config)
+    _check_config(config)
     gen = config.generator
     m = gen.num_dts
     num_servers = gen.num_edge_servers + 1
@@ -356,9 +344,9 @@ def train(config: TrainConfig, callback=None) -> TrainResult:
     every network trains on its own minibatch and the shared extractor takes
     one step on the K-average of the gradients reaching it.  ``callback``,
     when given, is invoked as ``callback(completed_iterations, ensemble)``
-    at zero and after every iteration.
+    at zero and after every iteration; zero iterations return the fresh
+    ensemble and no traces.
     """
-    _check_train_config(config)
     ensemble = build_ensemble(config)
     bits = bits_per_dt(ensemble.num_servers)
     db = ReplayDatabase(

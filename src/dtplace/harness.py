@@ -162,29 +162,22 @@ class ExperimentReport:
         return None
 
 
-def _run_grid_point(label, config, probe, cadence, means) -> ExperimentReport:
+def _run_grid_point(label, config, cadence, probe, means) -> ExperimentReport:
     start = time.perf_counter()
+    points: list[EvalPoint] = []
+    prev = None
+
+    def snapshot(done: int, ens: DdlEnsemble) -> None:
+        nonlocal prev
+        if done % cadence != 0 and done != config.iterations:
+            return
+        costs = ensemble_probe_costs(ens, probe)
+        c = float("nan") if prev is None else convergence_rate(prev, costs)
+        points.append(EvalPoint(done, c, float(costs.mean())))
+        prev = costs
+
     try:
-        if config.iterations == 0:
-            ensemble = ddl.build_ensemble(config)
-            points: list[EvalPoint] = []
-            traces: tuple = ()
-        else:
-            points = []
-            prev = None
-
-            def snapshot(done: int, ens: DdlEnsemble) -> None:
-                nonlocal prev
-                if done % cadence != 0 and done != config.iterations:
-                    return
-                costs = ensemble_probe_costs(ens, probe)
-                c = float("nan") if prev is None else convergence_rate(prev, costs)
-                points.append(EvalPoint(done, c, float(costs.mean())))
-                prev = costs
-
-            result = ddl.train(config, callback=snapshot)
-            ensemble = result.ensemble
-            traces = tuple(result.traces)
+        result = ddl.train(config, callback=snapshot)
     except Exception as e:
         e.args = (f"grid point {label!r}: {e}",)
         raise
@@ -192,8 +185,8 @@ def _run_grid_point(label, config, probe, cadence, means) -> ExperimentReport:
         label=label,
         config=config,
         eval_points=tuple(points),
-        traces=traces,
-        ensemble=ensemble,
+        traces=tuple(result.traces),
+        ensemble=result.ensemble,
         scheme_means=dict(means),
         elapsed=time.perf_counter() - start,
     )
@@ -204,10 +197,12 @@ def run_training_experiment(
 ) -> list[ExperimentReport]:
     """Train one fresh ensemble per ``(label, TrainConfig)`` grid point.
 
-    Probe costs are snapshotted before training, then after every
-    ``cadence``-th iteration and at the end; ``cadence=1`` evaluates after
-    every iteration.  Grid points are independent, so ``threads > 1`` runs
-    them in a thread pool; report order always follows grid order.
+    Each grid point is scored on the probe re-weighted to its own
+    ``generator.alpha``.  Probe costs are snapshotted before training, then
+    after every ``cadence``-th iteration and at the end; ``cadence=1``
+    evaluates after every iteration.  Grid points are independent, so
+    ``threads > 1`` runs them in a thread pool; report order always follows
+    grid order.
     """
     grid = list(grid)
     if not grid:
@@ -216,16 +211,18 @@ def run_training_experiment(
         raise ContractError("cadence must be at least 1")
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    means = scheme_means(probe)
-    probe.raw_inputs  # warm the shared cache before any thread reads it
+    scored = {}  # alpha -> (probe, scheme means), filled before any thread starts
+    for _, config in grid:
+        alpha = config.generator.alpha
+        if alpha not in scored:
+            at = probe if probe.scenarios[0].params.alpha == alpha else with_alpha(probe, alpha)
+            at.raw_inputs  # encode once, outside the threads
+            scored[alpha] = (at, scheme_means(at))
+    jobs = [(lb, cf, cadence, *scored[cf.generator.alpha]) for lb, cf in grid]
     if threads == 1 or len(grid) == 1:
-        return [_run_grid_point(lb, cf, probe, cadence, means) for lb, cf in grid]
+        return [_run_grid_point(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_run_grid_point, lb, cf, probe, cadence, means)
-            for lb, cf in grid
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda job: _run_grid_point(*job), jobs))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,15 @@ class TestTrain:
         assert ensemble.num_dts == 3
         assert ensemble.num_servers == 3
 
+    def test_zero_iterations_with_probe_record_the_first_snapshot(self, tmp_path, capsys):
+        assert run(
+            "train", "--iters", "0", "--probe", "3", "--seed", "3", "--out", str(tmp_path), *TINY
+        ) == 0
+        with open(tmp_path / "training_trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][0] == "0" and float(rows[1][4]) > 0
+        assert "final mean probe Q" in capsys.readouterr().out
+
     def test_trace_csv_byte_identical_across_runs(self, tmp_path):
         flags = [
             "train", "--iters", "30", "--k", "3", "--db", "16", "--batch", "8",
@@ -111,6 +120,19 @@ class TestSolve:
         assignment = self.fields(capsys.readouterr().out)["assignment"].split()
         assert len(assignment) == 3
         assert all(0 <= int(x) <= 2 for x in assignment)
+
+    @pytest.mark.parametrize("scheme", ["exact", "ro", "co", "ad", "ddl"])
+    def test_prints_the_three_totals(self, scenario_path, tmp_path, capsys, scheme):
+        assert run("train", "--iters", "0", "--seed", "3", "--out", str(tmp_path), *TINY) == 0
+        capsys.readouterr()
+        checkpoint = ["--checkpoint", str(tmp_path / "ensemble.npz")] if scheme == "ddl" else []
+        assert run("solve", scenario_path, "--scheme", scheme, *checkpoint) == 0
+        fields = self.fields(capsys.readouterr().out)
+        assert list(fields) == [
+            "scheme", "scenario", "num_dts", "num_servers", "assignment",
+            "total_time", "total_energy", "weighted_cost", "elapsed_s",
+        ]
+        assert all(float(fields[k]) > 0 for k in ("total_time", "total_energy", "weighted_cost"))
 
     def test_ddl_without_checkpoint_is_usage_error(self, scenario_path, capsys):
         assert run("solve", scenario_path, "--scheme", "ddl") == 2
@@ -175,3 +197,16 @@ class TestExperiment:
             assert set(group) == {"exact", "ro", "co", "ad", "ddl"}
             assert all(group["exact"] <= v + 1e-12 for v in group.values())
         assert len(list(tmp_path.glob("trace_alpha_*.csv"))) == 5
+
+    def test_alpha_compare_threads_change_nothing(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = ["experiment", "alpha-compare", *self.TINY_RUN, "--threads", threads]
+            assert run(*argv, "--out", str(out), *TINY) == 0
+            traces = {p.name: p.read_bytes() for p in sorted(out.glob("trace_alpha_*.csv"))}
+            with open(out / "comparison.csv", newline="") as fh:
+                rows = [r[:-1] for r in csv.reader(fh)]  # all but the elapsed column
+            outputs.append((traces, rows))
+        assert len(outputs[0][0]) == 5
+        assert outputs[0] == outputs[1]

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtplace.cost_model import Decision, evaluate, per_dt_cost_table
+from dtplace.cost_model import (
+    CostBreakdown,
+    Decision,
+    _device_matrices,
+    _per_dt_time,
+    evaluate,
+    per_dt_cost_table,
+)
 from dtplace.errors import ContractError, ValidationError
 from dtplace.scenario import (
     DeviceSet,
@@ -92,8 +99,8 @@ def tiny_variant(*, servers=None, devices=None, params=None):
 
 def device_costs(server, **fields):
     """(tx, exec, energy) of tiny_variant's one device hosted on ``server``."""
-    cost = evaluate(tiny_variant(**fields), Decision((server,)))
-    return cost.per_device_tx_time[0], cost.per_device_exec_time[0], cost.per_device_energy[0]
+    tx, ex, en = _device_matrices(tiny_variant(**fields))
+    return tx[0, server], ex[0, server], en[0, server]
 
 
 def domain_violations(**fields):
@@ -204,7 +211,8 @@ class TestEvaluate:
     def test_single_cloud_device_composes_primitives(self):
         cost = evaluate(tiny_scenario(alpha=1.0), Decision((CLOUD,)))
         tx, ex = 0.1, 80.0 * 1000.0 / 3.5e9
-        assert cost.per_dt_sync_time[0] == cost.per_device_tx_time[0]
+        # a one-member twin syncs on its only upload and refreshes once
+        assert cost.total_time == sum(device_costs(CLOUD)[:2])
         assert cost.total_time == pytest.approx(tx + ex, rel=1e-12)
         assert cost.weighted_cost == cost.total_time
 
@@ -255,18 +263,19 @@ class TestEvaluate:
         assert evaluate(t_only, d).weighted_cost == evaluate(t_only, d).total_time
         assert evaluate(e_only, d).weighted_cost == evaluate(e_only, d).total_energy
 
-    def test_breakdown_sums_are_exact(self):
-        s = generate_random(5, DESK)
-        cost = evaluate(s, random_decision(s, 6))
-        assert sum(cost.per_dt_time) == cost.total_time
-        assert sum(cost.per_device_energy) == cost.total_energy
+    def test_breakdown_holds_only_the_totals(self):
+        names = [f.name for f in dataclasses.fields(CostBreakdown)]
+        assert names == ["total_time", "total_energy", "weighted_cost"]
 
     def test_sync_time_is_member_max(self):
         s = generate_random(8, DESK)
-        cost = evaluate(s, random_decision(s, 9))
+        tx, _, _ = _device_matrices(s)
+        # without execution time a twin's time is its member count times its slowest upload
+        dt_time = _per_dt_time(s.devices.arrays.owner, s.num_dts, tx, np.zeros_like(tx))
         for m in range(s.num_dts):
             members = [i for i, g in enumerate(s.devices.ownership) if g == m]
-            assert cost.per_dt_sync_time[m] == max(cost.per_device_tx_time[i] for i in members)
+            for j in range(s.num_servers_total):
+                assert dt_time[m, j] == len(members) * max(tx[i, j] for i in members)
 
     def test_wrong_length_rejected(self):
         s = generate_random(1, DESK)
@@ -340,9 +349,15 @@ class TestInvariances:
         d = random_decision(s, dseed)
         table = per_dt_cost_table(s)
         cost = evaluate(s, d)
+        tx, ex, en = _device_matrices(s)
+        own = s.devices.arrays.owner
+        rows, chosen = np.arange(own.size), np.asarray(d.assignment)[own]
+        dt_time = _per_dt_time(own, s.num_dts, tx[rows, chosen], ex[rows, chosen])
+        energy = en[rows, chosen].tolist()
         a = s.params.alpha
         for m in range(s.num_dts):
-            energy = sum(
-                e for e, g in zip(cost.per_device_energy, s.devices.ownership) if g == m
-            )
-            assert table[m, d.assignment[m]] == a * cost.per_dt_time[m] + (1 - a) * energy
+            member_energy = sum(e for e, g in zip(energy, s.devices.ownership) if g == m)
+            assert table[m, d.assignment[m]] == a * dt_time[m] + (1 - a) * member_energy
+        # evaluate's totals are sequential sums of the chosen per-twin and per-device rows
+        assert cost.total_time == sum(dt_time.tolist())
+        assert cost.total_energy == sum(energy)

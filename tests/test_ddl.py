@@ -308,24 +308,28 @@ class TestEnsemble:
         assert len(calls) == 12
 
 
+def sampleable(db) -> set:
+    """First state values a large seeded sample draws: the entries still stored."""
+    states, targets = db.sample(np.random.default_rng(0), 2000)
+    assert np.array_equal(states[:, 0], targets[:, 0])  # pairs stay together
+    return set(states[:, 0].tolist())
+
+
 class TestReplayDatabase:
     def test_fifo_eviction(self):
         db = ReplayDatabase(4, state_shape=(2,), target_width=1)
         for i in range(7):
             db.insert(np.array([i, i]), np.array([float(i)]))
-        states, targets = db.contents()
         assert len(db) == 4
         assert db.full
-        assert targets.ravel().tolist() == [3.0, 4.0, 5.0, 6.0]
-        assert states[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
+        assert sampleable(db) == {3.0, 4.0, 5.0, 6.0}  # the three oldest are evicted
 
     def test_not_full_keeps_insertion_order(self):
         db = ReplayDatabase(10, state_shape=(1,), target_width=1)
         for i in range(3):
             db.insert(np.array([i]), np.array([float(i)]))
-        states, targets = db.contents()
         assert not db.full
-        assert targets.ravel().tolist() == [0.0, 1.0, 2.0]
+        assert sampleable(db) == {0.0, 1.0, 2.0}
 
     def test_sample_draws_only_stored_entries(self):
         db = ReplayDatabase(8, state_shape=(1,), target_width=1)
@@ -350,19 +354,29 @@ class TestReplayDatabase:
     def test_count_never_exceeds_capacity(self, capacity, inserts):
         db = ReplayDatabase(capacity, state_shape=(1,), target_width=1)
         for i in range(inserts):
-            db.insert(np.array([i]), np.array([0.0]))
+            db.insert(np.array([i]), np.array([float(i)]))
         assert len(db) == min(capacity, inserts)
-        states, _ = db.contents()
-        # oldest surviving entry is insert max(0, inserts - capacity)
-        assert states[0, 0] == max(0, inserts - capacity)
+        # the survivors are the newest min(capacity, inserts) inserts
+        assert sampleable(db) == set(range(max(0, inserts - capacity), inserts))
 
 
 class TestTrain:
     def test_non_positive_iterations_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            train(desk_config(iterations=0))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="iterations"):
             train(desk_config(iterations=-1))
+
+    def test_zero_iterations_return_the_fresh_ensemble(self):
+        cfg = desk_config(iterations=0, num_dnns=3, seed=4)
+        seen = []
+        result = train(cfg, callback=lambda done, ens: seen.append(done))
+        assert result.traces == []
+        assert seen == [0]
+        fresh = build_ensemble(cfg)
+        for got, want in zip([result.ensemble.extractor, *result.ensemble.dnns],
+                             [fresh.extractor, *fresh.dnns]):
+            for name in ("weights", "biases"):
+                for a, b in zip(getattr(got, name), getattr(want, name)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_batch_larger_than_database_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -483,8 +497,8 @@ class TestNetworkDtype:
                 assert all(a.dtype == np.float32 for a in getattr(model, name))
         (db,) = databases
         assert db.full
-        for arrays in (db.contents(), db.sample(np.random.default_rng(0), 4)):
-            assert [a.dtype for a in arrays] == [np.float32, np.float32]
+        states, targets = db.sample(np.random.default_rng(0), 4)
+        assert states.dtype == targets.dtype == np.float32
 
     def test_costs_stay_float64(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))

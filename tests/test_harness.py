@@ -1,6 +1,7 @@
 """Probe-set scoring, convergence tracking, sweeps, and CSV emission."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -139,9 +140,25 @@ class TestTrainingExperiment:
     def test_zero_iterations_yields_empty_series(self):
         probe = make_probe(200, 4, MINI)
         (report,) = run_training_experiment([("blank", mini_train(0))], probe)
-        assert report.eval_points == ()
+        (point,) = report.eval_points  # the iteration-0 snapshot, as in every run
+        assert point.iteration == 0 and math.isnan(point.convergence)
+        fresh = build_ensemble(mini_train(0))
+        assert point.mean_probe_q == float(ensemble_probe_costs(fresh, probe).mean())
         assert report.traces == ()
         assert ddl.propose_batch(report.ensemble, probe.raw_inputs).shape == (3, 4, 3)
+
+    def test_each_point_is_scored_at_its_own_alpha(self):
+        probe = make_probe(200, 4, MINI)  # MINI's alpha is 0.5
+        energy_only = mini_train(0, generator=dataclasses.replace(MINI, alpha=0.0))
+        (plain, reweighted) = run_training_experiment(
+            [("plain", mini_train(0)), ("energy", energy_only)], probe
+        )
+        assert plain.scheme_means == scheme_means(probe)
+        at_zero = with_alpha(probe, 0.0)
+        assert reweighted.scheme_means == scheme_means(at_zero)
+        fresh = build_ensemble(energy_only)
+        expected = float(ensemble_probe_costs(fresh, at_zero).mean())
+        assert reweighted.eval_points[0].mean_probe_q == expected
 
     def test_snapshot_cadence_and_series_shape(self):
         probe = make_probe(200, 4, MINI)
