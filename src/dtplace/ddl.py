@@ -389,13 +389,13 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
     for dnn in ensemble.dnns:
         states, targets = db.sample(rng, batch_size)
         flat = states.reshape(batch_size * m, width)
-        emb = ext.forward(flat).reshape(batch_size, -1)
-        result = dnn.backward(emb, targets)
+        emb, activations = ext.forward(flat, keep=True)
+        result = dnn.backward(emb.reshape(batch_size, -1), targets)
         dnn.adam_step(result.gradients)
         upstream = result.input_gradient.reshape(batch_size * m, -1)
-        back = ext.backward_from_output(flat, upstream)
+        back = ext.backward_from_output(flat, upstream, activations)
         if ext_grads is None:
-            ext_grads = [(gw.copy(), gb.copy()) for gw, gb in back.gradients]
+            ext_grads = back.gradients
         else:
             for (aw, ab), (gw, gb) in zip(ext_grads, back.gradients):
                 aw += gw
@@ -433,10 +433,11 @@ def load_ensemble(path) -> DdlEnsemble:
                 f"ensemble checkpoint version {header.get('version')!r} is not "
                 f"the supported version {ENSEMBLE_VERSION}"
             )
-        state = {k: data[k] for k in data.files if k != "header"}
-    extractor = load_state(header["extractor"], state, prefix="ext.")
-    dnns = [
-        load_state(meta, state, prefix=f"dnn{k}.")
-        for k, meta in enumerate(header["dnns"])
-    ]
+        # Each array is read when a model copies it into its flat buffers,
+        # so the whole file is never held next to the loaded ensemble.
+        extractor = load_state(header["extractor"], data, prefix="ext.")
+        dnns = [
+            load_state(meta, data, prefix=f"dnn{k}.")
+            for k, meta in enumerate(header["dnns"])
+        ]
     return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)

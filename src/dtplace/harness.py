@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddl
-from .ddl import DdlEnsemble, TrainConfig, TrainingTrace
+from .ddl import DdlEnsemble, TrainConfig
 from .errors import ContractError, DomainError
 from .exact import (
     scheme_average_distribution,

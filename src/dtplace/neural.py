@@ -11,10 +11,24 @@ single ``(in,)`` vector, weight matrices are ``(out, in)``.
 A model computes in the floating dtype of its parameters: inputs, targets
 and upstream gradients are cast to it, and gradients and Adam moments come
 out in it.  Losses are Python floats whatever the dtype.
+
+Each model keeps its parameters in one contiguous vector and each Adam
+moment in another; ``weights``, ``biases``, ``m_w``, ``v_w``, ``m_b`` and
+``v_b`` are per-layer views into them, so an Adam step is one pass over
+three vectors and writes through every view.  Write into the views; do
+not rebind them.
+
+``forward(x, keep=True)`` also returns the activations it computed, which
+``backward_from_output`` accepts instead of running the forward pass again.
+``backward_from_output`` serves a network whose input is data (the
+extractor): it stops at the first layer's weight gradient and leaves
+``input_gradient`` as ``None``.  ``backward`` still returns the gradient on
+its input, which is what chains a decision network to the extractor.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,10 +88,13 @@ class AdamHyper:
 
 @dataclass
 class BackwardResult:
-    """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss."""
+    """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss.
+
+    ``input_gradient`` is ``None`` from ``backward_from_output``.
+    """
 
     gradients: list[tuple[np.ndarray, np.ndarray]]
-    input_gradient: np.ndarray
+    input_gradient: np.ndarray | None
     loss: float
 
 
@@ -90,33 +107,65 @@ class MlpModel:
     """Mutable network state; one instance is owned by one trainer.
 
     Parameters keep their floating dtype (others become float64), and all
-    of them must share it: it is the dtype the model computes in.
+    of them must share it: it is the dtype the model computes in.  They
+    are copied into the flat ``params`` vector; ``m`` and ``v`` are the
+    flat Adam moments.
     """
 
     def __init__(self, arch: MlpArch, weights, biases, hyper: AdamHyper = AdamHyper()):
         self.arch = arch
-        self.weights = [_floating(w) for w in weights]
-        self.biases = [_floating(b) for b in biases]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [_floating(w) for w in weights]
+        biases = [_floating(b) for b in biases]
+        if len(weights) != len(arch.activations) or len(biases) != len(weights):
+            raise ContractError("need one weight matrix and one bias per layer")
+        for i, (w, b) in enumerate(zip(weights, biases)):
             expected = (arch.sizes[i + 1], arch.sizes[i])
             if w.shape != expected or b.shape != (arch.sizes[i + 1],):
                 raise ContractError(f"layer {i} parameters do not match the architecture")
-        if len({p.dtype for p in self.weights + self.biases}) != 1:
+        if len({p.dtype for p in weights + biases}) != 1:
             raise ContractError("all parameters must share one floating dtype")
         self.hyper = hyper
-        self.m_w = [np.zeros_like(w) for w in self.weights]
-        self.v_w = [np.zeros_like(w) for w in self.weights]
-        self.m_b = [np.zeros_like(b) for b in self.biases]
-        self.v_b = [np.zeros_like(b) for b in self.biases]
+        self.params = np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair])
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
         self.step = 0
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Per-layer views into the flat buffers, in the order w0, b0, w1, b1, ..."""
+
+        def split(flat):
+            ws, bs = [], []
+            offset = 0
+            for fan_in, fan_out in zip(self.arch.sizes[:-1], self.arch.sizes[1:]):
+                ws.append(flat[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
+                offset += fan_out * fan_in
+                bs.append(flat[offset:offset + fan_out])
+                offset += fan_out
+            return ws, bs
+
+        self.weights, self.biases = split(self.params)
+        self.m_w, self.m_b = split(self.m)
+        self.v_w, self.v_b = split(self.v)
+
+    # Copies (pickle, copy.deepcopy) would detach the views from the flat
+    # buffers, so they are left out of the state and rebuilt on restore.
+    _VIEWS = ("weights", "biases", "m_w", "m_b", "v_w", "v_b")
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in self._VIEWS}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._bind_views()
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.arch.activations)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.params.dtype
 
     def _forward_cached(self, x: np.ndarray):
         pre, post = [], [x]
@@ -128,7 +177,12 @@ class MlpModel:
             post.append(a)
         return pre, post
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x, keep: bool = False):
+        """Output for a batch or a single vector.
+
+        With ``keep`` the result is ``(output, activations)``, where the
+        activations are what ``backward_from_output`` needs for this batch.
+        """
         x = np.asarray(x, dtype=self.dtype)
         single = x.ndim == 1
         batch = x[None, :] if single else x
@@ -137,20 +191,21 @@ class MlpModel:
                 f"input width {batch.shape[1]} does not match the architecture "
                 f"({self.arch.sizes[0]})"
             )
-        out = self._forward_cached(batch)[1][-1]
-        return out[0] if single else out
+        activations = self._forward_cached(batch)
+        out = activations[1][-1]
+        out = out[0] if single else out
+        return (out, activations) if keep else out
 
-    def _backprop(self, pre, post, delta):
+    def _backprop(self, pre, post, delta, to_input: bool):
+        """Per-layer gradients, plus the input gradient if ``to_input``."""
         gradients = []
         for i in range(self.num_layers - 1, -1, -1):
             gradients.append((delta.T @ post[i], delta.sum(axis=0)))
             if i > 0:
                 act = self.arch.activations[i - 1]
                 delta = (delta @ self.weights[i]) * act.derivative(pre[i - 1], post[i])
-            else:
-                delta = delta @ self.weights[0]
         gradients.reverse()
-        return gradients, delta
+        return gradients, (delta @ self.weights[0] if to_input else None)
 
     def backward(self, x, targets) -> BackwardResult:
         """Gradient of the mean binary cross-entropy over the batch.
@@ -166,7 +221,7 @@ class MlpModel:
             x = x[None, :]
         if t.ndim == 1:
             t = t[None, :]
-        if not np.isin(t, (0.0, 1.0)).all():
+        if not ((t == 0.0) | (t == 1.0)).all():
             raise ContractError("targets must be 0 or 1")
         if x.shape[0] != t.shape[0] or t.shape[1] != self.arch.sizes[-1]:
             raise ContractError("target shape does not match input batch and output width")
@@ -176,11 +231,16 @@ class MlpModel:
         u = x.shape[0]
         clamped = np.clip(f, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
         loss = float(-(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).sum() / u)
-        gradients, input_gradient = self._backprop(pre, post, (f - t) / u)
+        gradients, input_gradient = self._backprop(pre, post, (f - t) / u, to_input=True)
         return BackwardResult(gradients, input_gradient, loss)
 
-    def backward_from_output(self, x, output_gradient) -> BackwardResult:
-        """Chain-rule pass for an upstream gradient on this net's output."""
+    def backward_from_output(self, x, output_gradient, activations=None) -> BackwardResult:
+        """Chain-rule pass for an upstream gradient on this net's output.
+
+        ``activations`` from ``forward(x, keep=True)`` spare a second forward
+        pass over ``x``.  The input is taken to be data, so no gradient is
+        computed for it: ``input_gradient`` is ``None``.
+        """
         x = np.asarray(x, dtype=self.dtype)
         g = np.asarray(output_gradient, dtype=self.dtype)
         if x.ndim == 1:
@@ -189,32 +249,38 @@ class MlpModel:
             g = g[None, :]
         if g.shape != (x.shape[0], self.arch.sizes[-1]):
             raise ContractError("output gradient shape does not match the forward batch")
-        pre, post = self._forward_cached(x)
+        if activations is None:
+            activations = self._forward_cached(x)
+        pre, post = activations
+        if post[0].shape != x.shape:
+            raise ContractError("activations do not belong to this input batch")
         act = self.arch.activations[-1]
         delta = g * act.derivative(pre[-1], post[-1])
-        gradients, input_gradient = self._backprop(pre, post, delta)
-        return BackwardResult(gradients, input_gradient, 0.0)
+        gradients, _ = self._backprop(pre, post, delta, to_input=False)
+        return BackwardResult(gradients, None, 0.0)
 
     def adam_step(self, gradients) -> None:
-        """One Adam update with bias correction; mutates the model in place."""
+        """One Adam update with bias correction; mutates the model in place.
+
+        The gradients are concatenated in the layout of ``params``, so the
+        update is one pass over the flat parameter and moment vectors.
+        """
         if len(gradients) != self.num_layers:
             raise ContractError("gradient count does not match layer count")
+        for i, (d_w, d_b) in enumerate(gradients):
+            if d_w.shape != self.weights[i].shape or d_b.shape != self.biases[i].shape:
+                raise ContractError(f"gradient shape mismatch at layer {i}")
+        g = np.concatenate([a.ravel() for pair in gradients for a in pair])
         h = self.hyper
         self.step += 1
         correct1 = 1.0 - h.beta1 ** self.step
         correct2 = 1.0 - h.beta2 ** self.step
-        for i, (d_w, d_b) in enumerate(gradients):
-            if d_w.shape != self.weights[i].shape or d_b.shape != self.biases[i].shape:
-                raise ContractError(f"gradient shape mismatch at layer {i}")
-            for p, g, m, v in (
-                (self.weights[i], d_w, self.m_w[i], self.v_w[i]),
-                (self.biases[i], d_b, self.m_b[i], self.v_b[i]),
-            ):
-                m *= h.beta1
-                m += (1.0 - h.beta1) * g
-                v *= h.beta2
-                v += (1.0 - h.beta2) * g * g
-                p -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
+        m, v = self.m, self.v
+        m *= h.beta1
+        m += (1.0 - h.beta1) * g
+        v *= h.beta2
+        v += (1.0 - h.beta2) * g * g
+        self.params -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
 
 
 def init_random(arch: MlpArch, seed: int, hyper: AdamHyper = AdamHyper()) -> MlpModel:
@@ -254,7 +320,8 @@ def model_meta(model: MlpModel) -> dict:
     }
 
 
-def load_state(meta: dict, state: dict, prefix: str = "") -> MlpModel:
+def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") -> MlpModel:
+    """The model ``model_state`` saved; ``state`` may be an open ``np.load`` archive."""
     arch = MlpArch(
         sizes=tuple(int(n) for n in meta["sizes"]),
         activations=tuple(Activation(a) for a in meta["activations"]),
@@ -267,9 +334,13 @@ def load_state(meta: dict, state: dict, prefix: str = "") -> MlpModel:
         [state[f"{prefix}b{i}"] for i in range(n)],
         hyper,
     )
-    model.m_w = [np.asarray(state[f"{prefix}mw{i}"]) for i in range(n)]
-    model.v_w = [np.asarray(state[f"{prefix}vw{i}"]) for i in range(n)]
-    model.m_b = [np.asarray(state[f"{prefix}mb{i}"]) for i in range(n)]
-    model.v_b = [np.asarray(state[f"{prefix}vb{i}"]) for i in range(n)]
+    for i in range(n):
+        for key, view in (
+            ("mw", model.m_w[i]), ("vw", model.v_w[i]), ("mb", model.m_b[i]), ("vb", model.v_b[i]),
+        ):
+            stored = np.asarray(state[f"{prefix}{key}{i}"])
+            if stored.shape != view.shape or stored.dtype != view.dtype:
+                raise ContractError(f"{prefix}{key}{i} does not match its layer's parameters")
+            view[...] = stored
     model.step = int(state[f"{prefix}step"])
     return model

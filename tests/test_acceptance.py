@@ -17,7 +17,6 @@ README's "Tests" section and CHANGES.md record the evidence; the assertions
 stay faithful instead of being inverted or re-tuned to pass.
 """
 
-import csv
 import dataclasses
 import math
 import statistics

@@ -25,7 +25,7 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import MlpModel
+from dtplace.neural import LOSS_CLAMP, MlpModel
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
@@ -467,6 +467,115 @@ class TestTrain:
         assert after_best < before_best
         assert after_best < best_fixed
         assert len(after_distinct) >= 16
+
+
+class ReferenceNet:
+    """Per-array network state and arithmetic, as kept before the flat buffers.
+
+    One parameter and two moment arrays per weight and per bias, stepped
+    one array at a time; every backward pass runs its own forward pass and
+    computes the gradient on its input.
+    """
+
+    def __init__(self, model):
+        self.acts = model.arch.activations
+        self.hyper = model.hyper
+        self.w = [w.copy() for w in model.weights]
+        self.b = [b.copy() for b in model.biases]
+        self.mw, self.vw = [np.zeros_like(w) for w in self.w], [np.zeros_like(w) for w in self.w]
+        self.mb, self.vb = [np.zeros_like(b) for b in self.b], [np.zeros_like(b) for b in self.b]
+        self.step = 0
+
+    def forward_cached(self, x):
+        pre, post = [], [x]
+        for w, b, act in zip(self.w, self.b, self.acts):
+            pre.append(post[-1] @ w.T + b)
+            post.append(act.apply(pre[-1]))
+        return pre, post
+
+    def backprop(self, x, delta_of_output):
+        pre, post = self.forward_cached(x)
+        delta = delta_of_output(pre[-1], post[-1])
+        gradients = []
+        for i in range(len(self.w) - 1, -1, -1):
+            gradients.append((delta.T @ post[i], delta.sum(axis=0)))
+            if i > 0:
+                delta = (delta @ self.w[i]) * self.acts[i - 1].derivative(pre[i - 1], post[i])
+            else:
+                delta = delta @ self.w[0]
+        return gradients[::-1], delta
+
+    def backward(self, x, t):
+        f = self.forward_cached(x)[1][-1]
+        clamped = np.clip(f, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+        u = x.shape[0]
+        loss = float(-(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).sum() / u)
+        gradients, input_gradient = self.backprop(x, lambda z, a: (a - t) / u)
+        return gradients, input_gradient, loss
+
+    def adam_step(self, gradients):
+        h = self.hyper
+        self.step += 1
+        correct1 = 1.0 - h.beta1 ** self.step
+        correct2 = 1.0 - h.beta2 ** self.step
+        for i, (d_w, d_b) in enumerate(gradients):
+            for p, g, m, v in ((self.w[i], d_w, self.mw[i], self.vw[i]),
+                               (self.b[i], d_b, self.mb[i], self.vb[i])):
+                m *= h.beta1
+                m += (1.0 - h.beta1) * g
+                v *= h.beta2
+                v += (1.0 - h.beta2) * g * g
+                p -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
+
+    def matches(self, model) -> bool:
+        pairs = zip((self.w, self.b, self.mw, self.vw, self.mb, self.vb),
+                    (model.weights, model.biases, model.m_w, model.v_w, model.m_b, model.v_b))
+        return self.step == model.step and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for mine, theirs in pairs for a, b in zip(mine, theirs)
+        )
+
+
+def reference_update(ext, dnns, db, rng, batch_size, m) -> list[float]:
+    """``ddl._update`` on ``ReferenceNet``s, with its input gradient dropped."""
+    ext_grads, losses = None, []
+    for dnn in dnns:
+        states, targets = db.sample(rng, batch_size)
+        flat = states.reshape(batch_size * m, ddl.INPUT_WIDTH)
+        emb = ext.forward_cached(flat)[1][-1].reshape(batch_size, -1)
+        gradients, input_gradient, loss = dnn.backward(emb, targets)
+        dnn.adam_step(gradients)
+        upstream = input_gradient.reshape(batch_size * m, -1)
+        back, _ = ext.backprop(flat, lambda z, a: upstream * ext.acts[-1].derivative(z, a))
+        if ext_grads is None:
+            ext_grads = [(gw.copy(), gb.copy()) for gw, gb in back]
+        else:
+            for (aw, ab), (gw, gb) in zip(ext_grads, back):
+                aw += gw
+                ab += gb
+        losses.append(loss)
+    ext.adam_step([(gw / len(dnns), gb / len(dnns)) for gw, gb in ext_grads])
+    return losses
+
+
+class TestReplayUpdate:
+    def test_bit_identical_to_the_per_array_update(self):
+        cfg = desk_config(num_dnns=3, seed=12)
+        ensemble = build_ensemble(cfg)
+        ext, dnns = ReferenceNet(ensemble.extractor), [ReferenceNet(d) for d in ensemble.dnns]
+        width = ensemble.dnns[0].arch.sizes[-1]
+        db = ReplayDatabase(64, (DESK.num_dts, ddl.INPUT_WIDTH), width)
+        fill = np.random.default_rng(13)
+        for i in range(64):
+            db.insert(raw_group_input(generate_random(900 + i, DESK)),
+                      fill.integers(0, 2, size=width))
+        got_rng, want_rng = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(4):
+            got = ddl._update(ensemble, db, got_rng, 16)
+            want = reference_update(ext, dnns, db, want_rng, 16, DESK.num_dts)
+            assert got == want
+            assert ext.matches(ensemble.extractor)
+            assert all(r.matches(d) for r, d in zip(dnns, ensemble.dnns))
 
 
 def as_dtype(model, dtype):

@@ -172,8 +172,9 @@ class TestBackward:
 
     def test_non_binary_targets_rejected(self):
         model = init_random(MlpArch((2, 1), (SIG,)), seed=1)
-        with pytest.raises(ContractError):
-            model.backward(np.ones((1, 2)), np.array([[0.5]]))
+        for bad in (0.5, np.nan):
+            with pytest.raises(ContractError):
+                model.backward(np.ones((3, 2)), np.array([[0.0], [bad], [1.0]]))
 
     def test_non_sigmoid_head_rejected(self):
         model = init_random(MlpArch((2, 1), (IDENT,)), seed=1)
@@ -230,7 +231,8 @@ class TestDtype:
         assert type(result.loss) is float
         assert all(a.dtype == dtype for a in self.arrays(result))
         upstream = model.backward_from_output(x, np.ones((6, 3), dtype=other))
-        assert all(a.dtype == dtype for a in self.arrays(upstream))
+        assert all(a.dtype == dtype for pair in upstream.gradients for a in pair)
+        assert upstream.input_gradient is None
         model.adam_step(result.gradients)
         for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
             assert all(a.dtype == dtype for a in getattr(model, name))
@@ -320,6 +322,83 @@ class TestAdam:
             model.adam_step(model.backward(x, t).gradients)
         last = model.backward(x, t).loss
         assert last < first
+
+
+class TestFlatBuffers:
+    ARCH = MlpArch((5, 4, 3), (RELU, SIG))
+    VIEWS = (("weights", "params"), ("biases", "params"), ("m_w", "m"), ("m_b", "m"),
+             ("v_w", "v"), ("v_b", "v"))
+
+    def assert_views_share_flat_buffers(self, model):
+        for views, flat in self.VIEWS:
+            buffer = getattr(model, flat)
+            assert buffer.ndim == 1 and buffer.flags.c_contiguous
+            assert all(np.shares_memory(a, buffer) for a in getattr(model, views))
+        layers = zip(model.weights, model.biases)
+        assert sum(w.size + b.size for w, b in layers) == model.params.size
+
+    def trained(self):
+        model = init_random(self.ARCH, seed=4)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.normal(size=(6, 5))
+            t = rng.integers(0, 2, size=(6, 3)).astype(float)
+            model.adam_step(model.backward(x, t).gradients)
+        return model
+
+    def test_views_share_the_flat_buffers(self):
+        self.assert_views_share_flat_buffers(init_random(self.ARCH, seed=4))
+        model = self.trained()
+        self.assert_views_share_flat_buffers(model)
+        loaded = load_state(model_meta(model), model_state(model))
+        self.assert_views_share_flat_buffers(loaded)
+        for flat in ("params", "m", "v"):
+            assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
+        self.assert_views_share_flat_buffers(copy.deepcopy(model))
+
+    def test_adam_step_writes_through_the_views(self):
+        model = self.trained()
+        before = [w.copy() for w in model.weights]
+        views = model.weights
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(6, 5))
+        model.adam_step(model.backward(x, np.ones((6, 3))).gradients)
+        assert model.weights is views
+        assert all(not np.array_equal(w, b) for w, b in zip(model.weights, before))
+
+    def test_kept_forward_matches_plain_forward(self):
+        model = self.trained()
+        x = np.random.default_rng(7).normal(size=(6, 5))
+        out, _ = model.forward(x, keep=True)
+        assert np.array_equal(out, model.forward(x))
+        single, _ = model.forward(x[0], keep=True)
+        assert np.array_equal(single, model.forward(x[0]))
+
+    def test_kept_activations_give_the_same_gradients(self):
+        model = self.trained()
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 5))
+        g = rng.normal(size=(6, 3))
+        _, activations = model.forward(x, keep=True)
+        kept = model.backward_from_output(x, g, activations)
+        fresh = model.backward_from_output(x, g)
+        for (kw, kb), (fw, fb) in zip(kept.gradients, fresh.gradients):
+            assert np.array_equal(kw, fw)
+            assert np.array_equal(kb, fb)
+
+    def test_activations_of_another_batch_rejected(self):
+        model = self.trained()
+        x = np.ones((6, 5))
+        _, activations = model.forward(x[:4], keep=True)
+        with pytest.raises(ContractError):
+            model.backward_from_output(x, np.ones((6, 3)), activations)
+
+    def test_moment_of_another_shape_rejected(self):
+        model = self.trained()
+        state = model_state(model)
+        state["mw0"] = np.zeros((5, 4))
+        with pytest.raises(ContractError):
+            load_state(model_meta(model), state)
 
 
 class TestInit:
