@@ -14,6 +14,16 @@ The networks and the replay database hold float32, which halves the bytes
 each replay update moves; those updates take most of a training run.  The
 cost model, the cost tables and every reported cost stay float64.
 
+The K decision networks share one architecture, and their flat parameter
+vectors and Adam moments are the rows of three ``(K, P)`` buffers, so a
+proposal runs all K of them in one batched forward: one ``matmul`` per
+layer over ``(K, in, out)`` weight views.  Each network remains an
+ordinary :class:`MlpModel` on its row, so the replay update still runs
+every network's backward pass and Adam step on its own; those were
+measured slower when stacked.  An ensemble built from networks outside
+one stack moves them into a fresh one, and refuses networks that already
+sit in another ensemble's stack rather than detach them from it.
+
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
 count R.  Labels are the plain binary expansion of the chosen server index.
@@ -37,7 +47,9 @@ from .neural import (
     MlpArch,
     MlpModel,
     init_random,
+    layer_views,
     load_state,
+    meta_arch,
     model_meta,
     model_state,
 )
@@ -168,18 +180,106 @@ class ReplayDatabase:
         return self._states[idx], self._targets[idx]
 
 
-@dataclass
+_FLAT = ("params", "m", "v")
+
+
+def _new_stack(count: int, size: int, dtype) -> tuple[np.ndarray, ...]:
+    """Zeroed ``(count, size)`` parameter, first- and second-moment buffers."""
+    return tuple(np.zeros((count, size), dtype) for _ in _FLAT)
+
+
+def _is_row(a: np.ndarray, stack: np.ndarray, k: int) -> bool:
+    return a.base is stack and a.ctypes.data == stack.ctypes.data + k * stack.strides[0]
+
+
+def _stack_of(dnns: tuple[MlpModel, ...]) -> tuple[np.ndarray, ...]:
+    """The ``(K, P)`` buffers whose rows hold the networks' flat vectors.
+
+    Networks that already are rows 0..K-1 of one stack keep it; networks
+    that own their vectors move into a fresh stack.  A network that is a
+    row of some other stack is refused: moving it would detach it from the
+    ensemble it came from.
+    """
+    if not dnns:
+        raise ContractError("an ensemble needs at least one decision network")
+    first = dnns[0]
+    if any(d.arch != first.arch or d.dtype != first.dtype for d in dnns):
+        raise ContractError("the decision networks must share one architecture and dtype")
+    if len({id(d) for d in dnns}) != len(dnns):
+        raise ContractError("a decision network appears twice in the ensemble")
+    stack = tuple(getattr(first, name).base for name in _FLAT)
+    if all(
+        isinstance(buf, np.ndarray) and buf.shape == (len(dnns), first.params.size)
+        and all(_is_row(getattr(d, name), buf, k) for k, d in enumerate(dnns))
+        for name, buf in zip(_FLAT, stack)
+    ):
+        return stack
+    for d in dnns:
+        base = d.params.base
+        if isinstance(base, np.ndarray) and base.ndim == 2:
+            raise ContractError("a decision network is already a row of another stack")
+    stack = _new_stack(len(dnns), first.params.size, first.dtype)
+    for k, d in enumerate(dnns):
+        d.move_into(tuple(buf[k] for buf in stack))
+    return stack
+
+
+@dataclass(frozen=True)
 class DdlEnsemble:
-    """Shared feature extractor plus K sibling placement networks."""
+    """Shared feature extractor plus K sibling placement networks.
+
+    ``buffers`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays whose
+    row ``k`` holds ``dnns[k]``'s flat parameters and Adam moments (see the
+    module docstring).  Make a changed ensemble with ``dataclasses.replace``,
+    which restacks or refuses the networks it is given.
+    """
 
     num_dts: int
     num_servers: int
     extractor: MlpModel
-    dnns: list[MlpModel]
+    dnns: tuple[MlpModel, ...]
+    buffers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _layers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dnns = tuple(self.dnns)
+        stack = _stack_of(dnns)
+        weights, biases = layer_views(dnns[0].arch, stack[0])
+        layers = tuple(
+            (w.transpose(0, 2, 1), b[:, None, :], act)
+            for w, b, act in zip(weights, biases, dnns[0].arch.activations)
+        )
+        object.__setattr__(self, "dnns", dnns)
+        object.__setattr__(self, "buffers", stack)
+        object.__setattr__(self, "_layers", layers)
+
+    # A copy (pickle, copy.deepcopy) gets its own copy of every network,
+    # detached from any stack; restacking them rebuilds the shared buffers.
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in ("buffers", "_layers")}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
 
     @property
     def num_dnns(self) -> int:
         return len(self.dnns)
+
+    def dnn_outputs(self, embeddings) -> np.ndarray:
+        """Every decision network's output for a batch, shape ``(K, batch, out)``.
+
+        ``embeddings`` is ``(batch, in)``.  Each layer is one batched
+        ``matmul``; the values equal each network's own ``forward``.
+        """
+        a = np.asarray(embeddings, dtype=self.buffers[0].dtype)
+        if a.ndim != 2 or a.shape[1] != self.dnns[0].arch.sizes[0]:
+            raise ContractError("embedding batch does not match the decision networks' input")
+        for w, b, act in self._layers:
+            z = np.matmul(a, w)
+            z += b
+            a = np.maximum(z, 0.0, out=z) if act is Activation.RELU else act.apply(z)
+        return a
 
 
 @dataclass(frozen=True)
@@ -235,17 +335,19 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
 
     seeds = np.random.default_rng(config.seed)
 
-    def draw(arch: MlpArch) -> MlpModel:
+    def draw(arch: MlpArch, buffers=None) -> MlpModel:
         drawn = init_random(arch, seed=int(seeds.integers(2 ** 63)))
         return MlpModel(
             arch,
             [w.astype(NETWORK_DTYPE) for w in drawn.weights],
             [b.astype(NETWORK_DTYPE) for b in drawn.biases],
             hyper,
+            buffers,
         )
 
     extractor = draw(ext_arch)
-    dnns = [draw(dnn_arch) for _ in range(config.num_dnns)]
+    stack = _new_stack(config.num_dnns, dnn_arch.num_params, NETWORK_DTYPE)
+    dnns = [draw(dnn_arch, tuple(buf[k] for buf in stack)) for k in range(config.num_dnns)]
     return DdlEnsemble(m, num_servers, extractor, dnns)
 
 
@@ -262,10 +364,9 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     if m != ensemble.num_dts or width != INPUT_WIDTH:
         raise ContractError("raw input shape does not match the ensemble")
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
-    return np.stack([
-        decode_codes(dnn.forward(emb), m, ensemble.num_servers)
-        for dnn in ensemble.dnns
-    ])
+    out = ensemble.dnn_outputs(emb)
+    k = out.shape[0]
+    return decode_codes(out.reshape(k * b, -1), m, ensemble.num_servers).reshape(k, b, m)
 
 
 def proposal_costs(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -434,10 +535,15 @@ def load_ensemble(path) -> DdlEnsemble:
                 f"the supported version {ENSEMBLE_VERSION}"
             )
         # Each array is read when a model copies it into its flat buffers,
-        # so the whole file is never held next to the loaded ensemble.
+        # and the networks load straight into the rows of their stack, so
+        # neither the whole file nor a second copy of the networks is held.
         extractor = load_state(header["extractor"], data, prefix="ext.")
+        metas = header["dnns"]
+        if not metas:
+            raise ContractError("an ensemble needs at least one decision network")
+        stack = _new_stack(len(metas), meta_arch(metas[0]).num_params, data["dnn0.b0"].dtype)
         dnns = [
-            load_state(meta, data, prefix=f"dnn{k}.")
-            for k, meta in enumerate(header["dnns"])
+            load_state(meta, data, prefix=f"dnn{k}.", buffers=tuple(buf[k] for buf in stack))
+            for k, meta in enumerate(metas)
         ]
     return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)

@@ -16,7 +16,10 @@ Each model keeps its parameters in one contiguous vector and each Adam
 moment in another; ``weights``, ``biases``, ``m_w``, ``v_w``, ``m_b`` and
 ``v_b`` are per-layer views into them, so an Adam step is one pass over
 three vectors and writes through every view.  Write into the views; do
-not rebind them.
+not rebind them.  A model can live in vectors it is handed (``buffers``
+on construction and loading, ``move_into`` afterwards), such as the rows
+of one matrix that stacks several models of one architecture;
+``layer_views`` cuts such a stack into per-layer views.
 
 ``forward(x, keep=True)`` also returns the activations it computed, which
 ``backward_from_output`` accepts instead of running the forward pass again.
@@ -77,6 +80,12 @@ class MlpArch:
         if any(n < 1 for n in self.sizes):
             raise ContractError("layer sizes must be positive")
 
+    @property
+    def num_params(self) -> int:
+        """Length of the flat parameter vector: every weight and bias."""
+        pairs = zip(self.sizes[:-1], self.sizes[1:])
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs)
+
 
 @dataclass(frozen=True)
 class AdamHyper:
@@ -103,16 +112,51 @@ def _floating(a) -> np.ndarray:
     return a if np.issubdtype(a.dtype, np.floating) else a.astype(float)
 
 
+def layer_views(arch: MlpArch, flat: np.ndarray):
+    """Per-layer ``(..., out, in)`` weight and ``(..., out)`` bias views.
+
+    ``flat`` holds parameter vectors along its last axis in the order w0,
+    b0, w1, b1, ...; any leading axes (a stack of models) carry through.
+    """
+    lead = flat.shape[:-1]
+    ws, bs = [], []
+    offset = 0
+    for fan_in, fan_out in zip(arch.sizes[:-1], arch.sizes[1:]):
+        ws.append(flat[..., offset:offset + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
+        offset += fan_out * fan_in
+        bs.append(flat[..., offset:offset + fan_out])
+        offset += fan_out
+    return ws, bs
+
+
+def _flat_buffers(buffers, size: int, dtype: np.dtype):
+    """``(params, m, v)`` checked to be writable contiguous vectors of ``size`` ``dtype``."""
+    params, m, v = buffers
+    for a in buffers:
+        if (
+            not isinstance(a, np.ndarray) or a.shape != (size,) or a.dtype != dtype
+            or not a.flags.c_contiguous or not a.flags.writeable
+        ):
+            raise ContractError(
+                f"each flat buffer must be a writable contiguous {dtype} vector of {size} entries"
+            )
+    return params, m, v
+
+
 class MlpModel:
     """Mutable network state; one instance is owned by one trainer.
 
     Parameters keep their floating dtype (others become float64), and all
     of them must share it: it is the dtype the model computes in.  They
     are copied into the flat ``params`` vector; ``m`` and ``v`` are the
-    flat Adam moments.
+    flat Adam moments.  ``buffers``, when given, is a ``(params, m, v)``
+    triple of vectors the model writes its parameters into, zeroes the
+    moments of, and keeps as its own.
     """
 
-    def __init__(self, arch: MlpArch, weights, biases, hyper: AdamHyper = AdamHyper()):
+    def __init__(
+        self, arch: MlpArch, weights, biases, hyper: AdamHyper = AdamHyper(), buffers=None,
+    ):
         self.arch = arch
         weights = [_floating(w) for w in weights]
         biases = [_floating(b) for b in biases]
@@ -125,28 +169,29 @@ class MlpModel:
         if len({p.dtype for p in weights + biases}) != 1:
             raise ContractError("all parameters must share one floating dtype")
         self.hyper = hyper
-        self.params = np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair])
-        self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params)
+        dtype = weights[0].dtype
+        if buffers is None:
+            buffers = tuple(np.empty(arch.num_params, dtype) for _ in range(3))
+        self.params, self.m, self.v = _flat_buffers(buffers, arch.num_params, dtype)
+        np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair], out=self.params)
+        self.m[...] = 0.0
+        self.v[...] = 0.0
         self.step = 0
         self._bind_views()
 
     def _bind_views(self) -> None:
         """Per-layer views into the flat buffers, in the order w0, b0, w1, b1, ..."""
+        self.weights, self.biases = layer_views(self.arch, self.params)
+        self.m_w, self.m_b = layer_views(self.arch, self.m)
+        self.v_w, self.v_b = layer_views(self.arch, self.v)
 
-        def split(flat):
-            ws, bs = [], []
-            offset = 0
-            for fan_in, fan_out in zip(self.arch.sizes[:-1], self.arch.sizes[1:]):
-                ws.append(flat[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
-                offset += fan_out * fan_in
-                bs.append(flat[offset:offset + fan_out])
-                offset += fan_out
-            return ws, bs
-
-        self.weights, self.biases = split(self.params)
-        self.m_w, self.m_b = split(self.m)
-        self.v_w, self.v_b = split(self.v)
+    def move_into(self, buffers) -> None:
+        """Copy the parameters and moments into ``(params, m, v)`` and keep them there."""
+        buffers = _flat_buffers(buffers, self.params.size, self.dtype)
+        for new, old in zip(buffers, (self.params, self.m, self.v)):
+            new[...] = old
+        self.params, self.m, self.v = buffers
+        self._bind_views()
 
     # Copies (pickle, copy.deepcopy) would detach the views from the flat
     # buffers, so they are left out of the state and rebuilt on restore.
@@ -255,7 +300,8 @@ class MlpModel:
         if post[0].shape != x.shape:
             raise ContractError("activations do not belong to this input batch")
         act = self.arch.activations[-1]
-        delta = g * act.derivative(pre[-1], post[-1])
+        # an identity head passes the gradient through unchanged
+        delta = g if act is Activation.IDENTITY else g * act.derivative(pre[-1], post[-1])
         gradients, _ = self._backprop(pre, post, delta, to_input=False)
         return BackwardResult(gradients, None, 0.0)
 
@@ -320,12 +366,22 @@ def model_meta(model: MlpModel) -> dict:
     }
 
 
-def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") -> MlpModel:
-    """The model ``model_state`` saved; ``state`` may be an open ``np.load`` archive."""
-    arch = MlpArch(
+def meta_arch(meta: dict) -> MlpArch:
+    """The architecture a ``model_meta`` record describes."""
+    return MlpArch(
         sizes=tuple(int(n) for n in meta["sizes"]),
         activations=tuple(Activation(a) for a in meta["activations"]),
     )
+
+
+def load_state(
+    meta: dict, state: Mapping[str, np.ndarray], prefix: str = "", buffers=None,
+) -> MlpModel:
+    """The model ``model_state`` saved; ``state`` may be an open ``np.load`` archive.
+
+    ``buffers`` is passed on to :class:`MlpModel`.
+    """
+    arch = meta_arch(meta)
     hyper = AdamHyper(**meta["hyper"])
     n = len(arch.sizes) - 1
     model = MlpModel(
@@ -333,6 +389,7 @@ def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") ->
         [state[f"{prefix}w{i}"] for i in range(n)],
         [state[f"{prefix}b{i}"] for i in range(n)],
         hyper,
+        buffers,
     )
     for i in range(n):
         for key, view in (

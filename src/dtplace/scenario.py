@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, ParseError, ValidationError
+from .errors import ContractError, InvalidConfigError, ParseError, ValidationError
 
 Coord = tuple[float, float]
 
@@ -103,10 +103,19 @@ class DeviceSet:
 
     @functools.cached_property
     def arrays(self) -> DeviceArrays:
-        """The devices as read-only arrays, built on first use."""
+        """The devices as read-only arrays, built on first use.
+
+        Raises :class:`ContractError` if a location is not an (x, y) pair.
+        """
+        # Flattening the pairs is twice as fast as np.array on the nested
+        # tuples, but would silently shift values past a ragged pair.
+        if not set(map(len, self.locations)) <= {2}:
+            raise ContractError("device locations must be (x, y) pairs")
+        xy = np.fromiter(chain.from_iterable(self.locations), float, 2 * len(self.locations))
+        xy.flags.writeable = False
         return DeviceArrays(
             workload=_frozen(self.workloads),
-            xy=_frozen(self.locations).reshape(-1, 2),
+            xy=xy.reshape(-1, 2),
             bandwidth=_frozen(self.bandwidths),
             owner=_frozen(self.ownership, int),
         )

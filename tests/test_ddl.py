@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -715,3 +717,143 @@ class TestCheckpoint:
         result.ensemble.dnns[0].adam_step(ga.gradients)
         loaded.dnns[0].adam_step(gb.gradients)
         assert np.array_equal(result.ensemble.dnns[0].weights[0], loaded.dnns[0].weights[0])
+
+
+FULL = GeneratorConfig()
+
+
+def per_network_proposals(ensemble, raw):
+    """Codes and raw outputs from each network's own ``forward``, one at a time."""
+    b, m, width = raw.shape
+    emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
+    outputs = np.stack([dnn.forward(emb) for dnn in ensemble.dnns])
+    codes = np.stack([decode_codes(out, m, ensemble.num_servers) for out in outputs])
+    return codes, outputs, emb
+
+
+def assert_rows_of_buffers(ensemble):
+    params, m, v = ensemble.buffers
+    assert params.shape == m.shape == v.shape == (ensemble.num_dnns, ensemble.dnns[0].params.size)
+    for k, dnn in enumerate(ensemble.dnns):
+        for flat, buffer in zip((dnn.params, dnn.m, dnn.v), ensemble.buffers):
+            assert np.shares_memory(flat, buffer[k])
+            assert flat.shape == buffer[k].shape
+
+
+def step_toward_other_codes(ensemble, k, raw):
+    """One Adam step on ``dnns[k]`` toward the bit complement of its proposals."""
+    b, m, width = raw.shape
+    emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
+    dnn = ensemble.dnns[k]
+    targets = (dnn.forward(emb) <= 0.5).astype(float)
+    dnn.adam_step(dnn.backward(emb, targets).gradients)
+
+
+class TestStackedNetworks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("gen", [DESK, FULL], ids=["desk", "full"])
+    def test_batched_forward_equals_the_per_network_loop(self, gen, batch, dtype):
+        ensemble = build_ensemble(TrainConfig(iterations=0, generator=gen, seed=21))
+        if dtype is not np.float32:
+            ensemble = dataclasses.replace(
+                ensemble,
+                extractor=as_dtype(ensemble.extractor, dtype),
+                dnns=[as_dtype(d, dtype) for d in ensemble.dnns],
+            )
+        raw = np.stack([raw_group_input(generate_random(300 + i, gen)) for i in range(batch)])
+        codes, outputs, emb = per_network_proposals(ensemble, raw)
+        batched = ensemble.dnn_outputs(emb)
+        assert batched.dtype == outputs.dtype == dtype
+        assert np.array_equal(batched, outputs)
+        assert np.array_equal(propose_batch(ensemble, raw), codes)
+
+    def test_trained_ensemble_matches_the_per_network_loop(self):
+        cfg = desk_config(iterations=14, db_capacity=8, batch_size=4, num_dnns=3, seed=22)
+        ensemble = train(cfg).ensemble
+        raw = np.stack([raw_group_input(generate_random(400 + i, DESK)) for i in range(70)])
+        codes, outputs, emb = per_network_proposals(ensemble, raw)
+        assert np.array_equal(ensemble.dnn_outputs(emb), outputs)
+        assert np.array_equal(propose_batch(ensemble, raw), codes)
+
+    @staticmethod
+    def made_every_way(tmp_path):
+        cfg = desk_config(num_dnns=3, seed=23, learning_rate=5.0)
+        built = build_ensemble(cfg)
+        trained = train(
+            dataclasses.replace(cfg, iterations=10, db_capacity=6, batch_size=4)
+        ).ensemble
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, trained)
+        loaded = load_ensemble(path)
+        replaced = dataclasses.replace(built, dnns=[as_dtype(d, np.float32) for d in built.dnns])
+        return {
+            "build_ensemble": built,
+            "train": trained,
+            "load_ensemble": loaded,
+            "dataclasses.replace": replaced,
+            "copy.deepcopy": copy.deepcopy(trained),
+            "pickle": pickle.loads(pickle.dumps(trained)),
+        }
+
+    def test_every_way_of_making_an_ensemble_shares_the_buffers(self, tmp_path):
+        raw = np.stack([raw_group_input(generate_random(500 + i, DESK)) for i in range(32)])
+        ensembles = self.made_every_way(tmp_path)
+        for how, ensemble in ensembles.items():
+            assert_rows_of_buffers(ensemble)
+        for how, ensemble in ensembles.items():
+            proposals = {name: propose_batch(e, raw) for name, e in ensembles.items()}
+            step_toward_other_codes(ensemble, 1, raw)
+            after = propose_batch(ensemble, raw)
+            assert not np.array_equal(after[1], proposals[how][1]), how
+            assert np.array_equal(after[[0, 2]], proposals[how][[0, 2]]), how
+            assert np.array_equal(after, per_network_proposals(ensemble, raw)[0]), how
+            # no other ensemble shares the stepped network
+            for other, e in ensembles.items():
+                if other != how:
+                    assert np.array_equal(propose_batch(e, raw), proposals[other]), (how, other)
+
+    def test_copies_leave_the_original_on_its_own_buffers(self):
+        original = build_ensemble(desk_config(num_dnns=3, seed=24))
+        before = original.buffers[0].copy()
+        for clone in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert not np.shares_memory(clone.buffers[0], original.buffers[0])
+            assert np.array_equal(clone.buffers[0], before)
+        assert_rows_of_buffers(original)
+        same_networks = dataclasses.replace(original, num_servers=original.num_servers)
+        assert all(a is b for a, b in zip(same_networks.dnns, original.dnns))
+        assert all(a is b for a, b in zip(same_networks.buffers, original.buffers))
+
+    def test_networks_of_different_architecture_or_dtype_are_refused(self):
+        ensemble = build_ensemble(desk_config(num_dnns=3, seed=25))
+        narrow = build_ensemble(desk_config(num_dnns=1, seed=25, hidden_sizes=(16,)))
+        copies = [as_dtype(d, np.float32) for d in ensemble.dnns]
+        for odd in (as_dtype(ensemble.dnns[2], np.float64), as_dtype(narrow.dnns[0], np.float32)):
+            with pytest.raises(ContractError, match="architecture and dtype"):
+                dataclasses.replace(ensemble, dnns=[*copies[:2], odd])
+
+    def test_networks_of_another_ensemble_are_refused(self):
+        ensemble = build_ensemble(desk_config(num_dnns=3, seed=26))
+        other = build_ensemble(desk_config(num_dnns=3, seed=27))
+        for dnns in (ensemble.dnns[:2], [*ensemble.dnns[:2], other.dnns[2]], ensemble.dnns[::-1]):
+            with pytest.raises(ContractError, match="row of another stack"):
+                dataclasses.replace(ensemble, dnns=dnns)
+        loose = as_dtype(ensemble.dnns[0], np.float32)
+        with pytest.raises(ContractError, match="twice"):
+            dataclasses.replace(ensemble, dnns=[loose, loose])
+        with pytest.raises(ContractError, match="at least one"):
+            DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.extractor, [])
+        assert_rows_of_buffers(ensemble)
+
+    def test_checkpoint_with_networks_of_different_dtype_is_refused(self, tmp_path):
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, build_ensemble(desk_config(num_dnns=3, seed=28)))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        for key in arrays:
+            if key.startswith("dnn1.") and arrays[key].dtype == np.float32:
+                arrays[key] = arrays[key].astype(np.float64)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(ContractError):
+            load_ensemble(path)

@@ -11,6 +11,7 @@ from dtplace.neural import (
     MlpArch,
     MlpModel,
     init_random,
+    layer_views,
     load_state,
     model_meta,
     model_state,
@@ -399,6 +400,66 @@ class TestFlatBuffers:
         state["mw0"] = np.zeros((5, 4))
         with pytest.raises(ContractError):
             load_state(model_meta(model), state)
+
+    def stack(self, count=3, dtype=np.float64):
+        return tuple(np.zeros((count, self.ARCH.num_params), dtype) for _ in range(3))
+
+    def test_given_buffers_hold_the_model(self):
+        model = self.trained()
+        stack = self.stack()
+        rows = tuple(buf[1] for buf in stack)
+        built = MlpModel(self.ARCH, model.weights, model.biases, model.hyper, rows)
+        assert all(a is b for a, b in zip((built.params, built.m, built.v), rows))
+        assert np.array_equal(built.params, model.params)
+        assert not built.m.any() and not built.v.any()
+        loaded = load_state(model_meta(model), model_state(model), buffers=rows)
+        self.assert_views_share_flat_buffers(loaded)
+        assert all(a is b for a, b in zip((loaded.params, loaded.m, loaded.v), rows))
+        for flat in ("params", "m", "v"):
+            assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
+        assert not stack[0][[0, 2]].any()
+
+    def test_move_into_copies_and_rebinds(self):
+        model = self.trained()
+        before = [model.params.copy(), model.m.copy(), model.v.copy()]
+        rows = tuple(buf[2] for buf in self.stack())
+        model.move_into(rows)
+        self.assert_views_share_flat_buffers(model)
+        assert all(a is b for a, b in zip((model.params, model.m, model.v), rows))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, before))
+        model.adam_step(model.backward(np.ones((2, 5)), np.ones((2, 3))).gradients)
+        assert not np.array_equal(rows[0], before[0])
+
+    @pytest.mark.parametrize("bad", ["size", "dtype", "strided", "read-only"])
+    def test_unfit_buffers_rejected(self, bad):
+        model = self.trained()
+        n = self.ARCH.num_params
+        buffers = [np.zeros(n) for _ in range(3)]
+        if bad == "size":
+            buffers[1] = np.zeros(n + 1)
+        elif bad == "dtype":
+            buffers[2] = np.zeros(n, np.float32)
+        elif bad == "strided":
+            buffers[0] = np.zeros(2 * n)[::2]
+        else:
+            buffers[0].flags.writeable = False
+        with pytest.raises(ContractError):
+            MlpModel(self.ARCH, model.weights, model.biases, model.hyper, buffers)
+        with pytest.raises(ContractError):
+            model.move_into(buffers)
+
+    def test_layer_views_of_a_stack_are_each_rows_layers(self):
+        models = [init_random(self.ARCH, seed=s) for s in range(3)]
+        stack = self.stack()
+        for k, model in enumerate(models):
+            model.move_into(tuple(buf[k] for buf in stack))
+        weights, biases = layer_views(self.ARCH, stack[0])
+        for i in range(model.num_layers):
+            assert weights[i].shape == (3, *models[0].weights[i].shape)
+            assert np.shares_memory(weights[i], stack[0]) and np.shares_memory(biases[i], stack[0])
+            for k, model in enumerate(models):
+                assert np.array_equal(weights[i][k], model.weights[i])
+                assert np.array_equal(biases[i][k], model.biases[i])
 
 
 class TestInit:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dtplace
-from dtplace.errors import InvalidConfigError, ParseError, ValidationError
+from dtplace.errors import ContractError, InvalidConfigError, ParseError, ValidationError
 from dtplace.scenario import (
     DOCUMENT_VERSION,
     DeviceSet,
@@ -321,3 +321,24 @@ class TestArrayViews:
         other = dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=0.9))
         assert other.devices.arrays is s.devices.arrays
         assert other.servers.arrays is s.servers.arrays
+
+    def test_views_equal_the_nested_array_build_on_the_golden_scenario(self):
+        s = from_document(GOLDEN.read_bytes())
+        dev = s.devices.arrays
+        want = np.array(s.devices.locations)
+        assert dev.xy.shape == want.shape == (4, 2)
+        assert dev.xy.dtype == want.dtype == np.float64
+        assert np.array_equal(dev.xy, want)
+        assert np.array_equal(dev.workload, np.array(s.devices.workloads))
+        assert np.array_equal(dev.bandwidth, np.array(s.devices.bandwidths))
+        assert np.array_equal(dev.owner, np.array(s.devices.ownership))
+
+    @pytest.mark.parametrize("pair", [(5.0,), (5.0, 6.0, 7.0)], ids=["1-element", "3-element"])
+    def test_a_ragged_location_pair_raises(self, pair):
+        s = from_document(GOLDEN.read_bytes())
+        # the ragged pair keeps the flattened length at twice the device count
+        other = (2.0, 3.0, 4.0) if len(pair) == 1 else (2.0,)
+        locations = (pair, other) + s.devices.locations[2:]
+        devices = dataclasses.replace(s.devices, locations=locations)
+        with pytest.raises(ContractError, match="pairs"):
+            devices.arrays
