@@ -16,10 +16,15 @@ twin's synchronization time is the max transmission time over its members.
 A twin with ``k`` members refreshes ``k`` times per cycle, which scales its
 per-cycle time by ``k``.  The scalar objective mixes total time and total
 energy with weight ``alpha``.
+
+A scenario is priced once: per-twin time and energy on every server, built
+from one pass over the device matrices and kept for the latest scenario
+only, so the cost table and ``evaluate`` of one scenario share the build.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +57,8 @@ def _device_matrices(s: Scenario):
 
     Returns ``(tx, ex, en)``, each shaped ``(N, S+1)`` with the cloud in the
     last column.  This is the only place the transmission, execution and
-    energy formulas are written; :func:`evaluate` and
-    :func:`per_dt_cost_table` both read their device costs from it.
+    energy formulas are written; :func:`_pricing` builds every table that
+    :func:`evaluate` and :func:`per_dt_cost_table` read from it.
     """
     pool, par = s.servers, s.params
     w, loc, b, _ = s.devices.arrays
@@ -74,48 +79,62 @@ def _device_matrices(s: Scenario):
 
 
 def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
-    """Per-DT per-cycle time from per-device rows.
-
-    ``tx`` and ``ex`` hold one row per device: shaped ``(N, S+1)`` with
-    every server for the cost table, or ``(N,)`` with each device's chosen
-    server for :func:`evaluate`.  The result is shaped ``(num_dts, S+1)``
-    or ``(num_dts,)`` to match.
-    """
-    shape = (num_dts,) + tx.shape[1:]
+    """Per-DT per-cycle time on every server, ``(num_dts, S+1)``, from ``(N, S+1)`` device rows."""
     counts = np.bincount(own, minlength=num_dts).astype(float)
-    sync = np.zeros(shape)
+    sync = np.zeros((num_dts, tx.shape[1]))
     np.maximum.at(sync, own, tx)
-    exec_sum = np.zeros(shape)
+    exec_sum = np.zeros_like(sync)
     np.add.at(exec_sum, own, ex)
-    # one count per DT, broadcast over the server columns if there are any
-    return counts.reshape(-1, *[1] * (tx.ndim - 1)) * (sync + exec_sum)
+    return counts[:, None] * (sync + exec_sum)
+
+
+_last = None  # (weak reference to the latest scenario priced, its pricing)
+
+
+def _forget(ref) -> None:
+    global _last
+    last = _last
+    if last is not None and last[0] is ref:
+        _last = None
+
+
+def _pricing(s: Scenario):
+    """Per-DT time and energy ``(num_dts, S+1)`` and per-device energy ``(N, S+1)``.
+
+    Kept for the latest scenario only, keyed by identity through a weak
+    reference whose callback drops it, so no pricing outlives its scenario.
+    The entry is swapped as one tuple: a concurrent caller can at worst miss.
+    """
+    global _last
+    last = _last
+    if last is not None and last[0]() is s:
+        return last[1]
+    own = s.devices.arrays.owner
+    tx, ex, en = _device_matrices(s)
+    dt_time = _per_dt_time(own, s.num_dts, tx, ex)
+    dt_energy = np.zeros_like(dt_time)
+    np.add.at(dt_energy, own, en)
+    _last = (weakref.ref(s, _forget), (dt_time, dt_energy, en))
+    return dt_time, dt_energy, en
 
 
 def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
     """Score one placement decision.
 
     The caller supplies a scenario that passes :func:`scenario.validate`;
-    assignment length and server indices are checked here.
+    the decision must hold one in-range integer server, not a bool, per DT.
     """
-    m = s.num_dts
+    m, n = s.num_dts, s.num_servers_total
     if len(d.assignment) != m:
-        raise ContractError(
-            f"decision length {len(d.assignment)} differs from num_dts {m}"
-        )
+        raise ContractError(f"decision length {len(d.assignment)} differs from num_dts {m}")
+    if not all((type(j) is int or isinstance(j, np.integer)) and 0 <= j < n for j in d.assignment):
+        raise ContractError(f"server indices must be integers in 0..{n - 1}")
     assign = np.asarray(d.assignment, dtype=int)
-    if assign.size and (assign.min() < 0 or assign.max() >= s.num_servers_total):
-        raise ContractError("server index out of range in decision")
-
+    dt_time, _, device_energy = _pricing(s)
     own = s.devices.arrays.owner
-    tx_all, ex_all, en_all = _device_matrices(s)
-    # Gather each device's chosen column and aggregate in 1-D, then sum
-    # sequentially: summing the table's per-twin energies instead would move
-    # the last bit of totals that training traces record.
-    chosen = assign[own]
-    rows = np.arange(own.size)
-    dt_time = _per_dt_time(own, m, tx_all[rows, chosen], ex_all[rows, chosen])
-    total_time = float(sum(dt_time.tolist()))
-    total_energy = float(sum(en_all[rows, chosen].tolist()))
+    # Sequential sums, energy per device: per-twin sums would move traced bits.
+    total_time = float(sum(dt_time[np.arange(m), assign].tolist()))
+    total_energy = float(sum(device_energy[np.arange(own.size), assign[own]].tolist()))
     alpha = s.params.alpha
     weighted = float(alpha * total_time + (1.0 - alpha) * total_energy)
     return CostBreakdown(total_time, total_energy, weighted)
@@ -129,10 +148,6 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
     Shaped ``(num_dts, num_servers_total)``; used for the exact optimum and
     for pricing best-of-K proposals.
     """
-    own = s.devices.arrays.owner
-    tx, ex, en = _device_matrices(s)
-    dt_time = _per_dt_time(own, s.num_dts, tx, ex)
-    energy_sum = np.zeros_like(dt_time)
-    np.add.at(energy_sum, own, en)
+    dt_time, dt_energy, _ = _pricing(s)
     alpha = s.params.alpha
-    return alpha * dt_time + (1.0 - alpha) * energy_sum
+    return alpha * dt_time + (1.0 - alpha) * dt_energy

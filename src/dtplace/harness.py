@@ -66,10 +66,13 @@ class ProbeSet:
 
     @functools.cached_property
     def _scheme_means(self) -> dict[str, float]:
-        return {
-            name: float(np.mean([solve(s, i).cost.weighted_cost for i, s in enumerate(self.scenarios)]))
-            for name, solve in _baseline_runners(self)
-        }
+        # Scenario-major, so each scenario is priced once for all four schemes.
+        runners = _baseline_runners(self)
+        costs = {name: [] for name, _ in runners}
+        for i, s in enumerate(self.scenarios):
+            for name, solve in runners:
+                costs[name].append(solve(s, i).cost.weighted_cost)
+        return {name: float(np.mean(c)) for name, c in costs.items()}
 
 
 def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:

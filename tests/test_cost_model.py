@@ -1,10 +1,16 @@
 import dataclasses
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dtplace import cost_model
+from dtplace.cli import ALPHA_GRID
 from dtplace.cost_model import (
     CostBreakdown,
     Decision,
@@ -14,6 +20,12 @@ from dtplace.cost_model import (
     per_dt_cost_table,
 )
 from dtplace.errors import ContractError, ValidationError
+from dtplace.exact import (
+    scheme_average_distribution,
+    scheme_cloud_only,
+    scheme_random,
+    solve_exact,
+)
 from dtplace.scenario import (
     DeviceSet,
     GeneratorConfig,
@@ -28,11 +40,50 @@ from dtplace.scenario import (
 from _oracle import reference_cost
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
+SHAPES = {
+    "desk": DESK,
+    "full": GeneratorConfig(),
+    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
+}
 
 
 def random_decision(s, seed):
     rng = np.random.default_rng(seed)
     return Decision(tuple(int(v) for v in rng.integers(0, s.num_servers_total, s.num_dts)))
+
+
+def reference_parts(s, d):
+    """Per-twin times and per-device energies of one decision, aggregated in 1-D.
+
+    Each device's chosen column is gathered first and then reduced per
+    twin, the reverse of pricing every server first, so ``evaluate`` can
+    be held to it bit for bit.
+    """
+    own = s.devices.arrays.owner
+    tx, ex, en = _device_matrices(s)
+    rows, chosen = np.arange(own.size), np.asarray(d.assignment)[own]
+    counts = np.bincount(own, minlength=s.num_dts).astype(float)
+    sync = np.zeros(s.num_dts)
+    np.maximum.at(sync, own, tx[rows, chosen])
+    exec_sum = np.zeros(s.num_dts)
+    np.add.at(exec_sum, own, ex[rows, chosen])
+    return counts * (sync + exec_sum), en[rows, chosen].tolist()
+
+
+def reference_evaluate(s, d):
+    """``evaluate`` as the gather-first path: sequential sums of :func:`reference_parts`."""
+    dt_time, energy = reference_parts(s, d)
+    total_time, total_energy = float(sum(dt_time.tolist())), float(sum(energy))
+    alpha = s.params.alpha
+    return CostBreakdown(total_time, total_energy, float(alpha * total_time + (1.0 - alpha) * total_energy))
+
+
+def count_builds(monkeypatch):
+    """Empty the pricing memo, then record every scenario whose device matrices get built."""
+    built = []
+    monkeypatch.setattr(cost_model, "_device_matrices", lambda s: built.append(s) or _device_matrices(s))
+    monkeypatch.setattr(cost_model, "_last", None)
+    return built
 
 
 def tiny_scenario(alpha=0.5):
@@ -286,6 +337,101 @@ class TestEvaluate:
         s = generate_random(1, DESK)
         with pytest.raises(ContractError):
             evaluate(s, Decision((s.num_servers_total,) * s.num_dts))
+        with pytest.raises(ContractError):
+            evaluate(s, Decision((-1,) + (0,) * (s.num_dts - 1)))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, np.float64(2.0), "1", None])
+    def test_non_integer_server_rejected(self, bad):
+        # Truncating 1.7 to 1, or reading True as 1, would price another placement.
+        s = generate_random(1, DESK)
+        with pytest.raises(ContractError):
+            evaluate(s, Decision((bad,) + (0,) * (s.num_dts - 1)))
+
+    def test_numpy_integer_servers_accepted(self):
+        s = generate_random(1, DESK)
+        d = random_decision(s, 2)
+        for kind in (np.int64, np.int32, np.uint8):
+            assert evaluate(s, Decision(tuple(kind(j) for j in d.assignment))) == evaluate(s, d)
+
+
+class TestPricing:
+    """Each scenario is priced once and kept only while it is the latest one priced."""
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_matches_gather_first_evaluate_bit_for_bit(self, shape):
+        for i in range(8):
+            s0 = generate_random(500 + i, SHAPES[shape])
+            for alpha in ALPHA_GRID:
+                s = dataclasses.replace(s0, params=dataclasses.replace(s0.params, alpha=alpha))
+                for j in range(3):
+                    d = random_decision(s, 100 * i + j)
+                    assert evaluate(s, d) == reference_evaluate(s, d)
+
+    def test_exact_and_schemes_build_the_matrices_once(self, monkeypatch):
+        s = generate_random(41, DESK)
+        built = count_builds(monkeypatch)
+        solve_exact(s)
+        scheme_random(s, 7)
+        scheme_cloud_only(s)
+        scheme_average_distribution(s)
+        per_dt_cost_table(s)
+        assert len(built) == 1 and built[0] is s
+
+    def test_equal_but_distinct_scenarios_get_their_own_tables(self, monkeypatch):
+        a = generate_random(42, DESK)
+        b = from_document(to_document(a))
+        c = dataclasses.replace(a, params=dataclasses.replace(a.params, alpha=1.0))
+        assert a == b and a is not b
+        built = count_builds(monkeypatch)
+        d = random_decision(a, 3)
+        tables = []
+        for s in (a, b, a, c, b):
+            tables.append(per_dt_cost_table(s))
+            assert evaluate(s, d) == reference_evaluate(s, d)
+        assert [id(s) for s in built] == [id(s) for s in (a, b, a, c, b)]
+        assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
+        assert not np.array_equal(tables[0], tables[3])
+
+    def test_memo_keeps_no_scenario_alive(self):
+        s = generate_random(43, DESK)
+        evaluate(s, random_decision(s, 1))
+        ref = weakref.ref(s)
+        assert cost_model._last[0]() is s
+        del s
+        gc.collect()
+        assert ref() is None
+        assert cost_model._last is None
+
+    def test_threads_match_serial(self):
+        scenarios = [generate_random(600 + i, DESK) for i in range(6)]
+        decisions = [random_decision(s, i) for i, s in enumerate(scenarios)]
+        serial = [(evaluate(s, d), per_dt_cost_table(s).tobytes()) for s, d in zip(scenarios, decisions)]
+        results = {}
+
+        def work(t):
+            # each thread walks the scenarios from its own offset, so they interleave
+            order = [(t + i) % len(scenarios) for i in range(len(scenarios))] * 40
+            results[t] = [
+                (k, evaluate(scenarios[k], decisions[k]), per_dt_cost_table(scenarios[k]).tobytes())
+                for k in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 4
+        for rows in results.values():
+            assert len(rows) == 40 * len(scenarios)
+            for k, cost, table in rows:
+                assert (cost, table) == serial[k]
 
 
 class TestInvariances:
@@ -349,11 +495,7 @@ class TestInvariances:
         d = random_decision(s, dseed)
         table = per_dt_cost_table(s)
         cost = evaluate(s, d)
-        tx, ex, en = _device_matrices(s)
-        own = s.devices.arrays.owner
-        rows, chosen = np.arange(own.size), np.asarray(d.assignment)[own]
-        dt_time = _per_dt_time(own, s.num_dts, tx[rows, chosen], ex[rows, chosen])
-        energy = en[rows, chosen].tolist()
+        dt_time, energy = reference_parts(s, d)
         a = s.params.alpha
         for m in range(s.num_dts):
             member_energy = sum(e for e, g in zip(energy, s.devices.ownership) if g == m)

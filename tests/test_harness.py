@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtplace import ddl, harness
+from dtplace import cost_model, ddl, harness
 from dtplace.ddl import TrainConfig, build_ensemble
 from dtplace.errors import ContractError, DomainError, InvalidConfigError
 from dtplace.harness import (
@@ -127,6 +127,16 @@ class TestProbeSet:
         monkeypatch.setattr(harness, "solve_exact", None)  # a second pricing would fail
         means["exact"] = -1.0  # callers get a copy
         assert scheme_means(probe)["exact"] > 0
+
+    def test_scheme_means_price_each_scenario_once(self, monkeypatch):
+        probe = make_probe(40, 6, MINI)
+        priced = []
+        real = cost_model._device_matrices
+        monkeypatch.setattr(cost_model, "_device_matrices", lambda s: priced.append(s) or real(s))
+        monkeypatch.setattr(cost_model, "_last", None)  # forget the probe's last table
+        scheme_means(probe)
+        assert len(priced) == len(probe)
+        assert all(a is b for a, b in zip(priced, probe.scenarios))
 
     def test_scheme_means_full_shape_has_exact_minimum(self):
         probe = make_probe(40, 2, FULL_SHAPE)
