@@ -20,9 +20,10 @@ proposal runs all K of them in one batched forward: one ``matmul`` per
 layer over ``(K, in, out)`` weight views.  Each network remains an
 ordinary :class:`MlpModel` on its row, so the replay update still runs
 every network's backward pass and Adam step on its own; those were
-measured slower when stacked.  An ensemble built from networks outside
-one stack moves them into a fresh one, and refuses networks that already
-sit in another ensemble's stack rather than detach them from it.
+measured slower when stacked.  An ensemble accepts only networks that
+are rows 0..K-1 of one stack, in order; ``build_ensemble`` and
+``load_ensemble`` make them so.  An ensemble copies and pickles as its
+checkpoint, so a copy gets a stack of its own.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 from math import ceil, log2
 
@@ -193,34 +195,18 @@ def _is_row(a: np.ndarray, stack: np.ndarray, k: int) -> bool:
 
 
 def _stack_of(dnns: tuple[MlpModel, ...]) -> tuple[np.ndarray, ...]:
-    """The ``(K, P)`` buffers whose rows hold the networks' flat vectors.
-
-    Networks that already are rows 0..K-1 of one stack keep it; networks
-    that own their vectors move into a fresh stack.  A network that is a
-    row of some other stack is refused: moving it would detach it from the
-    ensemble it came from.
-    """
+    """The ``(K, P)`` buffers whose rows 0..K-1 hold the networks' flat vectors, in order."""
     if not dnns:
         raise ContractError("an ensemble needs at least one decision network")
     first = dnns[0]
-    if any(d.arch != first.arch or d.dtype != first.dtype for d in dnns):
-        raise ContractError("the decision networks must share one architecture and dtype")
-    if len({id(d) for d in dnns}) != len(dnns):
-        raise ContractError("a decision network appears twice in the ensemble")
     stack = tuple(getattr(first, name).base for name in _FLAT)
-    if all(
-        isinstance(buf, np.ndarray) and buf.shape == (len(dnns), first.params.size)
-        and all(_is_row(getattr(d, name), buf, k) for k, d in enumerate(dnns))
-        for name, buf in zip(_FLAT, stack)
-    ):
-        return stack
-    for d in dnns:
-        base = d.params.base
-        if isinstance(base, np.ndarray) and base.ndim == 2:
-            raise ContractError("a decision network is already a row of another stack")
-    stack = _new_stack(len(dnns), first.params.size, first.dtype)
-    for k, d in enumerate(dnns):
-        d.move_into(tuple(buf[k] for buf in stack))
+    for name, buf in zip(_FLAT, stack):
+        if not (
+            isinstance(buf, np.ndarray) and buf.shape == (len(dnns), first.params.size)
+            and all(d.arch == first.arch and _is_row(getattr(d, name), buf, k)
+                    for k, d in enumerate(dnns))
+        ):
+            raise ContractError("networks must be rows 0..K-1 of one stack and share one architecture")
     return stack
 
 
@@ -230,8 +216,8 @@ class DdlEnsemble:
 
     ``buffers`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays whose
     row ``k`` holds ``dnns[k]``'s flat parameters and Adam moments (see the
-    module docstring).  Make a changed ensemble with ``dataclasses.replace``,
-    which restacks or refuses the networks it is given.
+    module docstring).  ``dataclasses.replace`` keeps the networks' stack
+    and refuses networks that are not its rows.
     """
 
     num_dts: int
@@ -253,14 +239,9 @@ class DdlEnsemble:
         object.__setattr__(self, "buffers", stack)
         object.__setattr__(self, "_layers", layers)
 
-    # A copy (pickle, copy.deepcopy) gets its own copy of every network,
-    # detached from any stack; restacking them rebuilds the shared buffers.
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in ("buffers", "_layers")}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self.__post_init__()
+    def __reduce__(self):
+        # copies (pickle, copy.deepcopy) go through the checkpoint, into a stack of their own
+        return _from_checkpoint, _checkpoint(self)
 
     @property
     def num_dnns(self) -> int:
@@ -360,9 +341,9 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw_batch)
     if raw.ndim == 2:
         raw = raw[None, :, :]
-    b, m, width = raw.shape
-    if m != ensemble.num_dts or width != INPUT_WIDTH:
+    if raw.shape[1:] != (ensemble.num_dts, INPUT_WIDTH):
         raise ContractError("raw input shape does not match the ensemble")
+    b, m, width = raw.shape
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
     out = ensemble.dnn_outputs(emb)
     k = out.shape[0]
@@ -507,8 +488,8 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
     return losses
 
 
-def save_ensemble(path, ensemble: DdlEnsemble) -> None:
-    """Single-file checkpoint of the extractor and all K networks."""
+def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
+    """``ensemble`` as a JSON-ready header and named arrays that view its buffers."""
     header = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
@@ -517,33 +498,50 @@ def save_ensemble(path, ensemble: DdlEnsemble) -> None:
         "extractor": model_meta(ensemble.extractor),
         "dnns": [model_meta(d) for d in ensemble.dnns],
     }
-    state = model_state(ensemble.extractor, prefix="ext.")
+    arrays = model_state(ensemble.extractor, prefix="ext.")
     for k, dnn in enumerate(ensemble.dnns):
-        state.update(model_state(dnn, prefix=f"dnn{k}."))
+        arrays.update(model_state(dnn, prefix=f"dnn{k}."))
+    return header, arrays
+
+
+def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
+    """The ensemble ``_checkpoint`` described, its networks loaded into the rows of one stack.
+
+    ``arrays`` may be an open ``np.load`` archive; each array is read as a model copies it.
+    """
+    extractor = load_state(header["extractor"], arrays, prefix="ext.")
+    metas = header["dnns"]
+    if not metas:
+        raise ContractError("an ensemble needs at least one decision network")
+    stack = _new_stack(len(metas), meta_arch(metas[0]).num_params, arrays["dnn0.b0"].dtype)
+    dnns = [
+        load_state(meta, arrays, prefix=f"dnn{k}.", buffers=tuple(buf[k] for buf in stack))
+        for k, meta in enumerate(metas)
+    ]
+    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)
+
+
+def save_ensemble(path, ensemble: DdlEnsemble) -> None:
+    """Single-file checkpoint of the extractor and all K networks."""
+    header, arrays = _checkpoint(ensemble)
     with open(path, "wb") as f:
-        np.savez(f, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **state)
+        np.savez(f, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
 
 
 def load_ensemble(path) -> DdlEnsemble:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format") != ENSEMBLE_FORMAT:
-            raise ContractError("not an ensemble checkpoint")
-        if header.get("version") != ENSEMBLE_VERSION:
-            raise ContractError(
-                f"ensemble checkpoint version {header.get('version')!r} is not "
-                f"the supported version {ENSEMBLE_VERSION}"
-            )
-        # Each array is read when a model copies it into its flat buffers,
-        # and the networks load straight into the rows of their stack, so
-        # neither the whole file nor a second copy of the networks is held.
-        extractor = load_state(header["extractor"], data, prefix="ext.")
-        metas = header["dnns"]
-        if not metas:
-            raise ContractError("an ensemble needs at least one decision network")
-        stack = _new_stack(len(metas), meta_arch(metas[0]).num_params, data["dnn0.b0"].dtype)
-        dnns = [
-            load_state(meta, data, prefix=f"dnn{k}.", buffers=tuple(buf[k] for buf in stack))
-            for k, meta in enumerate(metas)
-        ]
-    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)
+    """The ensemble ``save_ensemble`` wrote; any other file raises ``ContractError``."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if not isinstance(header, dict) or header.get("format") != ENSEMBLE_FORMAT:
+                raise ContractError("not an ensemble checkpoint: wrong format")
+            if header.get("version") != ENSEMBLE_VERSION:
+                raise ContractError(
+                    f"ensemble checkpoint version {header.get('version')!r} is not "
+                    f"the supported version {ENSEMBLE_VERSION}"
+                )
+            return _from_checkpoint(header, data)
+    except ContractError:
+        raise
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ContractError(f"not an ensemble checkpoint: {e}") from e

@@ -17,9 +17,10 @@ moment in another; ``weights``, ``biases``, ``m_w``, ``v_w``, ``m_b`` and
 ``v_b`` are per-layer views into them, so an Adam step is one pass over
 three vectors and writes through every view.  Write into the views; do
 not rebind them.  A model can live in vectors it is handed (``buffers``
-on construction and loading, ``move_into`` afterwards), such as the rows
-of one matrix that stacks several models of one architecture;
-``layer_views`` cuts such a stack into per-layer views.
+on construction and loading), such as the rows of one matrix that stacks
+several models of one architecture; ``layer_views`` cuts such a stack
+into per-layer views.  A model copies and pickles as its checkpoint
+(``model_meta`` and ``model_state``), so a copy owns fresh vectors.
 
 ``forward(x, keep=True)`` also returns the activations it computed, which
 ``backward_from_output`` accepts instead of running the forward pass again.
@@ -129,20 +130,6 @@ def layer_views(arch: MlpArch, flat: np.ndarray):
     return ws, bs
 
 
-def _flat_buffers(buffers, size: int, dtype: np.dtype):
-    """``(params, m, v)`` checked to be writable contiguous vectors of ``size`` ``dtype``."""
-    params, m, v = buffers
-    for a in buffers:
-        if (
-            not isinstance(a, np.ndarray) or a.shape != (size,) or a.dtype != dtype
-            or not a.flags.c_contiguous or not a.flags.writeable
-        ):
-            raise ContractError(
-                f"each flat buffer must be a writable contiguous {dtype} vector of {size} entries"
-            )
-    return params, m, v
-
-
 class MlpModel:
     """Mutable network state; one instance is owned by one trainer.
 
@@ -170,39 +157,30 @@ class MlpModel:
             raise ContractError("all parameters must share one floating dtype")
         self.hyper = hyper
         dtype = weights[0].dtype
+        size = arch.num_params
         if buffers is None:
-            buffers = tuple(np.empty(arch.num_params, dtype) for _ in range(3))
-        self.params, self.m, self.v = _flat_buffers(buffers, arch.num_params, dtype)
+            buffers = tuple(np.empty(size, dtype) for _ in range(3))
+        for a in buffers:
+            if (
+                not isinstance(a, np.ndarray) or a.shape != (size,) or a.dtype != dtype
+                or not a.flags.c_contiguous or not a.flags.writeable
+            ):
+                raise ContractError(
+                    f"each flat buffer must be a writable contiguous vector of {size} {dtype}"
+                )
+        self.params, self.m, self.v = buffers
         np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair], out=self.params)
         self.m[...] = 0.0
         self.v[...] = 0.0
         self.step = 0
-        self._bind_views()
-
-    def _bind_views(self) -> None:
-        """Per-layer views into the flat buffers, in the order w0, b0, w1, b1, ..."""
+        # per-layer views into the flat buffers, in the order w0, b0, w1, b1, ...
         self.weights, self.biases = layer_views(self.arch, self.params)
         self.m_w, self.m_b = layer_views(self.arch, self.m)
         self.v_w, self.v_b = layer_views(self.arch, self.v)
 
-    def move_into(self, buffers) -> None:
-        """Copy the parameters and moments into ``(params, m, v)`` and keep them there."""
-        buffers = _flat_buffers(buffers, self.params.size, self.dtype)
-        for new, old in zip(buffers, (self.params, self.m, self.v)):
-            new[...] = old
-        self.params, self.m, self.v = buffers
-        self._bind_views()
-
-    # Copies (pickle, copy.deepcopy) would detach the views from the flat
-    # buffers, so they are left out of the state and rebuilt on restore.
-    _VIEWS = ("weights", "biases", "m_w", "m_b", "v_w", "v_b")
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in self._VIEWS}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self._bind_views()
+    def __reduce__(self):
+        # copies (pickle, copy.deepcopy) go through the checkpoint, into fresh flat vectors
+        return load_state, (model_meta(self), model_state(self))
 
     @property
     def num_layers(self) -> int:

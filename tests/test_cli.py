@@ -134,6 +134,15 @@ class TestSolve:
         ]
         assert all(float(fields[k]) > 0 for k in ("total_time", "total_energy", "weighted_cost"))
 
+    def test_ddl_with_malformed_checkpoint_fails_cleanly(self, scenario_path, tmp_path, capsys):
+        assert run("train", "--iters", "0", "--seed", "3", "--out", str(tmp_path), *TINY) == 0
+        capsys.readouterr()
+        checkpoint = tmp_path / "ensemble.npz"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-100])
+        code = run("solve", scenario_path, "--scheme", "ddl", "--checkpoint", str(checkpoint))
+        assert code == 1
+        assert "error: not an ensemble checkpoint" in capsys.readouterr().err
+
     def test_ddl_without_checkpoint_is_usage_error(self, scenario_path, capsys):
         assert run("solve", scenario_path, "--scheme", "ddl") == 2
         assert "--checkpoint" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -27,10 +28,11 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import LOSS_CLAMP, MlpModel
+from dtplace.neural import LOSS_CLAMP, Activation, MlpModel
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
+IDENT = Activation.IDENTITY
 
 
 def reference_raw_input(s) -> np.ndarray:
@@ -225,8 +227,9 @@ class TestEnsemble:
 
     def test_propose_rejects_wrong_shape(self):
         ens = build_ensemble(desk_config())
-        with pytest.raises(ContractError):
-            propose_batch(ens, np.zeros((1, 5, ddl.INPUT_WIDTH)))
+        for shape in [(1, 5, ddl.INPUT_WIDTH), (ddl.INPUT_WIDTH,), (1, 1, 6, ddl.INPUT_WIDTH)]:
+            with pytest.raises(ContractError):
+                propose_batch(ens, np.zeros(shape))
 
     def test_best_of_k_matches_per_candidate_evaluation(self):
         ens = build_ensemble(desk_config(seed=3))
@@ -580,13 +583,22 @@ class TestReplayUpdate:
             assert all(r.matches(d) for r, d in zip(dnns, ensemble.dnns))
 
 
-def as_dtype(model, dtype):
+def as_dtype(model, dtype, buffers=None):
     return MlpModel(
         model.arch,
         [w.astype(dtype) for w in model.weights],
         [b.astype(dtype) for b in model.biases],
         model.hyper,
+        buffers,
     )
+
+
+def restacked(ensemble, dtype):
+    """``ensemble``'s weights as ``dtype``, its networks written into the rows of a fresh stack."""
+    stack = [np.zeros((ensemble.num_dnns, ensemble.dnns[0].params.size), dtype) for _ in range(3)]
+    dnns = [as_dtype(d, dtype, tuple(buf[k] for buf in stack)) for k, d in enumerate(ensemble.dnns)]
+    extractor = as_dtype(ensemble.extractor, dtype)
+    return DdlEnsemble(ensemble.num_dts, ensemble.num_servers, extractor, dnns)
 
 
 class TestNetworkDtype:
@@ -650,12 +662,7 @@ class TestCheckpoint:
         assert best_of_k(loaded, s) == best_of_k(result.ensemble, s)
 
     def test_float64_ensemble_loads_and_infers_in_float64(self, tmp_path):
-        ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))
-        wide = dataclasses.replace(
-            ensemble,
-            extractor=as_dtype(ensemble.extractor, np.float64),
-            dnns=[as_dtype(d, np.float64) for d in ensemble.dnns],
-        )
+        wide = restacked(build_ensemble(desk_config(num_dnns=3, seed=8)), np.float64)
         path = tmp_path / "ensemble.npz"
         save_ensemble(path, wide)
         loaded = load_ensemble(path)
@@ -669,20 +676,45 @@ class TestCheckpoint:
         assert loaded.dnns[0].forward(emb.reshape(1, -1)).dtype == np.float64
         assert infer(loaded, s).decision == infer(wide, s).decision
 
-    def test_wrong_format_rejected(self, tmp_path):
-        import json
-
+    @pytest.mark.parametrize("kind", [
+        "other-format", "list-header", "no-header", "text", "empty", "truncated-zip", "npy",
+        "header-without-dnns", "missing-array",
+    ])
+    def test_wrong_format_rejected(self, tmp_path, kind):
         path = tmp_path / "junk.npz"
-        header = json.dumps({"format": "other"}).encode()
-        with open(path, "wb") as f:
-            np.savez(f, header=np.frombuffer(header, dtype=np.uint8))
-        with pytest.raises(ContractError):
+        save_ensemble(path, build_ensemble(desk_config(num_dnns=2)))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(bytes(arrays["header"]).decode())
+        if kind == "text":
+            path.write_text("not a checkpoint\n")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "truncated-zip":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif kind == "npy":
+            with open(path, "wb") as f:
+                np.save(f, arrays["dnn0.w0"])
+        else:
+            if kind == "other-format":
+                arrays, header = {"header": None}, {"format": "other"}
+            elif kind == "list-header":
+                arrays, header = {"header": None}, [ddl.ENSEMBLE_FORMAT]
+            elif kind == "no-header":
+                del arrays["header"]
+            elif kind == "header-without-dnns":
+                del header["dnns"]
+            else:
+                del arrays["dnn1.w0"]
+            if "header" in arrays:
+                arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+            with open(path, "wb") as f:
+                np.savez(f, **arrays)
+        with pytest.raises(ContractError, match="not an ensemble checkpoint"):
             load_ensemble(path)
 
     @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
     def test_unknown_version_rejected(self, tmp_path, offset):
-        import json
-
         path = tmp_path / "ensemble.npz"
         save_ensemble(path, build_ensemble(desk_config(num_dnns=2)))
         with np.load(path) as data:
@@ -756,11 +788,7 @@ class TestStackedNetworks:
     def test_batched_forward_equals_the_per_network_loop(self, gen, batch, dtype):
         ensemble = build_ensemble(TrainConfig(iterations=0, generator=gen, seed=21))
         if dtype is not np.float32:
-            ensemble = dataclasses.replace(
-                ensemble,
-                extractor=as_dtype(ensemble.extractor, dtype),
-                dnns=[as_dtype(d, dtype) for d in ensemble.dnns],
-            )
+            ensemble = restacked(ensemble, dtype)
         raw = np.stack([raw_group_input(generate_random(300 + i, gen)) for i in range(batch)])
         codes, outputs, emb = per_network_proposals(ensemble, raw)
         batched = ensemble.dnn_outputs(emb)
@@ -786,12 +814,11 @@ class TestStackedNetworks:
         path = tmp_path / "ensemble.npz"
         save_ensemble(path, trained)
         loaded = load_ensemble(path)
-        replaced = dataclasses.replace(built, dnns=[as_dtype(d, np.float32) for d in built.dnns])
         return {
             "build_ensemble": built,
             "train": trained,
             "load_ensemble": loaded,
-            "dataclasses.replace": replaced,
+            "rows of a fresh stack": restacked(built, np.float32),
             "copy.deepcopy": copy.deepcopy(trained),
             "pickle": pickle.loads(pickle.dumps(trained)),
         }
@@ -813,34 +840,69 @@ class TestStackedNetworks:
                 if other != how:
                     assert np.array_equal(propose_batch(e, raw), proposals[other]), (how, other)
 
+    @staticmethod
+    def assert_same_training_state(clone, original):
+        assert_rows_of_buffers(clone)
+        for got, want in zip(clone.buffers, original.buffers):
+            assert not np.shares_memory(got, want)
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+        for flat in ("params", "m", "v"):
+            got, want = getattr(clone.extractor, flat), getattr(original.extractor, flat)
+            assert not np.shares_memory(got, want)
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+        steps = [model.step for model in (original.extractor, *original.dnns)]
+        assert [model.step for model in (clone.extractor, *clone.dnns)] == steps
+
     def test_copies_leave_the_original_on_its_own_buffers(self):
-        original = build_ensemble(desk_config(num_dnns=3, seed=24))
-        before = original.buffers[0].copy()
-        for clone in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
-            assert not np.shares_memory(clone.buffers[0], original.buffers[0])
-            assert np.array_equal(clone.buffers[0], before)
+        cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24)
+        original = train(cfg).ensemble
+        assert min(model.step for model in (original.extractor, *original.dnns)) > 0
+        clones = [copy.deepcopy(original), pickle.loads(pickle.dumps(original))]
+        for clone in clones:
+            self.assert_same_training_state(clone, original)
         assert_rows_of_buffers(original)
+
+        # the copies keep training exactly as the original does
+        servers = original.num_servers
+        db = ReplayDatabase(6, (DESK.num_dts, ddl.INPUT_WIDTH), DESK.num_dts * bits_per_dt(servers))
+        for i in range(6):
+            s = generate_random(600 + i, DESK)
+            db.insert(raw_group_input(s), encode_decision(best_of_k(original, s).decision, servers))
+        before = [buf.copy() for buf in original.buffers]
+        for ensemble in (original, *clones):
+            ddl._update(ensemble, db, np.random.default_rng(31), 4)
+        assert not np.array_equal(original.buffers[0], before[0])
+        for clone in clones:
+            self.assert_same_training_state(clone, original)
+
         same_networks = dataclasses.replace(original, num_servers=original.num_servers)
         assert all(a is b for a, b in zip(same_networks.dnns, original.dnns))
         assert all(a is b for a, b in zip(same_networks.buffers, original.buffers))
 
+    ROWS = "rows 0..K-1 of one stack and share one architecture"
+
     def test_networks_of_different_architecture_or_dtype_are_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=25))
+        wide = restacked(ensemble, np.float64)
         narrow = build_ensemble(desk_config(num_dnns=1, seed=25, hidden_sizes=(16,)))
-        copies = [as_dtype(d, np.float32) for d in ensemble.dnns]
-        for odd in (as_dtype(ensemble.dnns[2], np.float64), as_dtype(narrow.dnns[0], np.float32)):
-            with pytest.raises(ContractError, match="architecture and dtype"):
-                dataclasses.replace(ensemble, dnns=[*copies[:2], odd])
+        d = ensemble.dnns[2]
+        # same parameter count as its row, other architecture
+        other_arch = dataclasses.replace(d.arch, activations=d.arch.activations[:-1] + (IDENT,))
+        odd_on_row = MlpModel(other_arch, d.weights, d.biases, d.hyper, (d.params, d.m, d.v))
+        for odd in (wide.dnns[2], narrow.dnns[0], odd_on_row):
+            with pytest.raises(ContractError, match=self.ROWS):
+                dataclasses.replace(ensemble, dnns=[*ensemble.dnns[:2], odd])
 
     def test_networks_of_another_ensemble_are_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=26))
         other = build_ensemble(desk_config(num_dnns=3, seed=27))
-        for dnns in (ensemble.dnns[:2], [*ensemble.dnns[:2], other.dnns[2]], ensemble.dnns[::-1]):
-            with pytest.raises(ContractError, match="row of another stack"):
+        loose = [as_dtype(d, np.float32) for d in ensemble.dnns]
+        a, b, c = ensemble.dnns
+        for dnns in ([a, b], [b, c], [a, b, other.dnns[2]], [c, b, a], [a, a, c], loose):
+            with pytest.raises(ContractError, match=self.ROWS):
                 dataclasses.replace(ensemble, dnns=dnns)
-        loose = as_dtype(ensemble.dnns[0], np.float32)
-        with pytest.raises(ContractError, match="twice"):
-            dataclasses.replace(ensemble, dnns=[loose, loose])
         with pytest.raises(ContractError, match="at least one"):
             DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.extractor, [])
         assert_rows_of_buffers(ensemble)

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -419,16 +420,22 @@ class TestFlatBuffers:
             assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
         assert not stack[0][[0, 2]].any()
 
-    def test_move_into_copies_and_rebinds(self):
-        model = self.trained()
-        before = [model.params.copy(), model.m.copy(), model.v.copy()]
-        rows = tuple(buf[2] for buf in self.stack())
-        model.move_into(rows)
-        self.assert_views_share_flat_buffers(model)
-        assert all(a is b for a, b in zip((model.params, model.m, model.v), rows))
-        assert all(np.array_equal(a, b) for a, b in zip(rows, before))
-        model.adam_step(model.backward(np.ones((2, 5)), np.ones((2, 3))).gradients)
-        assert not np.array_equal(rows[0], before[0])
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_of_a_row_own_fresh_vectors_with_the_whole_state(self, copier):
+        trained = cast(self.trained(), np.float32)
+        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients)
+        stack = self.stack(dtype=np.float32)
+        rows = tuple(buf[1] for buf in stack)
+        model = load_state(model_meta(trained), model_state(trained), buffers=rows)
+        clone = copier(model)
+        self.assert_views_share_flat_buffers(clone)
+        assert (clone.arch, clone.hyper, clone.step) == (model.arch, model.hyper, 1)
+        for flat in ("params", "m", "v"):
+            got, want = getattr(clone, flat), getattr(model, flat)
+            assert not np.shares_memory(got, stack[0]) and not np.shares_memory(got, want)
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bad", ["size", "dtype", "strided", "read-only"])
     def test_unfit_buffers_rejected(self, bad):
@@ -445,16 +452,16 @@ class TestFlatBuffers:
             buffers[0].flags.writeable = False
         with pytest.raises(ContractError):
             MlpModel(self.ARCH, model.weights, model.biases, model.hyper, buffers)
-        with pytest.raises(ContractError):
-            model.move_into(buffers)
 
     def test_layer_views_of_a_stack_are_each_rows_layers(self):
-        models = [init_random(self.ARCH, seed=s) for s in range(3)]
         stack = self.stack()
-        for k, model in enumerate(models):
-            model.move_into(tuple(buf[k] for buf in stack))
+        models = []
+        for k in range(3):
+            drawn = init_random(self.ARCH, seed=k)
+            rows = tuple(buf[k] for buf in stack)
+            models.append(MlpModel(self.ARCH, drawn.weights, drawn.biases, drawn.hyper, rows))
         weights, biases = layer_views(self.ARCH, stack[0])
-        for i in range(model.num_layers):
+        for i in range(models[0].num_layers):
             assert weights[i].shape == (3, *models[0].weights[i].shape)
             assert np.shares_memory(weights[i], stack[0]) and np.shares_memory(biases[i], stack[0])
             for k, model in enumerate(models):
