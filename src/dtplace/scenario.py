@@ -302,20 +302,22 @@ def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> S
     if config.workload_in_megabytes:
         workloads = workloads * MEGABITS_PER_MEGABYTE
 
+    # tolist hands out Python floats and ints, the values float() and int()
+    # would make of each element, without a Python-level loop.
     servers = ServerPool(
-        edge_clock_speeds=tuple(float(v) for v in clocks),
+        edge_clock_speeds=tuple(clocks.tolist()),
         cloud_clock_speed=float(config.cloud_clock_speed),
-        edge_locations=tuple((float(x), float(y)) for x, y in edge_locations),
+        edge_locations=tuple(map(tuple, edge_locations.tolist())),
         edge_exec_energy=float(config.edge_exec_energy),
         cloud_exec_energy=float(config.cloud_exec_energy),
         edge_tx_energy=float(config.edge_tx_energy),
         cloud_tx_energy=float(config.cloud_tx_energy),
     )
     devices = DeviceSet(
-        workloads=tuple(float(v) for v in workloads),
-        locations=tuple((float(x), float(y)) for x, y in locations),
-        bandwidths=tuple(float(config.bandwidth) for _ in range(n)),
-        ownership=tuple(int(v) for v in ownership),
+        workloads=tuple(workloads.tolist()),
+        locations=tuple(map(tuple, locations.tolist())),
+        bandwidths=(float(config.bandwidth),) * n,
+        ownership=tuple(ownership.tolist()),
     )
     params = PhysicalParams(
         gamma=float(config.gamma),
@@ -384,21 +386,65 @@ def validate(s: Scenario) -> list[str]:
     return out
 
 
+# Documents are laid out byte for byte as ``json.dumps(doc, indent=2)`` lays
+# them out.  CPython serves any ``indent`` with its pure-Python encoder, so each
+# list goes through the C encoder (used only without ``indent``) instead, with
+# the separators of its depth: every list sits in a group, two levels down.
+_ITEMS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_COORD = ",\n        "
+_PAIR = "\n      ],\n      [\n        "
+
+
+def _write_list(values, path):
+    return "[\n      " + _ITEMS(values)[1:-1] + "\n    ]" if values else "[]"
+
+
+def _write_pairs(pairs, path):
+    """Coordinate pairs, encoded as one flat list and regrouped."""
+    if not set(map(len, pairs)) <= {2}:
+        raise ContractError(f"{path} must be (x, y) pairs")
+    if not pairs:
+        return "[]"
+    numbers = iter(json.dumps(list(chain.from_iterable(pairs)))[1:-1].split(", "))
+    return "[\n      [\n        " + _PAIR.join(map(_COORD.join, zip(numbers, numbers))) + "\n      ]\n    ]"
+
+
+def _write_scalar(value, path):
+    return json.dumps(value)
+
+
+# Keyed like _CONVERTERS, by each field's annotation as written.
+_WRITERS = {
+    "float": _write_scalar,
+    "int": _write_scalar,
+    "tuple[float, ...]": _write_list,
+    "tuple[int, ...]": _write_list,
+    "tuple[Coord, ...]": _write_pairs,
+}
+
+
 def to_document(s: Scenario) -> bytes:
     """Serialize to a stable JSON document (UTF-8 bytes).
 
     Each group lists its fields in declaration order; tuples become lists.
+    The bytes are those of ``json.dumps(doc, indent=2) + "\\n"``.  Raises
+    :class:`ContractError` if a location is not an (x, y) pair.
     """
-    doc = {
+    head = {
         "format": DOCUMENT_FORMAT,
         "version": DOCUMENT_VERSION,
         "num_dts": s.num_dts,
         "num_servers_total": s.num_servers_total,
     }
+    members = [f'"{key}": {json.dumps(value)}' for key, value in head.items()]
     for name in ("servers", "devices", "params"):
         group = getattr(s, name)
-        doc[name] = {f.name: getattr(group, f.name) for f in fields(group)}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        body = ",\n    ".join(
+            f'"{f.name}": {_WRITERS[f.type](getattr(group, f.name), f"{name}.{f.name}")}'
+            for f in fields(group)
+        )
+        members.append(f'"{name}": {{\n    {body}\n  }}')
+    return ("{\n  " + ",\n  ".join(members) + "\n}\n").encode("utf-8")
 
 
 def _get(mapping, key, path):

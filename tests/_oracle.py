@@ -1,9 +1,12 @@
-"""Straight-line reference cost, kept deliberately independent.
+"""Straight-line references, kept deliberately independent.
 
-Plain Python loops and ``math`` only: no numpy, no code shared with the
-package internals.  Tests compare the production evaluator against this.
+Plain Python loops, ``math`` and ``json`` only: no numpy, no code shared
+with the package internals.  Tests compare the production evaluator and
+document writer against these.
 """
 
+import dataclasses
+import json
 import math
 
 
@@ -38,3 +41,17 @@ def reference_cost(s, assignment):
         total_time += len(members) * (max(tx_times) + exec_sum)
     alpha = s.params.alpha
     return total_time, total_energy, alpha * total_time + (1.0 - alpha) * total_energy
+
+
+def reference_document(s):
+    """The document bytes of ``s`` as the indented ``json.dumps`` writes them."""
+    doc = {
+        "format": "dt-placement-scenario",
+        "version": 1,
+        "num_dts": s.num_dts,
+        "num_servers_total": s.num_servers_total,
+    }
+    for name in ("servers", "devices", "params"):
+        group = getattr(s, name)
+        doc[name] = {f.name: getattr(group, f.name) for f in dataclasses.fields(group)}
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

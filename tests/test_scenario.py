@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import functools
+import hashlib
 import json
+import math
 import operator
 import re
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dtplace
+from _oracle import reference_document
 from dtplace.errors import ContractError, InvalidConfigError, ParseError, ValidationError
 from dtplace.scenario import (
     DOCUMENT_VERSION,
@@ -27,6 +30,12 @@ from dtplace.scenario import (
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
 GOLDEN = Path(__file__).with_name("golden_scenario.json")
+SHAPES = {
+    "desk": DESK,
+    "full": GeneratorConfig(),
+    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
+    "one-of-each": GeneratorConfig(num_devices=1, num_dts=1, num_edge_servers=1),
+}
 
 
 class TestGenerate:
@@ -271,6 +280,100 @@ class TestDocuments:
         field = ".".join(key for key in path if isinstance(key, str))
         with pytest.raises(ParseError, match=re.escape(field)):
             from_document(json.dumps(doc).replace('"@"', text))
+
+
+def _fill_floats(s, value):
+    """``s`` with ``value`` in every float field, scalar, list element and coordinate."""
+    fill = {
+        "float": lambda v: value,
+        "tuple[float, ...]": lambda v: (value,) + v[1:],
+        "tuple[Coord, ...]": lambda v: ((value, value),) + v[1:],
+    }
+    groups = {}
+    for name in ("servers", "devices", "params"):
+        group = getattr(s, name)
+        groups[name] = dataclasses.replace(group, **{
+            f.name: fill[f.type](getattr(group, f.name))
+            for f in dataclasses.fields(group) if f.type in fill
+        })
+    return dataclasses.replace(s, **groups)
+
+
+class TestDocumentLayout:
+    """``to_document`` writes the bytes of the indented ``json.dumps``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(sorted(SHAPES)))
+    def test_generated_documents_equal_the_reference(self, seed, shape):
+        s = generate_random(seed, SHAPES[shape])
+        assert to_document(s) == reference_document(s)
+
+    @pytest.mark.parametrize(
+        "value",
+        [3, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf],
+        ids=["int", "negative-zero", "subnormal", "largest", "nan", "inf", "-inf"],
+    )
+    def test_every_float_field_is_written_as_the_reference_writes_it(self, value):
+        s = _fill_floats(from_document(GOLDEN.read_bytes()), value)
+        assert s.params.gamma is value and s.devices.locations[0] == (value, value)
+        assert to_document(s) == reference_document(s)
+
+    def test_empty_lists_are_written_as_the_reference_writes_them(self):
+        s = from_document(GOLDEN.read_bytes())
+        empty = dataclasses.replace(
+            s,
+            servers=dataclasses.replace(s.servers, edge_clock_speeds=(), edge_locations=()),
+            devices=DeviceSet(workloads=(), locations=(), bandwidths=(), ownership=()),
+        )
+        assert to_document(empty) == reference_document(empty)
+
+    @pytest.mark.parametrize("group, field", [("devices", "locations"), ("servers", "edge_locations")])
+    @pytest.mark.parametrize("pair", [(5.0,), (5.0, 6.0, 7.0)], ids=["1-element", "3-element"])
+    def test_a_ragged_pair_is_refused_not_regrouped(self, group, field, pair):
+        s = from_document(GOLDEN.read_bytes())
+        # the ragged pair keeps the flattened length at twice the pair count
+        other = (2.0, 3.0, 4.0) if len(pair) == 1 else (2.0,)
+        part = getattr(s, group)
+        part = dataclasses.replace(part, **{field: (pair, other) + getattr(part, field)[2:]})
+        with pytest.raises(ContractError, match=re.escape(f"{group}.{field} must be (x, y) pairs")):
+            to_document(dataclasses.replace(s, **{group: part}))
+
+
+# SHA-256 of to_document(generate_random(seed, shape)), recorded before the
+# generator and the writer moved onto tolist and the C encoder: any change to
+# a drawn value or to a document byte shows here.
+PINNED_SHAPES = {
+    "desk-pinned-pool": dataclasses.replace(DESK, server_seed=0),
+    "full": GeneratorConfig(),
+    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
+}
+PINNED = {
+    ("desk-pinned-pool", 0): "3e7b012c62fc140e8fa29d22d5be13c449092982a90c632b589dd85e5b5945ff",
+    ("desk-pinned-pool", 1): "c92c3c9c698644c3a2ef683bfd49c385b3572702c20c7b30a10097b18a04b0c8",
+    ("desk-pinned-pool", 2**32 - 1): "3a2a29566721b6ba8f634c751c41742fb6860beda79a259529d809f8617c131c",
+    ("full", 0): "814eaabdac2b22f573016fae1afc04b81223d93634f61f89dd19c10dd86dc665",
+    ("full", 1): "0a2fc08ab14f48a8e786d5da64d4e88d0bf32574073b4f965ce8e7ca2719a79c",
+    ("full", 2**32 - 1): "3dcf30858348050da037b3284ac36cb3f08155b072c705c5061515c480bd2397",
+    ("clustered-desk", 0): "5b049329114ce0479462487f6043db8eea7c8c00729a4a4ab565f5e52eff04f6",
+    ("clustered-desk", 1): "a7fcd014c5f4f18835b3afe02fba8c61d87a0a265123cdf2ef00ba226ff6f440",
+    ("clustered-desk", 2**32 - 1): "fa8d0a9d001b6d7e311d9fccc94931ad37bb0108d8d307aeff135aa2a1a940a2",
+}
+
+
+@pytest.mark.parametrize("shape, seed", sorted(PINNED), ids=[f"{k}-{v}" for k, v in sorted(PINNED)])
+def test_generated_documents_are_pinned(shape, seed):
+    s = generate_random(seed, PINNED_SHAPES[shape])
+    assert hashlib.sha256(to_document(s)).hexdigest() == PINNED[shape, seed]
+    # no numpy scalar leaks into the tuples
+    pool, dev, par = s.servers, s.devices, s.params
+    floats = [
+        *pool.edge_clock_speeds, *dev.workloads, *dev.bandwidths,
+        *(v for xy in pool.edge_locations + dev.locations for v in xy),
+        *(getattr(group, f.name) for group in (pool, par)
+          for f in dataclasses.fields(group) if f.type == "float"),
+    ]
+    assert {type(v) for v in floats} == {float}
+    assert {type(v) for v in dev.ownership} == {int}
+    assert {type(v) for v in pool.edge_locations + dev.locations} == {tuple}
 
 
 LAYOUT_FIELDS = {

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,27 @@ def test_landscape_report_prints_exact_row(args):
     done = run_script("landscape_report.py", *args)
     assert done.returncode == 0, done.stderr
     assert any(line.startswith("exact: mean Q ") for line in done.stdout.splitlines())
+
+
+def test_bench_writes_one_alternating_pair(tmp_path):
+    # The checkout's own src stands in for the parent, so no git is needed.
+    done = run_script(
+        "bench.py", "--workload", "reference-desk", "--seeds", "3", "--seconds", "1",
+        "--baseline-src", str(ROOT / "src"), "--label", "check", "--out", str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    bench = json.loads((tmp_path / "BENCH_check.json").read_text())
+    assert list(bench) == [
+        "workload", "command", "machine", "sides", "order", "env", "units", "summary", "runs",
+    ]
+    assert bench["workload"] == "reference-desk"
+    assert bench["env"].startswith("env: {")
+    assert set(bench["sides"]) == {"parent", "change"}
+    assert [(r["side"], r["seed"]) for r in bench["runs"]] == [("parent", 3), ("change", 3)]
+    names = set(bench["units"])
+    assert names == {"setup_s", "ops_per_s", "p50_ms", "p95_ms", "quality_gap", "peak_rss_mb"}
+    for run in bench["runs"]:
+        assert run["correct"] and run["failed"] == 0 and run["attempted"] > 0
+        assert set(run["metrics"]) == names
+    assert set(bench["summary"]) == names
+    assert all(row["pairs"] == 1 for row in bench["summary"].values())
