@@ -12,7 +12,6 @@ import argparse
 
 import numpy as np
 
-from dtplace.exact import solve_exact
 from dtplace.harness import make_probe, scheme_means
 from dtplace.scenario import GeneratorConfig
 
@@ -44,8 +43,8 @@ def main() -> int:
     cloud = config.num_edge_servers
     share = np.mean(
         [
-            np.mean([a == cloud for a in solve_exact(s).decision.assignment])
-            for s in probe.scenarios
+            np.mean([a == cloud for a in r.decision.assignment])
+            for r in probe.baselines["exact"]
         ]
     )
     print(f"optimal cloud share: {100 * share:.1f}% of twins")

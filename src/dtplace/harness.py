@@ -2,17 +2,18 @@
 
 Every comparison in this package runs against a ProbeSet: a fixed batch of
 random scenarios, generated once and shared by all configurations under
-test, so curves differ only because the thing being varied differs.  Probe
-scoring goes through the per-DT cost tables, which lets one snapshot of a
-K-network ensemble be priced on hundreds of scenarios with a single gather
-instead of per-scenario evaluate calls.
+test, so curves differ only because the thing being varied differs.  One
+scenario-major pass prices a probe: it builds the per-DT cost tables and
+runs the four non-learning schemes, and scheme means, ensemble snapshots
+and comparison rows all read it.  The tables price one snapshot of a
+K-network ensemble on hundreds of scenarios with a single gather.
 
 Training experiments snapshot the probe costs on a fixed cadence and report
 the convergence rate between consecutive snapshots: mean over scenarios of
 min/max of the two costs, which is 1 exactly when the chosen decisions'
 costs have stopped moving.  Scheme comparison re-weights the same probe at
-each requested alpha and prices every baseline plus one trained ensemble
-per alpha.
+each requested alpha once, reads its baselines from that alpha's pass and
+prices one trained ensemble per alpha.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ from .scenario import GeneratorConfig, generate_random
 
 @dataclass(frozen=True, eq=False)
 class ProbeSet:
-    """Immutable evaluation set shared by every configuration in one study.
-
-    ``tables`` stacks the per-DT cost tables of all scenarios, shape
-    (count, num_dts, num_servers).
-    """
+    """Immutable evaluation set shared by every configuration in one study."""
 
     scenarios: tuple
     seed: int
-    tables: np.ndarray
+    _by_alpha: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -65,23 +62,51 @@ class ProbeSet:
         return np.stack([ddl.raw_group_input(s) for s in self.scenarios])
 
     @functools.cached_property
-    def _scheme_means(self) -> dict[str, float]:
-        # Scenario-major, so each scenario is priced once for all four schemes.
-        runners = _baseline_runners(self)
-        costs = {name: [] for name, _ in runners}
-        for i, s in enumerate(self.scenarios):
-            for name, solve in runners:
-                costs[name].append(solve(s, i).cost.weighted_cost)
-        return {name: float(np.mean(c)) for name, c in costs.items()}
+    def _priced(self) -> tuple:
+        # Scenario-major, so each scenario is priced once for its table and all four
+        # schemes.  The random scheme's seeds come from the probe's own seed.
+        ro_seeds = np.random.default_rng(self.seed).integers(0, 2**63 - 1, size=len(self))
+        tables, *runs = zip(*(
+            (per_dt_cost_table(s), solve_exact(s), scheme_random(s, seed),
+             scheme_cloud_only(s), scheme_average_distribution(s))
+            for s, seed in zip(self.scenarios, ro_seeds.tolist())
+        ))
+        tables = np.stack(tables)
+        tables.flags.writeable = False
+        return tables, dict(zip(("exact", "ro", "co", "ad"), runs))
+
+    @property
+    def tables(self) -> np.ndarray:
+        """Per-DT cost tables of all scenarios, read-only, shape (count, num_dts, num_servers)."""
+        return self._priced[0]
+
+    @property
+    def baselines(self) -> dict:
+        """Scheme name -> tuple of its ``SchemeResult``, one per scenario in order."""
+        return self._priced[1]
 
 
 def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
     """Freeze ``count`` scenarios from seeds ``seed .. seed+count-1``."""
     if count < 1:
         raise ContractError("probe count must be at least 1")
-    scenarios = tuple(generate_random(seed + i, generator) for i in range(count))
-    tables = np.stack([per_dt_cost_table(s) for s in scenarios])
-    return ProbeSet(scenarios=scenarios, seed=seed, tables=tables)
+    return ProbeSet(tuple(generate_random(seed + i, generator) for i in range(count)), seed)
+
+
+def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
+    """The same scenarios under a different time/energy mix, built once per alpha.
+
+    ``probe`` itself comes back when all its scenarios already use ``alpha``.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
+    if all(s.params.alpha == alpha for s in probe.scenarios):
+        return probe
+    if alpha not in probe._by_alpha:
+        mix = [dataclasses.replace(s.params, alpha=alpha) for s in probe.scenarios]
+        scenarios = tuple(dataclasses.replace(s, params=p) for s, p in zip(probe.scenarios, mix))
+        probe._by_alpha[alpha] = ProbeSet(scenarios, probe.seed)
+    return probe._by_alpha[alpha]
 
 
 def ensemble_probe_costs(ensemble: DdlEnsemble, probe: ProbeSet) -> np.ndarray:
@@ -103,24 +128,10 @@ def convergence_rate(old_costs, new_costs) -> float:
     return float(np.mean(np.minimum(old, new) / np.maximum(old, new)))
 
 
-def _baseline_runners(probe: ProbeSet) -> list:
-    """The non-learning schemes as ``(name, solve(scenario, index))`` pairs.
-
-    The random scheme draws one seed per scenario from the probe's own seed,
-    so every caller prices the same random decisions.
-    """
-    ro_seeds = np.random.default_rng(probe.seed).integers(0, 2**63 - 1, size=len(probe))
-    return [
-        ("exact", lambda s, i: solve_exact(s)),
-        ("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))),
-        ("co", lambda s, i: scheme_cloud_only(s)),
-        ("ad", lambda s, i: scheme_average_distribution(s)),
-    ]
-
-
 def scheme_means(probe: ProbeSet) -> dict[str, float]:
-    """Mean weighted cost of each non-learning scheme over the probe set, computed once per probe."""
-    return dict(probe._scheme_means)
+    """Mean weighted cost of each non-learning scheme over the probe set, priced once per probe."""
+    costs = {name: [r.cost.weighted_cost for r in rs] for name, rs in probe.baselines.items()}
+    return {name: float(np.mean(c)) for name, c in costs.items()}
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ def _run_grid_point(label, config, cadence, probe, means) -> ExperimentReport:
         eval_points=tuple(points),
         traces=tuple(result.traces),
         ensemble=result.ensemble,
-        scheme_means=dict(means),
+        scheme_means=means,
         elapsed=time.perf_counter() - start,
     )
 
@@ -214,14 +225,11 @@ def run_training_experiment(
         raise ContractError("cadence must be at least 1")
     if threads < 1:
         raise ContractError("threads must be at least 1")
-    scored = {}  # alpha -> (probe, scheme means), filled before any thread starts
-    for _, config in grid:
-        alpha = config.generator.alpha
-        if alpha not in scored:
-            at = probe if probe.scenarios[0].params.alpha == alpha else with_alpha(probe, alpha)
-            at.raw_inputs  # encode once, outside the threads
-            scored[alpha] = (at, scheme_means(at))
-    jobs = [(lb, cf, cadence, *scored[cf.generator.alpha]) for lb, cf in grid]
+    jobs = []
+    for label, config in grid:  # encode and price every alpha's probe before any thread starts
+        at = with_alpha(probe, config.generator.alpha)
+        at.raw_inputs
+        jobs.append((label, config, cadence, at, scheme_means(at)))
     if threads == 1 or len(grid) == 1:
         return [_run_grid_point(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -238,43 +246,22 @@ class ComparisonRow:
     elapsed: float
 
 
-def _reweighted(scenarios, alpha: float) -> tuple:
-    return tuple(
-        dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=alpha))
-        for s in scenarios
+def _row(alpha: float, scheme: str, results) -> ComparisonRow:
+    return ComparisonRow(
+        alpha=alpha,
+        scheme=scheme,
+        mean_q=float(np.mean([r.cost.weighted_cost for r in results])),
+        mean_t=float(np.mean([r.cost.total_time for r in results])),
+        mean_e=float(np.mean([r.cost.total_energy for r in results])),
+        elapsed=sum(r.elapsed for r in results),
     )
-
-
-def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
-    """The same scenarios under a different time/energy mix."""
-    scenarios = _reweighted(probe.scenarios, alpha)
-    tables = np.stack([per_dt_cost_table(s) for s in scenarios])
-    return ProbeSet(scenarios=scenarios, seed=probe.seed, tables=tables)
-
-
-def _comparison_rows(probe: ProbeSet, alpha: float, ensemble: DdlEnsemble) -> list:
-    scenarios = _reweighted(probe.scenarios, alpha)
-    runners = _baseline_runners(probe) + [("ddl", lambda s, i: ddl.infer(ensemble, s))]
-    rows = []
-    for name, solve in runners:
-        start = time.perf_counter()
-        results = [solve(s, i) for i, s in enumerate(scenarios)]
-        rows.append(
-            ComparisonRow(
-                alpha=alpha,
-                scheme=name,
-                mean_q=float(np.mean([r.cost.weighted_cost for r in results])),
-                mean_t=float(np.mean([r.cost.total_time for r in results])),
-                mean_e=float(np.mean([r.cost.total_energy for r in results])),
-                elapsed=time.perf_counter() - start,
-            )
-        )
-    return rows
 
 
 def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
     """Price every scheme at every alpha on the re-weighted probe.
 
+    Baseline rows read the per-alpha probe's pass; only the ddl row runs
+    anything new.  ``elapsed`` sums the per-call times of a row's results.
     ``ensembles`` maps each alpha to the ensemble trained under that alpha;
     a network learned labels for one cost mix, so mixes are not interchangeable.
     Rows come out grouped by alpha in the order exact, ro, co, ad, ddl.
@@ -287,7 +274,9 @@ def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
         raise ContractError(f"no trained ensemble supplied for alpha={missing[0]}")
     rows: list[ComparisonRow] = []
     for alpha in alphas:
-        rows.extend(_comparison_rows(probe, alpha, ensembles[alpha]))
+        at = with_alpha(probe, alpha)
+        rows.extend(_row(alpha, name, results) for name, results in at.baselines.items())
+        rows.append(_row(alpha, "ddl", [ddl.infer(ensembles[alpha], s) for s in at.scenarios]))
     return rows
 
 

@@ -2,12 +2,25 @@
 
 Plain Python loops, ``math`` and ``json`` only: no numpy, no code shared
 with the package internals.  Tests compare the production evaluator and
-document writer against these.
+document writer against these.  The comparison-row reference is the one
+exception: it is the scheme-major loop the harness used to run, calling the
+public solvers one scheme at a time and averaging with numpy's mean as that
+loop did, so the harness's one-pass rows must match it exactly.
 """
 
 import dataclasses
 import json
 import math
+
+import numpy as np
+
+from dtplace import ddl
+from dtplace.exact import (
+    scheme_average_distribution,
+    scheme_cloud_only,
+    scheme_random,
+    solve_exact,
+)
 
 
 def reference_cost(s, assignment):
@@ -55,3 +68,35 @@ def reference_document(s):
         group = getattr(s, name)
         doc[name] = {f.name: getattr(group, f.name) for f in dataclasses.fields(group)}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def reference_comparison_rows(scenarios, seed, alpha, ensemble):
+    """``(scheme, mean_q, mean_t, mean_e)`` for exact, ro, co, ad and ddl at ``alpha``.
+
+    Each scheme runs over every re-weighted scenario before the next scheme
+    starts; the random scheme takes one seed per scenario from ``seed``.
+    """
+    scenarios = [
+        dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=alpha))
+        for s in scenarios
+    ]
+    ro_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(scenarios))
+    runners = [
+        ("exact", lambda s, i: solve_exact(s)),
+        ("ro", lambda s, i: scheme_random(s, int(ro_seeds[i]))),
+        ("co", lambda s, i: scheme_cloud_only(s)),
+        ("ad", lambda s, i: scheme_average_distribution(s)),
+        ("ddl", lambda s, i: ddl.infer(ensemble, s)),
+    ]
+    rows = []
+    for name, solve in runners:
+        results = [solve(s, i) for i, s in enumerate(scenarios)]
+        rows.append(
+            (
+                name,
+                float(np.mean([r.cost.weighted_cost for r in results])),
+                float(np.mean([r.cost.total_time for r in results])),
+                float(np.mean([r.cost.total_energy for r in results])),
+            )
+        )
+    return rows

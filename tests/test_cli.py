@@ -1,6 +1,7 @@
 """End-to-end flag handling, exit codes, and file outputs of the CLI."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -206,6 +207,28 @@ class TestExperiment:
             assert set(group) == {"exact", "ro", "co", "ad", "ddl"}
             assert all(group["exact"] <= v + 1e-12 for v in group.values())
         assert len(list(tmp_path.glob("trace_alpha_*.csv"))) == 5
+
+    # SHA-256 of the TINY_RUN alpha-compare outputs; comparison.csv without its elapsed column.
+    ALPHA_COMPARE_DIGESTS = {
+        "trace_alpha_0.csv": "3b144063106cb071ccec899c8a8f8738a92e0d23f887d4bf6c094d07ac372f0d",
+        "trace_alpha_0.25.csv": "c8331d4166600d99dbaab6ffab093e2e0e40d5f3ff7cf914ba85c757697067e9",
+        "trace_alpha_0.5.csv": "9c2a83a33738c9a482ab72ab2a7967ccf6d9d0bb822e1eb6893fee94de0578af",
+        "trace_alpha_0.75.csv": "ce7ad3b3a17aaedc45306cf0e3ba3efe90c428ea4e5b2b3621cfdedb7937606d",
+        "trace_alpha_1.csv": "4eba56ae6668683ced5cf98a8abf27b84c9a5a9d9b184f17deb272ced1087ca2",
+        "comparison.csv": "227d309bc40ee853e2c1013d971ea2b5e1ac7b587282876c4146611d19f8d765",
+    }
+
+    def test_alpha_compare_outputs_are_pinned(self, tmp_path):
+        argv = ["experiment", "alpha-compare", *self.TINY_RUN, "--out", str(tmp_path), *TINY]
+        assert run(*argv) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.glob("trace_alpha_*.csv")
+        }
+        table = (tmp_path / "comparison.csv").read_text()
+        kept = "\n".join(line.rsplit(",", 1)[0] for line in table.splitlines())
+        digests["comparison.csv"] = hashlib.sha256(kept.encode()).hexdigest()
+        assert digests == self.ALPHA_COMPARE_DIGESTS
 
     def test_alpha_compare_threads_change_nothing(self, tmp_path):
         outputs = []

@@ -1,5 +1,6 @@
 """Probe-set scoring, convergence tracking, sweeps, and CSV emission."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -7,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from _oracle import reference_comparison_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtplace import cost_model, ddl, harness
+from dtplace.cli import ALPHA_GRID
 from dtplace.ddl import TrainConfig, build_ensemble
 from dtplace.errors import ContractError, DomainError, InvalidConfigError
+from dtplace.exact import solve_exact
 from dtplace.harness import (
     ComparisonRow,
     EvalPoint,
@@ -32,7 +36,13 @@ from dtplace.scenario import GeneratorConfig
 
 MINI = GeneratorConfig(num_devices=8, num_dts=3, num_edge_servers=2, server_seed=5)
 
+DESK = GeneratorConfig(num_devices=24, num_dts=6, server_seed=5)
+
 FULL_SHAPE = GeneratorConfig(server_seed=5)  # 15 twins, 4^15 assignments
+
+BASELINE_FUNCTIONS = (
+    "solve_exact", "scheme_random", "scheme_cloud_only", "scheme_average_distribution"
+)
 
 
 def points_equal(a, b):
@@ -129,14 +139,24 @@ class TestProbeSet:
         assert scheme_means(probe)["exact"] > 0
 
     def test_scheme_means_price_each_scenario_once(self, monkeypatch):
-        probe = make_probe(40, 6, MINI)
+        # The tables and all four schemes share one pricing per scenario.
         priced = []
         real = cost_model._device_matrices
         monkeypatch.setattr(cost_model, "_device_matrices", lambda s: priced.append(s) or real(s))
-        monkeypatch.setattr(cost_model, "_last", None)  # forget the probe's last table
+        probe = make_probe(40, 6, MINI)
+        probe.tables
         scheme_means(probe)
         assert len(priced) == len(probe)
         assert all(a is b for a, b in zip(priced, probe.scenarios))
+        assert not probe.tables.flags.writeable
+
+    def test_baselines_are_the_schemes_in_scenario_order(self):
+        probe = make_probe(40, 3, MINI)
+        assert list(probe.baselines) == ["exact", "ro", "co", "ad"]
+        for name, results in probe.baselines.items():
+            assert len(results) == len(probe) and {r.scheme_name for r in results} == {name}
+        exact = [solve_exact(s).decision for s in probe.scenarios]
+        assert [r.decision for r in probe.baselines["exact"]] == exact
 
     def test_scheme_means_full_shape_has_exact_minimum(self):
         probe = make_probe(40, 2, FULL_SHAPE)
@@ -286,15 +306,52 @@ class TestComparison:
         for row in rows[:4]:
             assert row.mean_q == means[row.scheme]
 
-    def test_rows_build_no_probe_tables(self, monkeypatch):
-        # Every scheme prices its own scenarios, so stacked probe tables go unread.
+    def test_each_baseline_runs_once_per_scenario_per_alpha(self, monkeypatch):
+        # Training and comparison read the same per-alpha pass.
         probe = make_probe(100, 4, MINI)
-        calls = []
-        real = harness.per_dt_cost_table
-        monkeypatch.setattr(harness, "per_dt_cost_table", lambda s: calls.append(s) or real(s))
-        alphas = [0.0, 0.5]
-        run_comparison(probe, alphas, {a: build_ensemble(mini_train(0, seed=9)) for a in alphas})
-        assert calls == []
+        calls = collections.Counter()
+        for name in BASELINE_FUNCTIONS:
+            real = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name,
+                lambda s, *a, _n=name, _f=real: calls.update([(_n, s.params.alpha)]) or _f(s, *a),
+            )
+        grid = [
+            (f"alpha_{a:g}", mini_train(0, generator=dataclasses.replace(MINI, alpha=a)))
+            for a in (0.25, MINI.alpha)
+        ]
+        reports = run_training_experiment(grid, probe)
+        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
+        run_comparison(probe, list(ensembles), ensembles)
+        assert calls == {(n, a): len(probe) for n in BASELINE_FUNCTIONS for a in ensembles}
+
+    def test_with_alpha_builds_each_weight_once(self):
+        probe = make_probe(100, 3, MINI)
+        assert with_alpha(probe, MINI.alpha) is probe
+        shifted = with_alpha(probe, 0.25)
+        assert with_alpha(probe, 0.25) is shifted
+        assert shifted.seed == probe.seed and shifted.scenarios != probe.scenarios
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
+    def test_weight_outside_unit_interval_rejected(self, alpha):
+        probe = make_probe(100, 2, MINI)
+        with pytest.raises(ContractError, match="alpha"):
+            with_alpha(probe, alpha)
+        with pytest.raises(ContractError, match="alpha"):
+            run_comparison(probe, [alpha], {alpha: build_ensemble(mini_train(0, seed=9))})
+
+    @pytest.mark.parametrize("shape", ["mini", "desk"])
+    def test_rows_match_the_scheme_major_oracle(self, shape):
+        generator = {"mini": MINI, "desk": DESK}[shape]
+        probe = make_probe(100, 12, generator)
+        ensembles = {
+            a: build_ensemble(mini_train(0, seed=9, generator=generator)) for a in ALPHA_GRID
+        }
+        rows = run_comparison(probe, ALPHA_GRID, ensembles)
+        for alpha in ALPHA_GRID:
+            got = [(r.scheme, r.mean_q, r.mean_t, r.mean_e) for r in rows if r.alpha == alpha]
+            oracle = reference_comparison_rows(probe.scenarios, probe.seed, alpha, ensembles[alpha])
+            assert got == oracle
 
     def test_alpha_endpoints_reduce_to_time_and_energy(self):
         probe = make_probe(100, 4, MINI)

@@ -18,19 +18,21 @@ def run_script(name, *args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, share",
     [
-        ["--probe", "4", "--devices", "8", "--dts", "3", "--edges", "2"],
+        (["--probe", "4", "--devices", "8", "--dts", "3", "--edges", "2"], "66.7%"),
         # Twins here own more devices than the feature encoding's slots; the
         # baselines never encode features, so the report still runs.
-        ["--probe", "4", "--devices", "60", "--dts", "2"],
+        (["--probe", "4", "--devices", "60", "--dts", "2"], "87.5%"),
     ],
     ids=["mini", "over-slots"],
 )
-def test_landscape_report_prints_exact_row(args):
+def test_landscape_report_prints_exact_row(args, share):
     done = run_script("landscape_report.py", *args)
     assert done.returncode == 0, done.stderr
-    assert any(line.startswith("exact: mean Q ") for line in done.stdout.splitlines())
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("exact: mean Q ") for line in lines)
+    assert lines[-1] == f"optimal cloud share: {share} of twins"
 
 
 def test_bench_writes_one_alternating_pair(tmp_path):
