@@ -11,8 +11,9 @@ runs first.  The parent is ``src/`` of ``--baseline <sha>`` (exported with
 directory next to a copy of this checkout's ``perfbench/``, so both sides
 run the same benchmark.  Writes ``BENCH_<label>.json``: the command, the
 machine, the environment line ``run.py`` prints, the metric units, a
-per-metric summary (medians, the parent's interquartile range and the
-pairs the change wins) and every run's side, seed and metrics.  Uses the
+per-metric summary (medians, the parent's interquartile range, the pairs
+the change wins, its worsening against the metric's bound and whether it
+shows a gain) and every run's side, seed and metrics.  Uses the
 standard library and subprocesses only.
 """
 
@@ -70,21 +71,36 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[str, 
     return env_line, json.loads(result)
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' medians, the parent's quartiles and the pairs the change wins."""
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: the medians, the parent's quartiles, the pairs won and the acceptance rules.
+
+    ``metrics`` maps each name to its ``end_to_end`` entry of ``BENCHMARK.json``
+    (``better`` and ``bound``).  ``worse_by`` is how much worse the change's
+    median is than the parent's, relative to the parent's and negative when
+    it is better; ``within_bound`` says it is at most ``bound``.
+    ``gain_shown`` says the change won at least 9 of every 10 pairs and its
+    median beats the parent's by more than the parent's interquartile range.
+    """
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         parent = [r["metrics"][name] for r in runs if r["side"] == "parent"]
         change = [r["metrics"][name] for r in runs if r["side"] == "change"]
         # quantiles needs two points; a single run has no spread
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        worse_by = sign * (p_med - c_med) / p_med  # every metric is positive
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": p_med,
+            "change_median": c_med,
             "parent_iqr": q3 - q1,
-            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_better_pairs": won,
             "pairs": len(parent),
+            "worse_by": worse_by,
+            "bound": metric["bound"],
+            "within_bound": worse_by <= metric["bound"],
+            "gain_shown": 10 * won >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
         }
     return out
 
@@ -120,7 +136,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     runs, units, env_line = [], {}, None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         origin = export_tree(parent_tree, args.baseline, args.baseline_src)
@@ -150,7 +166,7 @@ def main(argv=None) -> int:
         "order": "pairs alternate which side runs first; the first pair ran the parent first",
         "env": env_line,
         "units": units,
-        "summary": summarize(runs, {k: better[k] for k in units}),
+        "summary": summarize(runs, {k: end_to_end[k] for k in units}),
         "runs": runs,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")

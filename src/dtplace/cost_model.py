@@ -17,14 +17,15 @@ A twin with ``k`` members refreshes ``k`` times per cycle, which scales its
 per-cycle time by ``k``.  The scalar objective mixes total time and total
 energy with weight ``alpha``.
 
-A scenario is priced once: per-twin time and energy on every server, built
-from one pass over the device matrices and kept for the latest scenario
-only, so the cost table and ``evaluate`` of one scenario share the build.
+A deployment is priced once: per-twin time and energy on every server, built
+from one pass over the device matrices and kept on the scenario's device set.
+No price depends on ``alpha``, and a scenario re-weighted to another alpha
+shares its device set, so the cost table and ``evaluate`` of every cost mix
+share one build.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,33 +89,29 @@ def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
     return counts[:, None] * (sync + exec_sum)
 
 
-_last = None  # (weak reference to the latest scenario priced, its pricing)
-
-
-def _forget(ref) -> None:
-    global _last
-    last = _last
-    if last is not None and last[0] is ref:
-        _last = None
-
-
 def _pricing(s: Scenario):
-    """Per-DT time and energy ``(num_dts, S+1)`` and per-device energy ``(N, S+1)``.
+    """Per-DT time and energy ``(num_dts, S+1)`` and per-device energy ``(N, S+1)``, read-only.
 
-    Kept for the latest scenario only, keyed by identity through a weak
-    reference whose callback drops it, so no pricing outlives its scenario.
-    The entry is swapped as one tuple: a concurrent caller can at worst miss.
+    Kept on ``s.devices``, which every alpha re-weight of ``s`` shares, and
+    tagged with the other inputs it was built from: the pool by identity,
+    ``gamma``, ``lambda_``, ``delta`` and ``num_dts``.  A scenario that
+    differs in any of them is priced again and its pricing replaces the
+    kept one; the pricing dies with its device set.  It is stored as one
+    tuple, so a concurrent caller can at worst build it twice.
     """
-    global _last
-    last = _last
-    if last is not None and last[0]() is s:
-        return last[1]
+    par = s.params
+    constants = (par.gamma, par.lambda_, par.delta, s.num_dts)
+    kept = vars(s.devices).get("_pricing")
+    if kept is not None and kept[0] is s.servers and kept[1] == constants:
+        return kept[2]
     own = s.devices.arrays.owner
     tx, ex, en = _device_matrices(s)
     dt_time = _per_dt_time(own, s.num_dts, tx, ex)
     dt_energy = np.zeros_like(dt_time)
     np.add.at(dt_energy, own, en)
-    _last = (weakref.ref(s, _forget), (dt_time, dt_energy, en))
+    for table in (dt_time, dt_energy, en):
+        table.flags.writeable = False
+    vars(s.devices)["_pricing"] = (s.servers, constants, (dt_time, dt_energy, en))
     return dt_time, dt_energy, en
 
 

@@ -262,23 +262,56 @@ def _draw_locations(rng, count, config, edge_locations, centers=None):
     return pts
 
 
+def _draw_pool(rng, config: GeneratorConfig) -> ServerPool:
+    s = config.num_edge_servers
+    lo, hi = config.edge_clock_range
+    clocks = rng.uniform(lo, hi, size=s)
+    w, h = config.field_size
+    edge_locations = rng.uniform((0.0, 0.0), (w, h), size=(s, 2))
+    # tolist hands out Python floats and ints, the values float() and int()
+    # would make of each element, without a Python-level loop.
+    return ServerPool(
+        edge_clock_speeds=tuple(clocks.tolist()),
+        cloud_clock_speed=float(config.cloud_clock_speed),
+        edge_locations=tuple(map(tuple, edge_locations.tolist())),
+        edge_exec_energy=float(config.edge_exec_energy),
+        cloud_exec_energy=float(config.cloud_exec_energy),
+        edge_tx_energy=float(config.edge_tx_energy),
+        cloud_tx_energy=float(config.cloud_tx_energy),
+    )
+
+
+# The fields a pinned pool is drawn from; configs that agree on them share it.
+_POOL_FIELDS = (
+    "server_seed", "num_edge_servers", "edge_clock_range", "field_size", "cloud_clock_speed",
+    "edge_exec_energy", "cloud_exec_energy", "edge_tx_energy", "cloud_tx_energy",
+)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _pinned_pool(*values) -> ServerPool:
+    config = GeneratorConfig(**dict(zip(_POOL_FIELDS, values)))
+    return _draw_pool(np.random.default_rng(config.server_seed), config)
+
+
 def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Draw a scenario; a pure function of ``(seed, config)``.
 
     Devices are placed uniformly in the field (or clustered around per-DT
     centers when ``cluster_devices`` is set), ownership is uniform over DTs
     with empty DTs repaired by moving one random device each, and workloads
-    are uniform over the configured range.
+    are uniform over the configured range.  A pinned pool (``server_seed``
+    set) is drawn once per pool-shaping config, and every scenario drawn
+    from such a config shares that one ``ServerPool``.
     """
     _check_config(config)
     rng = np.random.default_rng(seed)
-    server_rng = rng if config.server_seed is None else np.random.default_rng(config.server_seed)
-
-    s = config.num_edge_servers
-    lo, hi = config.edge_clock_range
-    clocks = server_rng.uniform(lo, hi, size=s)
+    if config.server_seed is None:
+        servers = _draw_pool(rng, config)
+    else:
+        servers = _pinned_pool(*(getattr(config, name) for name in _POOL_FIELDS))
+    edge_locations = servers.arrays.edge_xy
     w, h = config.field_size
-    edge_locations = server_rng.uniform((0.0, 0.0), (w, h), size=(s, 2))
 
     n, m = config.num_devices, config.num_dts
     ownership = rng.integers(0, m, size=n)
@@ -302,17 +335,6 @@ def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> S
     if config.workload_in_megabytes:
         workloads = workloads * MEGABITS_PER_MEGABYTE
 
-    # tolist hands out Python floats and ints, the values float() and int()
-    # would make of each element, without a Python-level loop.
-    servers = ServerPool(
-        edge_clock_speeds=tuple(clocks.tolist()),
-        cloud_clock_speed=float(config.cloud_clock_speed),
-        edge_locations=tuple(map(tuple, edge_locations.tolist())),
-        edge_exec_energy=float(config.edge_exec_energy),
-        cloud_exec_energy=float(config.cloud_exec_energy),
-        edge_tx_energy=float(config.edge_tx_energy),
-        cloud_tx_energy=float(config.cloud_tx_energy),
-    )
     devices = DeviceSet(
         workloads=tuple(workloads.tolist()),
         locations=tuple(map(tuple, locations.tolist())),
@@ -325,7 +347,7 @@ def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> S
         delta=float(config.delta),
         alpha=float(config.alpha),
     )
-    return Scenario(servers, devices, params, num_dts=m, num_servers_total=s + 1)
+    return Scenario(servers, devices, params, num_dts=m, num_servers_total=config.num_edge_servers + 1)
 
 
 def validate(s: Scenario) -> list[str]:

@@ -79,10 +79,9 @@ def reference_evaluate(s, d):
 
 
 def count_builds(monkeypatch):
-    """Empty the pricing memo, then record every scenario whose device matrices get built."""
+    """Record every scenario whose device matrices get built."""
     built = []
     monkeypatch.setattr(cost_model, "_device_matrices", lambda s: built.append(s) or _device_matrices(s))
-    monkeypatch.setattr(cost_model, "_last", None)
     return built
 
 
@@ -355,7 +354,7 @@ class TestEvaluate:
 
 
 class TestPricing:
-    """Each scenario is priced once and kept only while it is the latest one priced."""
+    """Each deployment is priced once, on its device set, for every alpha."""
 
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_matches_gather_first_evaluate_bit_for_bit(self, shape):
@@ -381,26 +380,54 @@ class TestPricing:
         a = generate_random(42, DESK)
         b = from_document(to_document(a))
         c = dataclasses.replace(a, params=dataclasses.replace(a.params, alpha=1.0))
-        assert a == b and a is not b
+        assert a == b and a is not b and c.devices is a.devices
         built = count_builds(monkeypatch)
         d = random_decision(a, 3)
         tables = []
         for s in (a, b, a, c, b):
             tables.append(per_dt_cost_table(s))
             assert evaluate(s, d) == reference_evaluate(s, d)
-        assert [id(s) for s in built] == [id(s) for s in (a, b, a, c, b)]
+        # the alpha re-weight c shares a's device set and so a's build
+        assert [id(s) for s in built] == [id(a), id(b)]
         assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
         assert not np.array_equal(tables[0], tables[3])
 
-    def test_memo_keeps_no_scenario_alive(self):
+    @pytest.mark.parametrize("change", ["servers", "gamma", "lambda_", "delta", "num_dts"])
+    def test_changed_inputs_on_shared_devices_are_priced_again(self, monkeypatch, change):
+        a = generate_random(44, DESK)
+        if change == "servers":  # equal content, another object
+            b = dataclasses.replace(a, servers=dataclasses.replace(a.servers))
+        elif change == "num_dts":  # one more twin, left empty
+            b = dataclasses.replace(a, num_dts=a.num_dts + 1)
+        else:
+            b = dataclasses.replace(a, params=dataclasses.replace(a.params, **{change: 2 * getattr(a.params, change)}))
+        assert b.devices is a.devices
+        built = count_builds(monkeypatch)
+        for s in (a, b, a, b):
+            table = per_dt_cost_table(s)
+            d = random_decision(s, 5)
+            cost = evaluate(s, d)
+            # the oracle: the same scenario on a device set of its own, priced afresh
+            fresh = dataclasses.replace(s, devices=dataclasses.replace(s.devices))
+            assert np.array_equal(table, per_dt_cost_table(fresh))
+            assert cost == evaluate(fresh, d)
+        assert [id(s) for s in built if s.devices is a.devices] == [id(a), id(b), id(a), id(b)]
+
+    def test_cached_tables_are_read_only(self):
+        s = generate_random(45, DESK)
+        per_dt_cost_table(s)
+        for table in cost_model._pricing(s):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_pricing_dies_with_its_group(self):
         s = generate_random(43, DESK)
         evaluate(s, random_decision(s, 1))
-        ref = weakref.ref(s)
-        assert cost_model._last[0]() is s
+        refs = weakref.ref(s), weakref.ref(s.devices)
         del s
         gc.collect()
-        assert ref() is None
-        assert cost_model._last is None
+        assert [r() for r in refs] == [None, None]
 
     def test_threads_match_serial(self):
         scenarios = [generate_random(600 + i, DESK) for i in range(6)]

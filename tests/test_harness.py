@@ -325,6 +325,23 @@ class TestComparison:
         run_comparison(probe, list(ensembles), ensembles)
         assert calls == {(n, a): len(probe) for n in BASELINE_FUNCTIONS for a in ensembles}
 
+    def test_every_alpha_and_the_ddl_rows_share_one_pricing(self, monkeypatch):
+        # Re-weighted probes share their device sets, and with them one pricing.
+        probe = make_probe(100, 4, MINI)
+        built = collections.Counter()
+        real = cost_model._device_matrices
+        monkeypatch.setattr(
+            cost_model, "_device_matrices", lambda s: built.update([id(s.devices)]) or real(s)
+        )
+        grid = [
+            (f"alpha_{a:g}", mini_train(0, generator=dataclasses.replace(MINI, alpha=a)))
+            for a in ALPHA_GRID
+        ]
+        reports = run_training_experiment(grid, probe)
+        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
+        run_comparison(probe, ALPHA_GRID, ensembles)
+        assert built == {id(s.devices): 1 for s in probe.scenarios}
+
     def test_with_alpha_builds_each_weight_once(self):
         probe = make_probe(100, 3, MINI)
         assert with_alpha(probe, MINI.alpha) is probe

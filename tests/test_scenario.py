@@ -96,6 +96,27 @@ class TestGenerate:
         assert a.servers == b.servers
         assert a.devices != b.devices
 
+    def test_pinned_draws_share_one_pool_object(self):
+        cfg = dataclasses.replace(DESK, server_seed=98)
+        a, b = generate_random(1, cfg), generate_random(2, cfg)
+        assert a.servers is b.servers
+        # a config that differs only outside the pool's fields shares it too
+        c = generate_random(3, dataclasses.replace(cfg, num_devices=30, alpha=0.2))
+        assert c.servers is a.servers
+        other = generate_random(1, dataclasses.replace(cfg, server_seed=97))
+        assert other.servers != a.servers
+        energies = generate_random(1, dataclasses.replace(cfg, edge_tx_energy=0.5))
+        assert energies.servers.edge_tx_energy == 0.5 and energies.servers is not a.servers
+
+    def test_unpinned_pools_come_from_the_scenario_seed(self):
+        a, b = generate_random(1, DESK), generate_random(2, DESK)
+        assert a.servers != b.servers
+        assert generate_random(1, DESK).servers == a.servers
+        # the pool is the first draw of the scenario's own generator
+        rng = np.random.default_rng(1)
+        lo, hi = DESK.edge_clock_range
+        assert a.servers.edge_clock_speeds == tuple(rng.uniform(lo, hi, size=DESK.num_edge_servers).tolist())
+
     def test_cluster_mode_generates_valid_scenarios(self):
         cfg = dataclasses.replace(DESK, cluster_devices=True)
         s = generate_random(23, cfg)

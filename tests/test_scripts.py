@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -57,3 +58,47 @@ def test_bench_writes_one_alternating_pair(tmp_path):
         assert set(run["metrics"]) == names
     assert set(bench["summary"]) == names
     assert all(row["pairs"] == 1 for row in bench["summary"].values())
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(parent, change, name):
+    """Alternating runs of one metric, pair by pair."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        pair = [("parent", p), ("change", c)]
+        runs += [{"side": side, "seed": i, "metrics": {name: v}} for side, v in pair[:: 1 - 2 * (i % 2)]]
+    return runs
+
+
+def test_summary_applies_the_acceptance_rules():
+    summarize = load_bench().summarize
+    lower = {"p50_ms": {"better": "lower", "bound": 0.25}}
+    parent = [0.22, 0.23, 0.24, 0.23, 0.25, 0.21, 0.23, 0.22, 0.24, 0.23]
+    # nine of ten pairs won, medians 0.15 against 0.23, parent IQR 0.02
+    change = [0.15] * 9 + [0.26]
+    row = summarize(synthetic_runs(parent, change, "p50_ms"), lower)["p50_ms"]
+    assert row["parent_median"] == 0.23 and row["change_median"] == 0.15
+    assert row["parent_iqr"] == pytest.approx(0.02)
+    assert row["change_better_pairs"] == 9 and row["pairs"] == 10
+    assert row["worse_by"] == pytest.approx(-0.08 / 0.23)
+    assert row["bound"] == 0.25 and row["within_bound"] and row["gain_shown"]
+    # eight of ten pairs is not enough, however large the gain
+    row = summarize(synthetic_runs(parent, [0.15] * 8 + [0.26] * 2, "p50_ms"), lower)["p50_ms"]
+    assert row["change_better_pairs"] == 8 and not row["gain_shown"]
+    # every pair won, but by less than the parent's spread
+    row = summarize(synthetic_runs(parent, [p - 0.005 for p in parent], "p50_ms"), lower)["p50_ms"]
+    assert row["change_better_pairs"] == 10 and not row["gain_shown"]
+    # a higher-is-better metric 30 % down is outside a 25 % bound
+    higher = {"ops_per_s": {"better": "higher", "bound": 0.25}}
+    row = summarize(synthetic_runs([100.0] * 3, [70.0] * 3, "ops_per_s"), higher)["ops_per_s"]
+    assert row["worse_by"] == pytest.approx(0.3) and not row["within_bound"]
+    assert row["change_better_pairs"] == 0 and not row["gain_shown"]
+    # 20 % down stays within it
+    row = summarize(synthetic_runs([100.0] * 3, [80.0] * 3, "ops_per_s"), higher)["ops_per_s"]
+    assert row["worse_by"] == pytest.approx(0.2) and row["within_bound"]
