@@ -12,9 +12,9 @@ directory next to a copy of this checkout's ``perfbench/``, so both sides
 run the same benchmark.  Writes ``BENCH_<label>.json``: the command, the
 machine, the environment line ``run.py`` prints, the metric units, a
 per-metric summary (medians, the parent's interquartile range, the pairs
-the change wins, its worsening against the metric's bound and whether it
-shows a gain) and every run's side, seed and metrics.  Uses the
-standard library and subprocesses only.
+the change wins, its worsening against the metric's bound, each side's
+share of failed operations and whether it shows a gain) and every run's
+side, seed and metrics.  Uses the standard library and subprocesses only.
 """
 
 from __future__ import annotations
@@ -78,9 +78,16 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     (``better`` and ``bound``).  ``worse_by`` is how much worse the change's
     median is than the parent's, relative to the parent's and negative when
     it is better; ``within_bound`` says it is at most ``bound``.
-    ``gain_shown`` says the change won at least 9 of every 10 pairs and its
-    median beats the parent's by more than the parent's interquartile range.
+    ``<side>_failed_share`` is the side's failed operations over its
+    attempted ones, over all its runs.  ``gain_shown`` says the change won at
+    least 9 of every 10 pairs, its median beats the parent's by more than the
+    parent's interquartile range, and its failed share is not the larger.
     """
+    failed = {
+        side: sum(r["failed"] for r in runs if r["side"] == side)
+        / sum(r["attempted"] for r in runs if r["side"] == side)
+        for side in ("parent", "change")
+    }
     out = {}
     for name, metric in metrics.items():
         parent = [r["metrics"][name] for r in runs if r["side"] == "parent"]
@@ -100,7 +107,10 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             "worse_by": worse_by,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"],
-            "gain_shown": 10 * won >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1,
+            "parent_failed_share": failed["parent"],
+            "change_failed_share": failed["change"],
+            "gain_shown": (10 * won >= 9 * len(parent) and sign * (c_med - p_med) > q3 - q1
+                           and failed["change"] <= failed["parent"]),
         }
     return out
 

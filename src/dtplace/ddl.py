@@ -2,8 +2,9 @@
 
 K sibling networks share one feature extractor and each proposes a complete
 placement for a scenario.  The proposals are priced from the scenario's
-per-twin cost table, the cheapest one becomes the training label for that
-scenario, and the pair is pushed into a bounded FIFO replay database.
+per-twin cost table and :func:`choose`, the one best-of-K path, keeps the
+cheapest; for a training scenario it becomes the label, and the pair is
+pushed into a bounded FIFO replay database.
 Once the database is full, every iteration also draws K independent
 minibatches: each network trains on its own batch, while the shared
 extractor takes a single step on the average of the K gradients flowing
@@ -350,18 +351,21 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     return decode_codes(out.reshape(k * b, -1), m, ensemble.num_servers).reshape(k, b, m)
 
 
-def proposal_costs(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Weighted cost of every proposal, shape ``(count, num_dnns)``.
+def choose(ensemble: DdlEnsemble, tables: np.ndarray, raw_batch: np.ndarray):
+    """Cheapest of the K proposals for each scenario, lowest network index on ties.
 
-    ``tables`` stacks per-twin cost tables, ``(count, num_dts, num_servers)``;
-    ``codes`` holds the proposals for those scenarios as returned by
-    :func:`propose_batch`.  The objective is a sum of per-twin terms, so
-    each proposal's cost is a gather from its scenario's table.
+    ``tables`` stacks the scenarios' per-twin cost tables, ``(count, num_dts,
+    num_servers)``, and ``raw_batch`` their raw inputs.  A proposal's cost is a
+    gather from its table.  Returns the winner ``(count,)``, its codes
+    ``(count, num_dts)`` and its gathered cost ``(count,)``.
     """
-    count, num_dts = tables.shape[0], tables.shape[1]
-    b = np.arange(count)[:, None, None]
-    m = np.arange(num_dts)[None, :, None]
-    return tables[b, m, codes.transpose(1, 2, 0)].sum(axis=1)
+    if tables.shape != (len(raw_batch), ensemble.num_dts, ensemble.num_servers):
+        raise ContractError("cost tables do not match the ensemble or the raw batch")
+    codes = propose_batch(ensemble, raw_batch)
+    rows, twins = np.arange(len(tables)), np.arange(ensemble.num_dts)
+    costs = tables[rows[:, None, None], twins[:, None], codes.transpose(1, 2, 0)].sum(axis=1)
+    winner = costs.argmin(axis=1)
+    return winner, codes[winner, rows], costs[rows, winner]
 
 
 @dataclass(frozen=True)
@@ -376,19 +380,15 @@ class Proposal:
 
 
 def _choose(ensemble: DdlEnsemble, s: Scenario, raw: np.ndarray) -> Proposal:
-    codes = propose_batch(ensemble, raw[None, :, :])
-    costs = proposal_costs(per_dt_cost_table(s)[None], codes)[0]
-    k = int(np.argmin(costs))  # np.argmin keeps the lowest index on ties
-    decision = Decision(tuple(int(c) for c in codes[k, 0]))
+    winner, codes, _ = choose(ensemble, per_dt_cost_table(s)[None], raw[None])
+    decision = Decision(tuple(codes[0].tolist()))
     # The reported cost comes from the evaluator, not the gathered sum: the
     # two may differ in the last bit, and training traces record this one.
-    return Proposal(decision, evaluate(s, decision), k)
+    return Proposal(decision, evaluate(s, decision), int(winner[0]))
 
 
 def best_of_k(ensemble: DdlEnsemble, s: Scenario) -> Proposal:
     """Cheapest of the K proposed placements, lowest network index on ties."""
-    if s.num_dts != ensemble.num_dts or s.num_servers_total != ensemble.num_servers:
-        raise ContractError("scenario shape does not match the ensemble")
     return _choose(ensemble, s, raw_group_input(s))
 
 

@@ -4,9 +4,9 @@ Every comparison in this package runs against a ProbeSet: a fixed batch of
 random scenarios, generated once and shared by all configurations under
 test, so curves differ only because the thing being varied differs.  One
 scenario-major pass prices a probe: it builds the per-DT cost tables and
-runs the four non-learning schemes, and scheme means, ensemble snapshots
-and comparison rows all read it.  The tables price one snapshot of a
-K-network ensemble on hundreds of scenarios with a single gather.
+runs the four non-learning schemes, keeping only their means.  Snapshots
+and the comparison's ddl row price an ensemble with one ``ddl.choose``
+call over the probe, the best-of-K choice that training makes.
 
 Training experiments snapshot the probe costs on a fixed cadence and report
 the convergence rate between consecutive snapshots: mean over scenarios of
@@ -38,8 +38,8 @@ from .exact import (
     scheme_random,
     solve_exact,
 )
-from .cost_model import per_dt_cost_table
-from .scenario import GeneratorConfig, generate_random
+from .cost_model import Decision, evaluate, per_dt_cost_table
+from .scenario import GeneratorConfig, field_state, generate_random
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +48,24 @@ class ProbeSet:
 
     scenarios: tuple
     seed: int
-    _by_alpha: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    __getstate__ = field_state  # copies and pickles rebuild the caches below on first use
 
     def __len__(self) -> int:
         return len(self.scenarios)
 
     @functools.cached_property
+    def _by_alpha(self) -> dict:
+        return {}
+
+    @functools.cached_property
     def raw_inputs(self) -> np.ndarray:
-        """Stacked network inputs, encoded on first use.
+        """Stacked network inputs, read-only, encoded on first use.
 
         Callers that only price the baselines never encode.
         """
-        return np.stack([ddl.raw_group_input(s) for s in self.scenarios])
+        raw = np.stack([ddl.raw_group_input(s) for s in self.scenarios])
+        raw.flags.writeable = False
+        return raw
 
     @functools.cached_property
     def _priced(self) -> tuple:
@@ -73,7 +79,10 @@ class ProbeSet:
         ))
         tables = np.stack(tables)
         tables.flags.writeable = False
-        return tables, dict(zip(("exact", "ro", "co", "ad"), runs))
+        return tables, {
+            name: (*_means([r.cost for r in results]), sum(r.elapsed for r in results))
+            for name, results in zip(("exact", "ro", "co", "ad"), runs)
+        }
 
     @property
     def tables(self) -> np.ndarray:
@@ -82,7 +91,10 @@ class ProbeSet:
 
     @property
     def baselines(self) -> dict:
-        """Scheme name -> tuple of its ``SchemeResult``, one per scenario in order."""
+        """Scheme name -> its ``(mean_q, mean_t, mean_e, elapsed)`` over the scenarios.
+
+        ``elapsed`` sums the scheme's per-call times.
+        """
         return self._priced[1]
 
 
@@ -111,8 +123,7 @@ def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
 
 def ensemble_probe_costs(ensemble: DdlEnsemble, probe: ProbeSet) -> np.ndarray:
     """Best-of-K weighted cost on every probe scenario, one value per scenario."""
-    codes = ddl.propose_batch(ensemble, probe.raw_inputs)
-    return ddl.proposal_costs(probe.tables, codes).min(axis=1)
+    return ddl.choose(ensemble, probe.tables, probe.raw_inputs)[2]
 
 
 def convergence_rate(old_costs, new_costs) -> float:
@@ -130,8 +141,7 @@ def convergence_rate(old_costs, new_costs) -> float:
 
 def scheme_means(probe: ProbeSet) -> dict[str, float]:
     """Mean weighted cost of each non-learning scheme over the probe set, priced once per probe."""
-    costs = {name: [r.cost.weighted_cost for r in rs] for name, rs in probe.baselines.items()}
-    return {name: float(np.mean(c)) for name, c in costs.items()}
+    return {name: means[0] for name, means in probe.baselines.items()}
 
 
 @dataclass(frozen=True)
@@ -246,22 +256,12 @@ class ComparisonRow:
     elapsed: float
 
 
-def _row(alpha: float, scheme: str, results) -> ComparisonRow:
-    return ComparisonRow(
-        alpha=alpha,
-        scheme=scheme,
-        mean_q=float(np.mean([r.cost.weighted_cost for r in results])),
-        mean_t=float(np.mean([r.cost.total_time for r in results])),
-        mean_e=float(np.mean([r.cost.total_energy for r in results])),
-        elapsed=sum(r.elapsed for r in results),
-    )
-
-
 def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
     """Price every scheme at every alpha on the re-weighted probe.
 
-    Baseline rows read the per-alpha probe's pass; only the ddl row runs
-    anything new.  ``elapsed`` sums the per-call times of a row's results.
+    Baseline rows read the per-alpha probe's pass, and their ``elapsed``
+    sums the scheme's per-call times.  The ddl row makes one best-of-K choice
+    over the probe and evaluates each winner; its ``elapsed`` times both.
     ``ensembles`` maps each alpha to the ensemble trained under that alpha;
     a network learned labels for one cost mix, so mixes are not interchangeable.
     Rows come out grouped by alpha in the order exact, ro, co, ad, ddl.
@@ -275,9 +275,19 @@ def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
     rows: list[ComparisonRow] = []
     for alpha in alphas:
         at = with_alpha(probe, alpha)
-        rows.extend(_row(alpha, name, results) for name, results in at.baselines.items())
-        rows.append(_row(alpha, "ddl", [ddl.infer(ensembles[alpha], s) for s in at.scenarios]))
+        rows.extend(ComparisonRow(alpha, name, *means) for name, means in at.baselines.items())
+        tables, raw = at.tables, at.raw_inputs  # priced and encoded before the timing starts
+        start = time.perf_counter()
+        _, codes, _ = ddl.choose(ensembles[alpha], tables, raw)
+        costs = [evaluate(s, Decision(tuple(c))) for s, c in zip(at.scenarios, codes.tolist())]
+        rows.append(ComparisonRow(alpha, "ddl", *_means(costs), time.perf_counter() - start))
     return rows
+
+
+def _means(costs: list) -> tuple:
+    """Mean weighted cost, time and energy of ``CostBreakdown``s, each ``np.mean`` of a list."""
+    fields = ("weighted_cost", "total_time", "total_energy")
+    return tuple(float(np.mean([getattr(c, f) for c in costs])) for f in fields)
 
 
 def _cell(value) -> str:

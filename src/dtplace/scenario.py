@@ -41,6 +41,15 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
+def field_state(obj) -> dict:
+    """A dataclass's fields alone: the state its copies and pickles carry.
+
+    Caches kept beside the fields in ``__dict__`` stay out, and a copy
+    rebuilds them on first use.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 class PoolArrays(NamedTuple):
     """Read-only array view of a :class:`ServerPool`."""
 
@@ -73,6 +82,8 @@ class ServerPool:
     edge_tx_energy: float
     cloud_tx_energy: float
 
+    __getstate__ = field_state
+
     @property
     def num_edge(self) -> int:
         return len(self.edge_clock_speeds)
@@ -96,6 +107,8 @@ class DeviceSet:
     locations: tuple[Coord, ...]
     bandwidths: tuple[float, ...]
     ownership: tuple[int, ...]
+
+    __getstate__ = field_state
 
     @property
     def num_devices(self) -> int:

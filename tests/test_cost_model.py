@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -420,6 +422,24 @@ class TestPricing:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_leave_the_caches_behind(self, copier):
+        s = generate_random(46, DESK)
+        fresh = pickle.dumps(s)
+        d = random_decision(s, 4)
+        table, cost = per_dt_cost_table(s), evaluate(s, d)
+        assert pickle.dumps(s) == fresh  # priced, it pickles to the same bytes
+        copied = copier(s)
+        assert copied == s
+        for group in (copied.devices, copied.servers):
+            assert set(vars(group)) == {f.name for f in dataclasses.fields(group)}
+        assert np.array_equal(per_dt_cost_table(copied), table)
+        assert evaluate(copied, d) == cost
+        for array in (*cost_model._pricing(copied), *copied.devices.arrays, *copied.servers.arrays):
+            assert not array.flags.writeable
 
     def test_pricing_dies_with_its_group(self):
         s = generate_random(43, DESK)

@@ -267,6 +267,37 @@ class TestEnsemble:
         with pytest.raises(ContractError):
             best_of_k(ens, s)
 
+    def test_choose_on_a_batch_of_one_is_best_of_k(self):
+        for seed in range(4):
+            ens = build_ensemble(desk_config(num_dnns=5, seed=seed))
+            s = generate_random(20 + seed, DESK)
+            table, raw = ddl.per_dt_cost_table(s)[None], raw_group_input(s)[None]
+            winner, codes, cost = ddl.choose(ens, table, raw)
+            choice = best_of_k(ens, s)
+            assert (winner.shape, codes.shape, cost.shape) == ((1,), (1, 6), (1,))
+            assert int(winner[0]) == choice.dnn_index
+            assert choice.decision == Decision(tuple(codes[0].tolist()))
+            assert all(type(j) is int for j in choice.decision.assignment)
+            assert cost[0] == pytest.approx(choice.cost, rel=1e-12)
+
+    @pytest.mark.parametrize("change", ["num_dts", "num_edge_servers"])
+    def test_choose_refuses_tables_of_another_shape(self, change):
+        # either ensemble proposes and gathers from these tables without an
+        # error, so only the shape check stands between it and a silent price
+        ens = build_ensemble(desk_config(generator=dataclasses.replace(DESK, **{change: 2})))
+        s = generate_random(3, DESK)
+        raw = np.zeros((1, ens.num_dts, ddl.INPUT_WIDTH))
+        with pytest.raises(ContractError, match="cost tables"):
+            ddl.choose(ens, ddl.per_dt_cost_table(s)[None], raw)
+
+    def test_choose_refuses_a_raw_batch_of_another_count(self):
+        ens = build_ensemble(desk_config(num_dnns=3))
+        scenarios = [generate_random(seed, DESK) for seed in (4, 5)]
+        tables = np.stack([ddl.per_dt_cost_table(s) for s in scenarios])
+        raw = raw_group_input(scenarios[0])[None]  # one row would broadcast over both tables
+        with pytest.raises(ContractError, match="raw batch"):
+            ddl.choose(ens, tables, raw)
+
     def test_more_networks_never_hurt(self):
         # Same seed means the first K networks coincide, so the minimum over
         # a longer prefix cannot increase.
@@ -626,9 +657,7 @@ class TestNetworkDtype:
     def test_costs_stay_float64(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=8))
         s = generate_random(57, DESK)
-        raw = raw_group_input(s)
-        codes = propose_batch(ensemble, raw)
-        costs = ddl.proposal_costs(ddl.per_dt_cost_table(s)[None], codes)
+        _, _, costs = ddl.choose(ensemble, ddl.per_dt_cost_table(s)[None], raw_group_input(s)[None])
         assert costs.dtype == np.float64
         assert type(infer(ensemble, s).cost.weighted_cost) is float
 

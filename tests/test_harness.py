@@ -1,10 +1,12 @@
 """Probe-set scoring, convergence tracking, sweeps, and CSV emission."""
 
 import collections
+import copy
 import csv
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from dtplace import cost_model, ddl, harness
 from dtplace.cli import ALPHA_GRID
 from dtplace.ddl import TrainConfig, build_ensemble
 from dtplace.errors import ContractError, DomainError, InvalidConfigError
-from dtplace.exact import solve_exact
+from dtplace.exact import (
+    scheme_average_distribution,
+    scheme_cloud_only,
+    scheme_random,
+    solve_exact,
+)
 from dtplace.harness import (
     ComparisonRow,
     EvalPoint,
@@ -151,12 +158,45 @@ class TestProbeSet:
         assert not probe.tables.flags.writeable
 
     def test_baselines_are_the_schemes_in_scenario_order(self):
-        probe = make_probe(40, 3, MINI)
-        assert list(probe.baselines) == ["exact", "ro", "co", "ad"]
-        for name, results in probe.baselines.items():
-            assert len(results) == len(probe) and {r.scheme_name for r in results} == {name}
-        exact = [solve_exact(s).decision for s in probe.scenarios]
-        assert [r.decision for r in probe.baselines["exact"]] == exact
+        probe = make_probe(40, 12, MINI)
+        ro_seeds = np.random.default_rng(probe.seed).integers(0, 2**63 - 1, size=len(probe))
+        runs = {
+            "exact": [solve_exact(s) for s in probe.scenarios],
+            "ro": [scheme_random(s, int(seed)) for s, seed in zip(probe.scenarios, ro_seeds)],
+            "co": [scheme_cloud_only(s) for s in probe.scenarios],
+            "ad": [scheme_average_distribution(s) for s in probe.scenarios],
+        }
+        assert list(probe.baselines) == list(runs)
+        for name, results in runs.items():
+            *means, elapsed = probe.baselines[name]
+            assert means == [
+                float(np.mean([r.cost.weighted_cost for r in results])),
+                float(np.mean([r.cost.total_time for r in results])),
+                float(np.mean([r.cost.total_energy for r in results])),
+            ]
+            assert elapsed >= 0.0
+        # the exact assignments are the tables' row minima
+        exact = [list(r.decision.assignment) for r in runs["exact"]]
+        assert probe.tables.argmin(axis=2).tolist() == exact
+
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_leave_the_caches_behind(self, copier):
+        probe = make_probe(40, 4, MINI)
+        shifted = with_alpha(probe, 0.25)
+        means, raw = scheme_means(probe), probe.raw_inputs
+        copied = copier(probe)
+        assert set(vars(copied)) == {"scenarios", "seed"}
+        assert copied.scenarios == probe.scenarios and copied.seed == probe.seed
+        for s in copied.scenarios:
+            assert set(vars(s.devices)) == {f.name for f in dataclasses.fields(s.devices)}
+        assert np.array_equal(copied.tables, probe.tables)
+        assert np.array_equal(copied.raw_inputs, raw)
+        assert scheme_means(copied) == means
+        assert not copied.tables.flags.writeable and not copied.raw_inputs.flags.writeable
+        again = with_alpha(copied, 0.25)
+        assert again is not shifted and np.array_equal(again.tables, shifted.tables)
 
     def test_scheme_means_full_shape_has_exact_minimum(self):
         probe = make_probe(40, 2, FULL_SHAPE)
@@ -167,6 +207,16 @@ class TestProbeSet:
 
 
 class TestTrainingExperiment:
+    def test_an_ensemble_of_another_deployment_shape_is_refused(self):
+        # One edge server fewer: its codes would still index the probe's
+        # three-server tables, so without the check they price silently.
+        probe = make_probe(300, 4, MINI)
+        other = mini_train(generator=dataclasses.replace(MINI, num_edge_servers=1))
+        with pytest.raises(ContractError, match="cost tables"):
+            ensemble_probe_costs(build_ensemble(other), probe)
+        with pytest.raises(ContractError, match="grid point 'other': cost tables"):
+            run_training_experiment([("other", other)], probe)
+
     def test_zero_iterations_yields_empty_series(self):
         probe = make_probe(200, 4, MINI)
         (report,) = run_training_experiment([("blank", mini_train(0))], probe)
@@ -341,6 +391,24 @@ class TestComparison:
         ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
         run_comparison(probe, ALPHA_GRID, ensembles)
         assert built == {id(s.devices): 1 for s in probe.scenarios}
+
+    def test_the_ddl_row_chooses_once_per_alpha_over_the_probe(self, monkeypatch):
+        probe = make_probe(100, 4, MINI)
+        ensembles = {a: build_ensemble(mini_train(0, seed=9)) for a in ALPHA_GRID}
+        calls = []
+        real = ddl.choose
+        monkeypatch.setattr(ddl, "choose", lambda *args: calls.append(args) or real(*args))
+
+        def per_scenario(*args):
+            raise AssertionError("the comparison placed one scenario at a time")
+
+        monkeypatch.setattr(ddl, "infer", per_scenario)
+        monkeypatch.setattr(ddl, "best_of_k", per_scenario)
+        run_comparison(probe, ALPHA_GRID, ensembles)
+        assert len(calls) == len(ALPHA_GRID)
+        for alpha, (ensemble, tables, raw) in zip(ALPHA_GRID, calls):
+            at = with_alpha(probe, alpha)
+            assert ensemble is ensembles[alpha] and tables is at.tables and raw is at.raw_inputs
 
     def test_with_alpha_builds_each_weight_once(self):
         probe = make_probe(100, 3, MINI)

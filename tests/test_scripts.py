@@ -67,12 +67,15 @@ def load_bench():
     return module
 
 
-def synthetic_runs(parent, change, name):
-    """Alternating runs of one metric, pair by pair."""
+def synthetic_runs(parent, change, name, failed=(0, 0)):
+    """Alternating runs of one metric, pair by pair, each of 100 ops with ``failed`` per side failing."""
     runs = []
     for i, (p, c) in enumerate(zip(parent, change)):
-        pair = [("parent", p), ("change", c)]
-        runs += [{"side": side, "seed": i, "metrics": {name: v}} for side, v in pair[:: 1 - 2 * (i % 2)]]
+        pair = [("parent", p, failed[0]), ("change", c, failed[1])]
+        runs += [
+            {"side": side, "seed": i, "attempted": 100, "failed": f, "metrics": {name: v}}
+            for side, v, f in pair[:: 1 - 2 * (i % 2)]
+        ]
     return runs
 
 
@@ -102,3 +105,19 @@ def test_summary_applies_the_acceptance_rules():
     # 20 % down stays within it
     row = summarize(synthetic_runs([100.0] * 3, [80.0] * 3, "ops_per_s"), higher)["ops_per_s"]
     assert row["worse_by"] == pytest.approx(0.2) and row["within_bound"]
+
+
+def test_summary_refuses_a_gain_that_fails_more_operations():
+    summarize = load_bench().summarize
+    lower = {"p50_ms": {"better": "lower", "bound": 0.25}}
+    parent = [0.22, 0.23, 0.24, 0.23, 0.25, 0.21, 0.23, 0.22, 0.24, 0.23]
+    change = [0.15] * 10
+    row = summarize(synthetic_runs(parent, change, "p50_ms"), lower)["p50_ms"]
+    assert row["parent_failed_share"] == row["change_failed_share"] == 0.0 and row["gain_shown"]
+    # the same times, but one op in a hundred fails on the change's side only
+    row = summarize(synthetic_runs(parent, change, "p50_ms", failed=(0, 1)), lower)["p50_ms"]
+    assert row["parent_failed_share"] == 0.0 and row["change_failed_share"] == 0.01
+    assert row["change_better_pairs"] == 10 and not row["gain_shown"]
+    # an equal share on both sides does not stand in the way
+    row = summarize(synthetic_runs(parent, change, "p50_ms", failed=(1, 1)), lower)["p50_ms"]
+    assert row["parent_failed_share"] == row["change_failed_share"] == 0.01 and row["gain_shown"]
