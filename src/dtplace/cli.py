@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import ddl, harness
@@ -133,18 +132,8 @@ def cmd_train(args) -> int:
     config = _train_config(args, generator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    if args.probe > 0:
-        probe = harness.make_probe(args.seed + 1, args.probe, generator)
-        (report,) = harness.run_training_experiment(
-            [("train", config)], probe, cadence=args.cadence
-        )
-    else:
-        result = ddl.train(config)
-        report = harness.ExperimentReport(
-            "train", config, (), tuple(result.traces), result.ensemble, {},
-            time.perf_counter() - start,
-        )
+    probe = harness.make_probe(args.seed + 1, args.probe, generator) if args.probe else None
+    (report,) = harness.run_training_experiment([("train", config)], probe, cadence=args.cadence)
     checkpoint = out / "ensemble.npz"
     ddl.save_ensemble(checkpoint, report.ensemble)
     trace = out / "training_trace.csv"
@@ -157,8 +146,7 @@ def cmd_train(args) -> int:
     print(checkpoint)
     print(trace)
     if report.eval_points:
-        final = report.eval_points[-1]
-        print(f"final mean probe Q: {final.mean_probe_q:.6g}")
+        print(f"final mean probe Q: {report.eval_points[-1].mean_probe_q:.6g}")
     return 0
 
 
@@ -186,24 +174,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-@dataclasses.dataclass
-class NamedExperimentResult:
-    """Outcome of one named experiment: training reports, comparison rows or None."""
-
-    reports: list
-    rows: list | None
-
-
 def run_named_experiment(
     name: str,
     base: TrainConfig,
     *,
     probe_count: int,
     cadence: int = 10,
-    threads: int = 1,
     out_dir=None,
-) -> NamedExperimentResult:
-    """Run one named sweep; write CSVs under ``out_dir`` when given.
+) -> tuple[list, list | None]:
+    """Run one named sweep; return its reports and comparison rows (or None).
+
+    CSVs are written under ``out_dir`` when given.
 
     ``base`` carries the shape, seed, iteration count and the non-swept
     hyperparameters; each sweep replaces only its own axis.  The probe set
@@ -237,7 +218,7 @@ def run_named_experiment(
             )
             for alpha in ALPHA_GRID
         ]
-    reports = harness.run_training_experiment(grid, probe, cadence, threads)
+    reports = harness.run_training_experiment(grid, probe, cadence)
     rows = None
     if name == "alpha-compare":
         ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
@@ -268,19 +249,18 @@ def run_named_experiment(
                     "probe_count": len(probe),
                 },
             )
-    return NamedExperimentResult(reports=reports, rows=rows)
+    return reports, rows
 
 
 def cmd_experiment(args) -> int:
-    result = run_named_experiment(
+    reports, rows = run_named_experiment(
         args.name,
         _train_config(args, _shape(args, training=True)),
         probe_count=args.probe,
         cadence=args.cadence,
-        threads=args.threads,
         out_dir=args.out,
     )
-    for report in result.reports:
+    for report in reports:
         final = report.eval_points[-1].mean_probe_q if report.eval_points else float("nan")
         stable = report.iterations_to_converge()
         print(
@@ -288,8 +268,8 @@ def cmd_experiment(args) -> int:
             f"stable at {stable if stable is not None else 'never'}, "
             f"{report.elapsed:.1f}s"
         )
-    if result.rows is not None:
-        for row in result.rows:
+    if rows is not None:
+        for row in rows:
             print(
                 f"alpha {row.alpha:g} {row.scheme}: mean Q {row.mean_q:.6g} "
                 f"(T {row.mean_t:.6g}, E {row.mean_e:.6g})"
@@ -372,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=EXPERIMENT_NAMES)
     e.add_argument("--iters", type=_nonnegative, default=3000, help="iterations per grid point")
     e.add_argument("--probe", type=_positive, default=256, help="probe scenario count")
-    e.add_argument("--threads", type=_positive, default=1, help="worker cap")
     _add_train_flags(e)
     _add_shape_flags(e, with_full=True)
     e.set_defaults(func=cmd_experiment)

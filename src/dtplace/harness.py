@@ -8,12 +8,13 @@ runs the four non-learning schemes, keeping only their means.  Snapshots
 and the comparison's ddl row price an ensemble with one ``ddl.choose``
 call over the probe, the best-of-K choice that training makes.
 
-Training experiments snapshot the probe costs on a fixed cadence and report
-the convergence rate between consecutive snapshots: mean over scenarios of
+``run_training_experiment`` trains grid points one after another.  Given a
+probe, it snapshots the probe costs on a fixed cadence and reports the
+convergence rate between consecutive snapshots: mean over scenarios of
 min/max of the two costs, which is 1 exactly when the chosen decisions'
 costs have stopped moving.  Scheme comparison re-weights the same probe at
-each requested alpha once, reads its baselines from that alpha's pass and
-prices one trained ensemble per alpha.
+each requested alpha once (re-weights share one encoding of the inputs),
+reads its baselines from that alpha's pass and prices one ensemble per alpha.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,7 @@ class ProbeSet:
     scenarios: tuple
     seed: int
     __getstate__ = field_state  # copies and pickles rebuild the caches below on first use
+    _base = None  # the probe an alpha re-weight was made from; copies leave it behind too
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -61,8 +62,11 @@ class ProbeSet:
     def raw_inputs(self) -> np.ndarray:
         """Stacked network inputs, read-only, encoded on first use.
 
-        Callers that only price the baselines never encode.
+        Callers that only price the baselines never encode, and an alpha
+        re-weight reads its base probe's inputs.
         """
+        if self._base is not None:
+            return self._base.raw_inputs
         raw = np.stack([ddl.raw_group_input(s) for s in self.scenarios])
         raw.flags.writeable = False
         return raw
@@ -117,7 +121,9 @@ def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
     if alpha not in probe._by_alpha:
         mix = [dataclasses.replace(s.params, alpha=alpha) for s in probe.scenarios]
         scenarios = tuple(dataclasses.replace(s, params=p) for s, p in zip(probe.scenarios, mix))
-        probe._by_alpha[alpha] = ProbeSet(scenarios, probe.seed)
+        shifted = ProbeSet(scenarios, probe.seed)
+        object.__setattr__(shifted, "_base", probe)
+        probe._by_alpha[alpha] = shifted
     return probe._by_alpha[alpha]
 
 
@@ -186,7 +192,10 @@ class ExperimentReport:
         return None
 
 
-def _run_grid_point(label, config, cadence, probe, means) -> ExperimentReport:
+def _run_grid_point(label, config, cadence, probe) -> ExperimentReport:
+    if probe is not None:
+        probe = with_alpha(probe, config.generator.alpha)
+    means = {} if probe is None else scheme_means(probe)
     start = time.perf_counter()
     points: list[EvalPoint] = []
     prev = None
@@ -201,7 +210,7 @@ def _run_grid_point(label, config, cadence, probe, means) -> ExperimentReport:
         prev = costs
 
     try:
-        result = ddl.train(config, callback=snapshot)
+        result = ddl.train(config, callback=None if probe is None else snapshot)
     except Exception as e:
         e.args = (f"grid point {label!r}: {e}",)
         raise
@@ -216,34 +225,21 @@ def _run_grid_point(label, config, cadence, probe, means) -> ExperimentReport:
     )
 
 
-def run_training_experiment(
-    grid, probe: ProbeSet, cadence: int = 10, threads: int = 1
-) -> list[ExperimentReport]:
-    """Train one fresh ensemble per ``(label, TrainConfig)`` grid point.
+def run_training_experiment(grid, probe: ProbeSet | None, cadence: int = 10) -> list[ExperimentReport]:
+    """Train one fresh ensemble per ``(label, TrainConfig)`` grid point, in grid order.
 
     Each grid point is scored on the probe re-weighted to its own
     ``generator.alpha``.  Probe costs are snapshotted before training, then
     after every ``cadence``-th iteration and at the end; ``cadence=1``
-    evaluates after every iteration.  Grid points are independent, so
-    ``threads > 1`` runs them in a thread pool; report order always follows
-    grid order.
+    evaluates after every iteration.  With ``probe=None`` nothing is scored:
+    each report has no eval points and empty scheme means.
     """
     grid = list(grid)
     if not grid:
         raise ContractError("experiment grid must be nonempty")
     if cadence < 1:
         raise ContractError("cadence must be at least 1")
-    if threads < 1:
-        raise ContractError("threads must be at least 1")
-    jobs = []
-    for label, config in grid:  # encode and price every alpha's probe before any thread starts
-        at = with_alpha(probe, config.generator.alpha)
-        at.raw_inputs
-        jobs.append((label, config, cadence, at, scheme_means(at)))
-    if threads == 1 or len(grid) == 1:
-        return [_run_grid_point(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: _run_grid_point(*job), jobs))
+    return [_run_grid_point(label, config, cadence, probe) for label, config in grid]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,15 @@ class TestTrain:
         assert len(trace_a.splitlines()) == 1 + 1 + 30
         config = json.loads((a / "train_config.json").read_text())
         assert config["iterations"] == 30 and config["num_dnns"] == 3
+
+    def test_bad_config_without_probe_names_the_grid_point(self, tmp_path, capsys):
+        code = run(
+            "train", "--iters", "5", "--probe", "0", "--db", "4", "--batch", "8",
+            "--out", str(tmp_path), *TINY,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: grid point 'train': batch_size cannot exceed db_capacity\n"
 
     def test_probe_summary_printed(self, tmp_path, capsys):
         assert (
@@ -230,15 +243,13 @@ class TestExperiment:
         digests["comparison.csv"] = hashlib.sha256(kept.encode()).hexdigest()
         assert digests == self.ALPHA_COMPARE_DIGESTS
 
-    def test_alpha_compare_threads_change_nothing(self, tmp_path):
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            argv = ["experiment", "alpha-compare", *self.TINY_RUN, "--threads", threads]
-            assert run(*argv, "--out", str(out), *TINY) == 0
-            traces = {p.name: p.read_bytes() for p in sorted(out.glob("trace_alpha_*.csv"))}
-            with open(out / "comparison.csv", newline="") as fh:
-                rows = [r[:-1] for r in csv.reader(fh)]  # all but the elapsed column
-            outputs.append((traces, rows))
-        assert len(outputs[0][0]) == 5
-        assert outputs[0] == outputs[1]
+
+def test_importing_the_cli_leaves_concurrent_futures_out():
+    # Grid points train one after another; a worker pool must be imported where it is used.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, dtplace.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

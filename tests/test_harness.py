@@ -265,18 +265,19 @@ class TestTrainingExperiment:
         for a, b in zip(first, second):
             assert points_equal(a.eval_points, b.eval_points)
 
-    def test_threads_do_not_change_results(self):
-        probe = make_probe(200, 4, MINI)
-        grid = [
-            ("a", mini_train(20, seed=1)),
-            ("b", mini_train(20, seed=2)),
-            ("c", mini_train(20, seed=3)),
-        ]
-        serial = run_training_experiment(grid, probe, threads=1)
-        parallel = run_training_experiment(grid, probe, threads=2)
-        for a, b in zip(serial, parallel):
-            assert a.label == b.label
-            assert points_equal(a.eval_points, b.eval_points)
+    def test_without_a_probe_it_is_plain_training(self, tmp_path):
+        cfg = mini_train(25)
+        (report,) = run_training_experiment([("t", cfg)], None)
+        assert report.eval_points == () and report.scheme_means == {}
+        plain = ddl.train(cfg)
+        assert repr(report.traces) == repr(tuple(plain.traces))  # NaN losses compare by repr
+        ddl.save_ensemble(tmp_path / "driver.npz", report.ensemble)
+        ddl.save_ensemble(tmp_path / "plain.npz", plain.ensemble)
+        with np.load(tmp_path / "driver.npz") as a, np.load(tmp_path / "plain.npz") as b:
+            assert sorted(a.files) == sorted(b.files)
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype, name
+                assert np.array_equal(a[name], b[name]), name
 
     def test_empty_grid_rejected(self):
         probe = make_probe(200, 2, MINI)
@@ -391,6 +392,29 @@ class TestComparison:
         ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
         run_comparison(probe, ALPHA_GRID, ensembles)
         assert built == {id(s.devices): 1 for s in probe.scenarios}
+
+    def test_every_alpha_shares_one_encoding(self, monkeypatch):
+        # The encoding reads only the devices and the twin count, which re-weights share.
+        probe = make_probe(100, 4, MINI)
+        encoded = collections.Counter()
+        real = ddl.raw_group_input
+        monkeypatch.setattr(
+            ddl, "raw_group_input", lambda s: encoded.update([id(s.devices)]) or real(s)
+        )
+        scheme_means(with_alpha(probe, 0.25))  # pricing the baselines alone encodes nothing
+        assert not encoded
+        grid = [
+            (f"alpha_{a:g}", mini_train(0, generator=dataclasses.replace(MINI, alpha=a)))
+            for a in ALPHA_GRID
+        ]
+        reports = run_training_experiment(grid, probe)
+        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
+        run_comparison(probe, ALPHA_GRID, ensembles)
+        assert encoded == {id(s.devices): 1 for s in probe.scenarios}
+        assert all(with_alpha(probe, a).raw_inputs is probe.raw_inputs for a in ALPHA_GRID)
+        copied = pickle.loads(pickle.dumps(with_alpha(probe, 0.25)))
+        assert np.array_equal(copied.raw_inputs, probe.raw_inputs)  # a copy encodes on its own
+        assert sum(encoded.values()) == 2 * len(probe)
 
     def test_the_ddl_row_chooses_once_per_alpha_over_the_probe(self, monkeypatch):
         probe = make_probe(100, 4, MINI)
