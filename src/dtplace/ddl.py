@@ -23,8 +23,10 @@ ordinary :class:`MlpModel` on its row, so the replay update still runs
 every network's backward pass and Adam step on its own; those were
 measured slower when stacked.  An ensemble accepts only networks that
 are rows 0..K-1 of one stack, in order; ``build_ensemble`` and
-``load_ensemble`` make them so.  An ensemble copies and pickles as its
-checkpoint, so a copy gets a stack of its own.
+``load_ensemble`` make them so, and they share one Adam setting.  A
+checkpoint stores the stack as it is, three ``(K, P)`` arrays plus the K
+steps, beside one flat record for the extractor.  An ensemble copies and
+pickles as its checkpoint, so a copy gets a stack of its own.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
@@ -52,14 +54,13 @@ from .neural import (
     init_random,
     layer_views,
     load_state,
-    meta_arch,
     model_meta,
     model_state,
 )
 from .scenario import GeneratorConfig, Scenario, generate_random
 
 ENSEMBLE_FORMAT = "dtplace-ensemble"
-ENSEMBLE_VERSION = 2
+ENSEMBLE_VERSION = 3
 NETWORK_DTYPE = np.float32
 
 # Each twin is flattened into SLOTS rows of (workload, x, y, bandwidth),
@@ -132,15 +133,13 @@ def decode_codes(outputs: np.ndarray, num_dts: int, num_servers: int) -> np.ndar
 
 
 def encode_decision(d: Decision, num_servers: int) -> np.ndarray:
-    """Target bit vector whose decode is ``d`` (plain binary expansion)."""
-    bits = bits_per_dt(num_servers)
-    target = np.zeros(len(d.assignment) * bits)
-    for m, server in enumerate(d.assignment):
-        if not 0 <= server < num_servers:
-            raise ContractError(f"server index {server} out of range at DT {m}")
-        for j in range(bits):
-            target[m * bits + j] = float((server >> (bits - 1 - j)) & 1)
-    return target
+    """Target bit vector whose decode is ``d``: the inverse of ``decode_codes``."""
+    shifts = np.arange(bits_per_dt(num_servers) - 1, -1, -1)
+    assignment = np.asarray(d.assignment, dtype=np.int64)
+    bad = np.flatnonzero((assignment < 0) | (assignment >= num_servers))
+    if bad.size:
+        raise ContractError(f"server index {assignment[bad[0]]} out of range at DT {bad[0]}")
+    return ((assignment[:, None] >> shifts) & 1).ravel().astype(np.float64)
 
 
 class ReplayDatabase:
@@ -204,8 +203,8 @@ def _stack_of(dnns: tuple[MlpModel, ...]) -> tuple[np.ndarray, ...]:
     for name, buf in zip(_FLAT, stack):
         if not (
             isinstance(buf, np.ndarray) and buf.shape == (len(dnns), first.params.size)
-            and all(d.arch == first.arch and _is_row(getattr(d, name), buf, k)
-                    for k, d in enumerate(dnns))
+            and all(d.arch == first.arch and d.hyper == first.hyper
+                    and _is_row(getattr(d, name), buf, k) for k, d in enumerate(dnns))
         ):
             raise ContractError("networks must be rows 0..K-1 of one stack and share one architecture")
     return stack
@@ -489,34 +488,42 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
 
 
 def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
-    """``ensemble`` as a JSON-ready header and named arrays that view its buffers."""
+    """``ensemble`` as a JSON-ready header and named arrays that view its buffers.
+
+    The header holds a ``model_meta`` record for the extractor and one, ``dnn``, for all
+    K networks; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are the stack and ``dnn.step`` (K,).
+    """
     header = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
         "num_dts": ensemble.num_dts,
         "num_servers": ensemble.num_servers,
         "extractor": model_meta(ensemble.extractor),
-        "dnns": [model_meta(d) for d in ensemble.dnns],
+        "dnn": model_meta(ensemble.dnns[0]),
     }
     arrays = model_state(ensemble.extractor, prefix="ext.")
-    for k, dnn in enumerate(ensemble.dnns):
-        arrays.update(model_state(dnn, prefix=f"dnn{k}."))
+    arrays.update({f"dnn.{name}": buf for name, buf in zip(_FLAT, ensemble.buffers)})
+    arrays["dnn.step"] = np.array([d.step for d in ensemble.dnns])
     return header, arrays
 
 
 def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
-    """The ensemble ``_checkpoint`` described, its networks loaded into the rows of one stack.
+    """The ensemble ``_checkpoint`` described, its networks loaded into the rows of a fresh stack.
 
-    ``arrays`` may be an open ``np.load`` archive; each array is read as a model copies it.
+    ``arrays`` may be an open ``np.load`` archive; each row is read as a model copies it.
     """
     extractor = load_state(header["extractor"], arrays, prefix="ext.")
-    metas = header["dnns"]
-    if not metas:
-        raise ContractError("an ensemble needs at least one decision network")
-    stack = _new_stack(len(metas), meta_arch(metas[0]).num_params, arrays["dnn0.b0"].dtype)
+    stacked = {key: np.asarray(arrays[key]) for key in ("dnn.params", "dnn.m", "dnn.v", "dnn.step")}
+    params, m, v, step = stacked.values()
+    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape
+            and step.shape == params.shape[:1]):
+        raise ContractError("not an ensemble checkpoint: dnn.params, m, v, step are not "
+                            "(K, P), (K, P), (K, P), (K,) with K >= 1")
+    stack = _new_stack(*params.shape, params.dtype)
     dnns = [
-        load_state(meta, arrays, prefix=f"dnn{k}.", buffers=tuple(buf[k] for buf in stack))
-        for k, meta in enumerate(metas)
+        load_state(header["dnn"], {key: a[k] for key, a in stacked.items()}, prefix="dnn.",
+                   buffers=tuple(buf[k] for buf in stack))
+        for k in range(len(params))
     ]
     return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)
 

@@ -33,7 +33,7 @@ its input, which is what chains a decision network to the extractor.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -318,15 +318,8 @@ def init_random(arch: MlpArch, seed: int, hyper: AdamHyper = AdamHyper()) -> Mlp
 
 
 def model_state(model: MlpModel, prefix: str = "") -> dict[str, np.ndarray]:
-    """Flat array mapping for checkpoints; ``load_state`` inverts it."""
-    state = {}
-    for i in range(model.num_layers):
-        state[f"{prefix}w{i}"] = model.weights[i]
-        state[f"{prefix}b{i}"] = model.biases[i]
-        state[f"{prefix}mw{i}"] = model.m_w[i]
-        state[f"{prefix}vw{i}"] = model.v_w[i]
-        state[f"{prefix}mb{i}"] = model.m_b[i]
-        state[f"{prefix}vb{i}"] = model.v_b[i]
+    """The model's flat ``params``, ``m`` and ``v`` and its ``step``; ``load_state`` inverts it."""
+    state = {f"{prefix}{name}": getattr(model, name) for name in ("params", "m", "v")}
     state[f"{prefix}step"] = np.asarray(model.step)
     return state
 
@@ -335,47 +328,30 @@ def model_meta(model: MlpModel) -> dict:
     return {
         "sizes": list(model.arch.sizes),
         "activations": [a.value for a in model.arch.activations],
-        "hyper": {
-            "learning_rate": model.hyper.learning_rate,
-            "beta1": model.hyper.beta1,
-            "beta2": model.hyper.beta2,
-            "eps": model.hyper.eps,
-        },
+        "hyper": asdict(model.hyper),
     }
-
-
-def meta_arch(meta: dict) -> MlpArch:
-    """The architecture a ``model_meta`` record describes."""
-    return MlpArch(
-        sizes=tuple(int(n) for n in meta["sizes"]),
-        activations=tuple(Activation(a) for a in meta["activations"]),
-    )
 
 
 def load_state(
     meta: dict, state: Mapping[str, np.ndarray], prefix: str = "", buffers=None,
 ) -> MlpModel:
-    """The model ``model_state`` saved; ``state`` may be an open ``np.load`` archive.
+    """The model ``model_meta`` and ``model_state`` saved; ``state`` may be an ``np.load`` archive.
 
-    ``buffers`` is passed on to :class:`MlpModel`.
+    A ``params`` of the wrong length, or an ``m`` or ``v`` of another shape or
+    dtype, raises ``ContractError``.  ``buffers`` is passed on to :class:`MlpModel`.
     """
-    arch = meta_arch(meta)
-    hyper = AdamHyper(**meta["hyper"])
-    n = len(arch.sizes) - 1
-    model = MlpModel(
-        arch,
-        [state[f"{prefix}w{i}"] for i in range(n)],
-        [state[f"{prefix}b{i}"] for i in range(n)],
-        hyper,
-        buffers,
+    arch = MlpArch(
+        sizes=tuple(int(n) for n in meta["sizes"]),
+        activations=tuple(Activation(a) for a in meta["activations"]),
     )
-    for i in range(n):
-        for key, view in (
-            ("mw", model.m_w[i]), ("vw", model.v_w[i]), ("mb", model.m_b[i]), ("vb", model.v_b[i]),
-        ):
-            stored = np.asarray(state[f"{prefix}{key}{i}"])
-            if stored.shape != view.shape or stored.dtype != view.dtype:
-                raise ContractError(f"{prefix}{key}{i} does not match its layer's parameters")
-            view[...] = stored
+    params = np.asarray(state[f"{prefix}params"])
+    if params.shape != (arch.num_params,):
+        raise ContractError(f"{prefix}params does not hold the {arch.num_params} parameters")
+    model = MlpModel(arch, *layer_views(arch, params), AdamHyper(**meta["hyper"]), buffers)
+    for name in ("m", "v"):
+        stored, flat = np.asarray(state[f"{prefix}{name}"]), getattr(model, name)
+        if stored.shape != flat.shape or stored.dtype != flat.dtype:
+            raise ContractError(f"{prefix}{name} does not match the parameters")
+        flat[...] = stored
     model.step = int(state[f"{prefix}step"])
     return model

@@ -28,7 +28,7 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import LOSS_CLAMP, Activation, MlpModel
+from dtplace.neural import LOSS_CLAMP, Activation, AdamHyper, MlpModel, model_meta
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
@@ -109,8 +109,13 @@ class TestCodes:
     def test_encode_decode_round_trip(self, m, num_servers, seed):
         rng = np.random.default_rng(seed)
         d = Decision(tuple(int(v) for v in rng.integers(0, num_servers, size=m)))
-        codes = decode_codes(encode_decision(d, num_servers), m, num_servers)[0]
+        target = encode_decision(d, num_servers)
+        codes = decode_codes(target, m, num_servers)[0]
         assert tuple(codes.tolist()) == d.assignment
+        # the per-bit loop that encode_decision vectorizes
+        bits = bits_per_dt(num_servers)
+        expansion = [float((v >> (bits - 1 - j)) & 1) for v in d.assignment for j in range(bits)]
+        assert target.dtype == np.float64 and target.tolist() == expansion
 
 
 class TestRawInput:
@@ -707,7 +712,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kind", [
         "other-format", "list-header", "no-header", "text", "empty", "truncated-zip", "npy",
-        "header-without-dnns", "missing-array",
+        "header-without-dnns", "missing-array", "short-moment-stack", "step-count", "no-networks",
     ])
     def test_wrong_format_rejected(self, tmp_path, kind):
         path = tmp_path / "junk.npz"
@@ -723,7 +728,7 @@ class TestCheckpoint:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         elif kind == "npy":
             with open(path, "wb") as f:
-                np.save(f, arrays["dnn0.w0"])
+                np.save(f, arrays["dnn.params"])
         else:
             if kind == "other-format":
                 arrays, header = {"header": None}, {"format": "other"}
@@ -732,15 +737,38 @@ class TestCheckpoint:
             elif kind == "no-header":
                 del arrays["header"]
             elif kind == "header-without-dnns":
-                del header["dnns"]
+                del header["dnn"]
+            elif kind == "missing-array":
+                del arrays["dnn.v"]
+            elif kind == "short-moment-stack":
+                arrays["dnn.m"] = arrays["dnn.m"][:1]
+            elif kind == "step-count":
+                arrays["dnn.step"] = arrays["dnn.step"][:1]
             else:
-                del arrays["dnn1.w0"]
+                for name in ("params", "m", "v", "step"):
+                    arrays[f"dnn.{name}"] = arrays[f"dnn.{name}"][:0]
             if "header" in arrays:
                 arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
             with open(path, "wb") as f:
                 np.savez(f, **arrays)
         with pytest.raises(ContractError, match="not an ensemble checkpoint"):
             load_ensemble(path)
+
+    def test_archive_holds_each_model_flat_and_the_networks_as_their_stack(self, tmp_path):
+        cfg = desk_config(iterations=12, db_capacity=8, batch_size=4, num_dnns=3, seed=8)
+        ensemble = train(cfg).ensemble
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, ensemble)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        flat = [f"{model}.{name}" for model in ("ext", "dnn") for name in ("params", "m", "v", "step")]
+        assert sorted(arrays) == sorted(["header", *flat])
+        for name, buffer in zip(("params", "m", "v"), ensemble.buffers):
+            assert arrays[f"dnn.{name}"].dtype == buffer.dtype == np.float32
+            assert np.array_equal(arrays[f"dnn.{name}"], buffer)
+        assert arrays["dnn.step"].tolist() == [d.step for d in ensemble.dnns]
+        header = json.loads(bytes(arrays["header"]).decode())
+        assert header["dnn"] == model_meta(ensemble.dnns[0]) and "dnns" not in header
 
     @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
     def test_unknown_version_rejected(self, tmp_path, offset):
@@ -920,7 +948,10 @@ class TestStackedNetworks:
         # same parameter count as its row, other architecture
         other_arch = dataclasses.replace(d.arch, activations=d.arch.activations[:-1] + (IDENT,))
         odd_on_row = MlpModel(other_arch, d.weights, d.biases, d.hyper, (d.params, d.m, d.v))
-        for odd in (wide.dnns[2], narrow.dnns[0], odd_on_row):
+        # same row and architecture, another Adam setting
+        other_hyper = MlpModel(d.arch, d.weights, d.biases, AdamHyper(learning_rate=0.01),
+                               (d.params, d.m, d.v))
+        for odd in (wide.dnns[2], narrow.dnns[0], odd_on_row, other_hyper):
             with pytest.raises(ContractError, match=self.ROWS):
                 dataclasses.replace(ensemble, dnns=[*ensemble.dnns[:2], odd])
 
@@ -941,10 +972,9 @@ class TestStackedNetworks:
         save_ensemble(path, build_ensemble(desk_config(num_dnns=3, seed=28)))
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        for key in arrays:
-            if key.startswith("dnn1.") and arrays[key].dtype == np.float32:
-                arrays[key] = arrays[key].astype(np.float64)
-        with open(path, "wb") as f:
-            np.savez(f, **arrays)
-        with pytest.raises(ContractError):
-            load_ensemble(path)
+        for key in ("dnn.params", "dnn.m", "dnn.v"):
+            other = tmp_path / f"{key}.npz"
+            with open(other, "wb") as f:
+                np.savez(f, **{**arrays, key: arrays[key].astype(np.float64)})
+            with pytest.raises(ContractError):
+                load_ensemble(other)

@@ -397,10 +397,11 @@ class TestFlatBuffers:
 
     def test_moment_of_another_shape_rejected(self):
         model = self.trained()
-        state = model_state(model)
-        state["mw0"] = np.zeros((5, 4))
-        with pytest.raises(ContractError):
-            load_state(model_meta(model), state)
+        # also a moment of another dtype, and parameters of another length
+        for key, bad in (("m", model.m[:-1]), ("v", model.v.astype(np.float32)),
+                         ("params", model.params[:-1])):
+            with pytest.raises(ContractError):
+                load_state(model_meta(model), {**model_state(model), key: bad})
 
     def stack(self, count=3, dtype=np.float64):
         return tuple(np.zeros((count, self.ARCH.num_params), dtype) for _ in range(3))
