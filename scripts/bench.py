@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     parser.add_argument("--seconds", type=float, default=25.0, help="run.py --seconds")
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--out", default=ROOT, help="directory to write into")
+    parser.add_argument("--out", default=ROOT, help="directory to write into, made if missing")
     side = parser.add_mutually_exclusive_group(required=True)
     side.add_argument("--baseline", help="parent commit whose src/ is exported with git archive")
     side.add_argument("--baseline-src", help="parent src/ directory, copied")
@@ -147,6 +147,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    os.makedirs(args.out, exist_ok=True)  # before the runs, so a bad --out fails at once
     runs, units, env_line = [], {}, None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
         origin = export_tree(parent_tree, args.baseline, args.baseline_src)

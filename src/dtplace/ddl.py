@@ -15,18 +15,19 @@ The networks and the replay database hold float32, which halves the bytes
 each replay update moves; those updates take most of a training run.  The
 cost model, the cost tables and every reported cost stay float64.
 
-The K decision networks share one architecture, and their flat parameter
-vectors and Adam moments are the rows of three ``(K, P)`` buffers, so a
-proposal runs all K of them in one batched forward: one ``matmul`` per
-layer over ``(K, in, out)`` weight views.  Each network remains an
-ordinary :class:`MlpModel` on its row, so the replay update still runs
-every network's backward pass and Adam step on its own; those were
-measured slower when stacked.  An ensemble accepts only networks that
-are rows 0..K-1 of one stack, in order; ``build_ensemble`` and
-``load_ensemble`` make them so, and they share one Adam setting.  A
+The K decision networks share one architecture and one Adam setting.  An
+ensemble is built from their stack: three ``(K, P)`` arrays that hold the
+networks' flat parameters and Adam moments, one network per row.  It
+keeps the arrays it is given and makes ``dnns[k]`` an ordinary
+:class:`MlpModel` on row ``k``, so a proposal runs all K networks in one
+batched forward (one ``matmul`` per layer over ``(K, in, out)`` weight
+views), while the replay update still runs every network's backward pass
+and Adam step on its own; those were measured slower when stacked.
+``build_ensemble`` draws each network straight into its row.  A
 checkpoint stores the stack as it is, three ``(K, P)`` arrays plus the K
-steps, beside one flat record for the extractor.  An ensemble copies and
-pickles as its checkpoint, so a copy gets a stack of its own.
+steps, beside one flat record for the extractor, and ``load_ensemble``
+keeps the arrays it reads as the stack.  An ensemble copies and pickles
+as its checkpoint, so a copy gets a stack of its own.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
@@ -56,6 +57,7 @@ from .neural import (
     load_state,
     model_meta,
     model_state,
+    read_meta,
 )
 from .scenario import GeneratorConfig, Scenario, generate_random
 
@@ -185,63 +187,51 @@ class ReplayDatabase:
 _FLAT = ("params", "m", "v")
 
 
-def _new_stack(count: int, size: int, dtype) -> tuple[np.ndarray, ...]:
-    """Zeroed ``(count, size)`` parameter, first- and second-moment buffers."""
-    return tuple(np.zeros((count, size), dtype) for _ in _FLAT)
-
-
-def _is_row(a: np.ndarray, stack: np.ndarray, k: int) -> bool:
-    return a.base is stack and a.ctypes.data == stack.ctypes.data + k * stack.strides[0]
-
-
-def _stack_of(dnns: tuple[MlpModel, ...]) -> tuple[np.ndarray, ...]:
-    """The ``(K, P)`` buffers whose rows 0..K-1 hold the networks' flat vectors, in order."""
-    if not dnns:
-        raise ContractError("an ensemble needs at least one decision network")
-    first = dnns[0]
-    stack = tuple(getattr(first, name).base for name in _FLAT)
-    for name, buf in zip(_FLAT, stack):
-        if not (
-            isinstance(buf, np.ndarray) and buf.shape == (len(dnns), first.params.size)
-            and all(d.arch == first.arch and d.hyper == first.hyper
-                    and _is_row(getattr(d, name), buf, k) for k, d in enumerate(dnns))
-        ):
-            raise ContractError("networks must be rows 0..K-1 of one stack and share one architecture")
-    return stack
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DdlEnsemble:
     """Shared feature extractor plus K sibling placement networks.
 
-    ``buffers`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays whose
-    row ``k`` holds ``dnns[k]``'s flat parameters and Adam moments (see the
-    module docstring).  ``dataclasses.replace`` keeps the networks' stack
-    and refuses networks that are not its rows.
+    ``stack`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays, K >= 1,
+    whose row ``k`` holds network ``k``'s flat parameters and Adam moments
+    (see the module docstring); every network has architecture
+    ``dnn_arch`` and Adam setting ``dnn_hyper``.  ``dnns[k]`` is the model
+    on row ``k``.  Construction makes the K models anew at step 0, so
+    ``dataclasses.replace`` keeps the stack but not the networks' steps.
+    A stack that is not three ``(K, P)`` arrays of one shape with K >= 1,
+    or whose rows :class:`MlpModel` refuses, raises ``ContractError``.
     """
 
     num_dts: int
     num_servers: int
     extractor: MlpModel
-    dnns: tuple[MlpModel, ...]
-    buffers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _layers: tuple = field(init=False, repr=False, compare=False)
+    dnn_arch: MlpArch
+    dnn_hyper: AdamHyper
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    dnns: tuple[MlpModel, ...] = field(init=False, repr=False)
+    _layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        dnns = tuple(self.dnns)
-        stack = _stack_of(dnns)
-        weights, biases = layer_views(dnns[0].arch, stack[0])
+        params, m, v = self.stack
+        shape = np.shape(params)
+        if len(shape) != 2 or shape[0] < 1 or np.shape(m) != shape or np.shape(v) != shape:
+            raise ContractError("an ensemble's stack must be three (K, P) arrays with K >= 1")
+        dnns = tuple(
+            MlpModel(self.dnn_arch, row, self.dnn_hyper, m_row, v_row)
+            for row, m_row, v_row in zip(params, m, v)
+        )
+        weights, biases = layer_views(self.dnn_arch, params)
         layers = tuple(
             (w.transpose(0, 2, 1), b[:, None, :], act)
-            for w, b, act in zip(weights, biases, dnns[0].arch.activations)
+            for w, b, act in zip(weights, biases, self.dnn_arch.activations)
         )
         object.__setattr__(self, "dnns", dnns)
-        object.__setattr__(self, "buffers", stack)
         object.__setattr__(self, "_layers", layers)
 
     def __reduce__(self):
-        # copies (pickle, copy.deepcopy) go through the checkpoint, into a stack of their own
-        return _from_checkpoint, _checkpoint(self)
+        # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint; the arrays are
+        # copied here because _from_checkpoint keeps the ones it is handed as the stack
+        header, arrays = _checkpoint(self)
+        return _from_checkpoint, (header, {key: a.copy() for key, a in arrays.items()})
 
     @property
     def num_dnns(self) -> int:
@@ -253,8 +243,8 @@ class DdlEnsemble:
         ``embeddings`` is ``(batch, in)``.  Each layer is one batched
         ``matmul``; the values equal each network's own ``forward``.
         """
-        a = np.asarray(embeddings, dtype=self.buffers[0].dtype)
-        if a.ndim != 2 or a.shape[1] != self.dnns[0].arch.sizes[0]:
+        a = np.asarray(embeddings, dtype=self.stack[0].dtype)
+        if a.ndim != 2 or a.shape[1] != self.dnn_arch.sizes[0]:
             raise ContractError("embedding batch does not match the decision networks' input")
         for w, b, act in self._layers:
             z = np.matmul(a, w)
@@ -316,20 +306,15 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
 
     seeds = np.random.default_rng(config.seed)
 
-    def draw(arch: MlpArch, buffers=None) -> MlpModel:
-        drawn = init_random(arch, seed=int(seeds.integers(2 ** 63)))
-        return MlpModel(
-            arch,
-            [w.astype(NETWORK_DTYPE) for w in drawn.weights],
-            [b.astype(NETWORK_DTYPE) for b in drawn.biases],
-            hyper,
-            buffers,
-        )
+    def draw(arch: MlpArch) -> np.ndarray:
+        return init_random(arch, seed=int(seeds.integers(2 ** 63))).params
 
-    extractor = draw(ext_arch)
-    stack = _new_stack(config.num_dnns, dnn_arch.num_params, NETWORK_DTYPE)
-    dnns = [draw(dnn_arch, tuple(buf[k] for buf in stack)) for k in range(config.num_dnns)]
-    return DdlEnsemble(m, num_servers, extractor, dnns)
+    extractor = MlpModel(ext_arch, draw(ext_arch).astype(NETWORK_DTYPE), hyper)
+    params = np.empty((config.num_dnns, dnn_arch.num_params), NETWORK_DTYPE)
+    for row in params:
+        row[...] = draw(dnn_arch)
+    stack = (params, np.zeros_like(params), np.zeros_like(params))
+    return DdlEnsemble(m, num_servers, extractor, dnn_arch, hyper, stack)
 
 
 def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
@@ -488,7 +473,7 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
 
 
 def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
-    """``ensemble`` as a JSON-ready header and named arrays that view its buffers.
+    """``ensemble`` as a JSON-ready header and named arrays that view its stack.
 
     The header holds a ``model_meta`` record for the extractor and one, ``dnn``, for all
     K networks; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are the stack and ``dnn.step`` (K,).
@@ -502,30 +487,28 @@ def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
         "dnn": model_meta(ensemble.dnns[0]),
     }
     arrays = model_state(ensemble.extractor, prefix="ext.")
-    arrays.update({f"dnn.{name}": buf for name, buf in zip(_FLAT, ensemble.buffers)})
+    arrays.update({f"dnn.{name}": a for name, a in zip(_FLAT, ensemble.stack)})
     arrays["dnn.step"] = np.array([d.step for d in ensemble.dnns])
     return header, arrays
 
 
 def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
-    """The ensemble ``_checkpoint`` described, its networks loaded into the rows of a fresh stack.
+    """The ensemble ``_checkpoint`` described; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are its stack.
 
-    ``arrays`` may be an open ``np.load`` archive; each row is read as a model copies it.
+    The arrays are kept, not copied: ``arrays`` may be an open ``np.load``
+    archive, whose every read is a fresh array.
     """
     extractor = load_state(header["extractor"], arrays, prefix="ext.")
-    stacked = {key: np.asarray(arrays[key]) for key in ("dnn.params", "dnn.m", "dnn.v", "dnn.step")}
-    params, m, v, step = stacked.values()
+    params, m, v, step = (np.asarray(arrays[f"dnn.{name}"]) for name in (*_FLAT, "step"))
     if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape
             and step.shape == params.shape[:1]):
         raise ContractError("not an ensemble checkpoint: dnn.params, m, v, step are not "
                             "(K, P), (K, P), (K, P), (K,) with K >= 1")
-    stack = _new_stack(*params.shape, params.dtype)
-    dnns = [
-        load_state(header["dnn"], {key: a[k] for key, a in stacked.items()}, prefix="dnn.",
-                   buffers=tuple(buf[k] for buf in stack))
-        for k in range(len(params))
-    ]
-    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor, dnns)
+    ensemble = DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor,
+                           *read_meta(header["dnn"]), (params, m, v))
+    for dnn, k_step in zip(ensemble.dnns, step.tolist()):
+        dnn.step = k_step
+    return ensemble
 
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:

@@ -12,15 +12,17 @@ A model computes in the floating dtype of its parameters: inputs, targets
 and upstream gradients are cast to it, and gradients and Adam moments come
 out in it.  Losses are Python floats whatever the dtype.
 
-Each model keeps its parameters in one contiguous vector and each Adam
-moment in another; ``weights``, ``biases``, ``m_w``, ``v_w``, ``m_b`` and
-``v_b`` are per-layer views into them, so an Adam step is one pass over
-three vectors and writes through every view.  Write into the views; do
-not rebind them.  A model can live in vectors it is handed (``buffers``
-on construction and loading), such as the rows of one matrix that stacks
-several models of one architecture; ``layer_views`` cuts such a stack
-into per-layer views.  A model copies and pickles as its checkpoint
-(``model_meta`` and ``model_state``), so a copy owns fresh vectors.
+A model is its flat parameter vector ``params`` and its Adam moments ``m``
+and ``v``, and it keeps the vectors it is given: it neither copies them nor
+writes them on construction, so the rows of one matrix that stacks several
+models of one architecture can each be a model.  ``weights``, ``biases``,
+``m_w``, ``v_w``, ``m_b`` and ``v_b`` are per-layer views into them (in the
+order w0, b0, w1, b1, ...; ``layer_views`` cuts a whole stack the same
+way), so an Adam step is one pass over three vectors and writes through
+every view.  Write into the views; do not rebind them.  A model copies and
+pickles as its checkpoint (``model_meta`` and ``model_state``), and
+``load_state`` hands the model copies of the stored vectors, so a copy
+owns fresh ones.
 
 ``forward(x, keep=True)`` also returns the activations it computed, which
 ``backward_from_output`` accepts instead of running the forward pass again.
@@ -108,11 +110,6 @@ class BackwardResult:
     loss: float
 
 
-def _floating(a) -> np.ndarray:
-    a = np.asarray(a)
-    return a if np.issubdtype(a.dtype, np.floating) else a.astype(float)
-
-
 def layer_views(arch: MlpArch, flat: np.ndarray):
     """Per-layer ``(..., out, in)`` weight and ``(..., out)`` bias views.
 
@@ -133,53 +130,36 @@ def layer_views(arch: MlpArch, flat: np.ndarray):
 class MlpModel:
     """Mutable network state; one instance is owned by one trainer.
 
-    Parameters keep their floating dtype (others become float64), and all
-    of them must share it: it is the dtype the model computes in.  They
-    are copied into the flat ``params`` vector; ``m`` and ``v`` are the
-    flat Adam moments.  ``buffers``, when given, is a ``(params, m, v)``
-    triple of vectors the model writes its parameters into, zeroes the
-    moments of, and keeps as its own.
+    ``params``, ``m`` and ``v`` must each be a writable, contiguous
+    floating vector of ``arch.num_params`` in ``params``' dtype, the dtype
+    the model computes in; ``m`` and ``v`` start at zero when not given.
+    The model keeps the three vectors as they are.
     """
 
-    def __init__(
-        self, arch: MlpArch, weights, biases, hyper: AdamHyper = AdamHyper(), buffers=None,
-    ):
+    def __init__(self, arch: MlpArch, params, hyper: AdamHyper = AdamHyper(), m=None, v=None):
         self.arch = arch
-        weights = [_floating(w) for w in weights]
-        biases = [_floating(b) for b in biases]
-        if len(weights) != len(arch.activations) or len(biases) != len(weights):
-            raise ContractError("need one weight matrix and one bias per layer")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            expected = (arch.sizes[i + 1], arch.sizes[i])
-            if w.shape != expected or b.shape != (arch.sizes[i + 1],):
-                raise ContractError(f"layer {i} parameters do not match the architecture")
-        if len({p.dtype for p in weights + biases}) != 1:
-            raise ContractError("all parameters must share one floating dtype")
         self.hyper = hyper
-        dtype = weights[0].dtype
-        size = arch.num_params
-        if buffers is None:
-            buffers = tuple(np.empty(size, dtype) for _ in range(3))
-        for a in buffers:
-            if (
-                not isinstance(a, np.ndarray) or a.shape != (size,) or a.dtype != dtype
-                or not a.flags.c_contiguous or not a.flags.writeable
+        m = np.zeros_like(params) if m is None else m
+        v = np.zeros_like(params) if v is None else v
+        for a in (params, m, v):
+            if not (
+                isinstance(a, np.ndarray) and a.shape == (arch.num_params,)
+                and np.issubdtype(a.dtype, np.floating) and a.dtype == params.dtype
+                and a.flags.c_contiguous and a.flags.writeable
             ):
                 raise ContractError(
-                    f"each flat buffer must be a writable contiguous vector of {size} {dtype}"
+                    f"params, m and v must be writable contiguous vectors of {arch.num_params} "
+                    "values of one floating dtype"
                 )
-        self.params, self.m, self.v = buffers
-        np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair], out=self.params)
-        self.m[...] = 0.0
-        self.v[...] = 0.0
+        self.params, self.m, self.v = params, m, v
         self.step = 0
-        # per-layer views into the flat buffers, in the order w0, b0, w1, b1, ...
+        # per-layer views into the flat vectors, in the order w0, b0, w1, b1, ...
         self.weights, self.biases = layer_views(self.arch, self.params)
         self.m_w, self.m_b = layer_views(self.arch, self.m)
         self.v_w, self.v_b = layer_views(self.arch, self.v)
 
     def __reduce__(self):
-        # copies (pickle, copy.deepcopy) go through the checkpoint, into fresh flat vectors
+        # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint, into fresh vectors
         return load_state, (model_meta(self), model_state(self))
 
     @property
@@ -310,11 +290,10 @@ class MlpModel:
 def init_random(arch: MlpArch, seed: int, hyper: AdamHyper = AdamHyper()) -> MlpModel:
     """Fresh model with N(0, 1/fan_in) weights and zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(arch.sizes[:-1], arch.sizes[1:]):
-        weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(arch, weights, biases, hyper)
+    params = np.zeros(arch.num_params)
+    for w in layer_views(arch, params)[0]:
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
+    return MlpModel(arch, params, hyper)
 
 
 def model_state(model: MlpModel, prefix: str = "") -> dict[str, np.ndarray]:
@@ -332,26 +311,23 @@ def model_meta(model: MlpModel) -> dict:
     }
 
 
-def load_state(
-    meta: dict, state: Mapping[str, np.ndarray], prefix: str = "", buffers=None,
-) -> MlpModel:
-    """The model ``model_meta`` and ``model_state`` saved; ``state`` may be an ``np.load`` archive.
-
-    A ``params`` of the wrong length, or an ``m`` or ``v`` of another shape or
-    dtype, raises ``ContractError``.  ``buffers`` is passed on to :class:`MlpModel`.
-    """
+def read_meta(meta: dict) -> tuple[MlpArch, AdamHyper]:
+    """The architecture and Adam setting of a ``model_meta`` record."""
     arch = MlpArch(
         sizes=tuple(int(n) for n in meta["sizes"]),
         activations=tuple(Activation(a) for a in meta["activations"]),
     )
-    params = np.asarray(state[f"{prefix}params"])
-    if params.shape != (arch.num_params,):
-        raise ContractError(f"{prefix}params does not hold the {arch.num_params} parameters")
-    model = MlpModel(arch, *layer_views(arch, params), AdamHyper(**meta["hyper"]), buffers)
-    for name in ("m", "v"):
-        stored, flat = np.asarray(state[f"{prefix}{name}"]), getattr(model, name)
-        if stored.shape != flat.shape or stored.dtype != flat.dtype:
-            raise ContractError(f"{prefix}{name} does not match the parameters")
-        flat[...] = stored
+    return arch, AdamHyper(**meta["hyper"])
+
+
+def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") -> MlpModel:
+    """The model ``model_meta`` and ``model_state`` saved; ``state`` may be an ``np.load`` archive.
+
+    The model gets copies of the stored vectors.  A ``params`` of the wrong
+    length, or an ``m`` or ``v`` of another shape or dtype, raises ``ContractError``.
+    """
+    arch, hyper = read_meta(meta)
+    params, m, v = (np.array(state[f"{prefix}{name}"]) for name in ("params", "m", "v"))
+    model = MlpModel(arch, params, hyper, m, v)
     model.step = int(state[f"{prefix}step"])
     return model

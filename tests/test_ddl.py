@@ -3,11 +3,13 @@ import dataclasses
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _models import from_layers
 
 from dtplace import ddl
 from dtplace.cost_model import Decision, evaluate
@@ -28,11 +30,10 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import LOSS_CLAMP, Activation, AdamHyper, MlpModel, model_meta
+from dtplace.neural import LOSS_CLAMP, MlpModel, model_meta
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
-IDENT = Activation.IDENTITY
 
 
 def reference_raw_input(s) -> np.ndarray:
@@ -619,22 +620,14 @@ class TestReplayUpdate:
             assert all(r.matches(d) for r, d in zip(dnns, ensemble.dnns))
 
 
-def as_dtype(model, dtype, buffers=None):
-    return MlpModel(
-        model.arch,
-        [w.astype(dtype) for w in model.weights],
-        [b.astype(dtype) for b in model.biases],
-        model.hyper,
-        buffers,
-    )
-
-
 def restacked(ensemble, dtype):
-    """``ensemble``'s weights as ``dtype``, its networks written into the rows of a fresh stack."""
-    stack = [np.zeros((ensemble.num_dnns, ensemble.dnns[0].params.size), dtype) for _ in range(3)]
-    dnns = [as_dtype(d, dtype, tuple(buf[k] for buf in stack)) for k, d in enumerate(ensemble.dnns)]
-    extractor = as_dtype(ensemble.extractor, dtype)
-    return DdlEnsemble(ensemble.num_dts, ensemble.num_servers, extractor, dnns)
+    """``ensemble``'s weights as ``dtype`` with zero moments, its networks on a fresh stack."""
+    ext = ensemble.extractor
+    extractor = from_layers(ext.arch, ext.weights, ext.biases, ext.hyper, dtype)
+    params = ensemble.stack[0].astype(dtype)
+    stack = (params, np.zeros_like(params), np.zeros_like(params))
+    return DdlEnsemble(ensemble.num_dts, ensemble.num_servers, extractor,
+                       ensemble.dnn_arch, ensemble.dnn_hyper, stack)
 
 
 class TestNetworkDtype:
@@ -763,12 +756,27 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files}
         flat = [f"{model}.{name}" for model in ("ext", "dnn") for name in ("params", "m", "v", "step")]
         assert sorted(arrays) == sorted(["header", *flat])
-        for name, buffer in zip(("params", "m", "v"), ensemble.buffers):
+        for name, buffer in zip(("params", "m", "v"), ensemble.stack):
             assert arrays[f"dnn.{name}"].dtype == buffer.dtype == np.float32
             assert np.array_equal(arrays[f"dnn.{name}"], buffer)
         assert arrays["dnn.step"].tolist() == [d.step for d in ensemble.dnns]
         header = json.loads(bytes(arrays["header"]).decode())
         assert header["dnn"] == model_meta(ensemble.dnns[0]) and "dnns" not in header
+
+    def test_a_checkpoint_loads_into_its_own_arrays(self, tmp_path):
+        # The archive's (K, P) arrays become the stack, so loading holds them once, not twice.
+        path = tmp_path / "ensemble.npz"
+        config = TrainConfig(iterations=0, generator=GeneratorConfig(server_seed=1))
+        save_ensemble(path, build_ensemble(config))
+        tracemalloc.start()
+        try:
+            loaded = load_ensemble(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.num_dnns == 12
+        stack_bytes = sum(a.nbytes for a in loaded.stack)
+        assert peak < 1.25 * stack_bytes, f"peak {peak / stack_bytes:.2f} times the stack"
 
     @pytest.mark.parametrize("offset", [-1, 1], ids=["older", "newer"])
     def test_unknown_version_rejected(self, tmp_path, offset):
@@ -821,10 +829,10 @@ def per_network_proposals(ensemble, raw):
 
 
 def assert_rows_of_buffers(ensemble):
-    params, m, v = ensemble.buffers
-    assert params.shape == m.shape == v.shape == (ensemble.num_dnns, ensemble.dnns[0].params.size)
+    params, m, v = ensemble.stack
+    assert params.shape == m.shape == v.shape == (ensemble.num_dnns, ensemble.dnn_arch.num_params)
     for k, dnn in enumerate(ensemble.dnns):
-        for flat, buffer in zip((dnn.params, dnn.m, dnn.v), ensemble.buffers):
+        for flat, buffer in zip((dnn.params, dnn.m, dnn.v), ensemble.stack):
             assert np.shares_memory(flat, buffer[k])
             assert flat.shape == buffer[k].shape
 
@@ -876,6 +884,7 @@ class TestStackedNetworks:
             "train": trained,
             "load_ensemble": loaded,
             "rows of a fresh stack": restacked(built, np.float32),
+            "copy.copy": copy.copy(trained),
             "copy.deepcopy": copy.deepcopy(trained),
             "pickle": pickle.loads(pickle.dumps(trained)),
         }
@@ -900,7 +909,7 @@ class TestStackedNetworks:
     @staticmethod
     def assert_same_training_state(clone, original):
         assert_rows_of_buffers(clone)
-        for got, want in zip(clone.buffers, original.buffers):
+        for got, want in zip(clone.stack, original.stack):
             assert not np.shares_memory(got, want)
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
@@ -916,7 +925,8 @@ class TestStackedNetworks:
         cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24)
         original = train(cfg).ensemble
         assert min(model.step for model in (original.extractor, *original.dnns)) > 0
-        clones = [copy.deepcopy(original), pickle.loads(pickle.dumps(original))]
+        clones = [copy.copy(original), copy.deepcopy(original),
+                  pickle.loads(pickle.dumps(original))]
         for clone in clones:
             self.assert_same_training_state(clone, original)
         assert_rows_of_buffers(original)
@@ -927,44 +937,52 @@ class TestStackedNetworks:
         for i in range(6):
             s = generate_random(600 + i, DESK)
             db.insert(raw_group_input(s), encode_decision(best_of_k(original, s).decision, servers))
-        before = [buf.copy() for buf in original.buffers]
+        before = [buf.copy() for buf in original.stack]
         for ensemble in (original, *clones):
             ddl._update(ensemble, db, np.random.default_rng(31), 4)
-        assert not np.array_equal(original.buffers[0], before[0])
+        assert not np.array_equal(original.stack[0], before[0])
         for clone in clones:
             self.assert_same_training_state(clone, original)
 
-        same_networks = dataclasses.replace(original, num_servers=original.num_servers)
-        assert all(a is b for a, b in zip(same_networks.dnns, original.dnns))
-        assert all(a is b for a, b in zip(same_networks.buffers, original.buffers))
+        # a replaced ensemble keeps the stack, so its networks are the same rows
+        same_stack = dataclasses.replace(original, num_servers=original.num_servers)
+        assert all(a is b for a, b in zip(same_stack.stack, original.stack))
+        assert_rows_of_buffers(same_stack)
 
-    ROWS = "rows 0..K-1 of one stack and share one architecture"
+    UNFIT = "writable contiguous vectors of"
 
     def test_networks_of_different_architecture_or_dtype_are_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=25))
-        wide = restacked(ensemble, np.float64)
-        narrow = build_ensemble(desk_config(num_dnns=1, seed=25, hidden_sizes=(16,)))
-        d = ensemble.dnns[2]
-        # same parameter count as its row, other architecture
-        other_arch = dataclasses.replace(d.arch, activations=d.arch.activations[:-1] + (IDENT,))
-        odd_on_row = MlpModel(other_arch, d.weights, d.biases, d.hyper, (d.params, d.m, d.v))
-        # same row and architecture, another Adam setting
-        other_hyper = MlpModel(d.arch, d.weights, d.biases, AdamHyper(learning_rate=0.01),
-                               (d.params, d.m, d.v))
-        for odd in (wide.dnns[2], narrow.dnns[0], odd_on_row, other_hyper):
-            with pytest.raises(ContractError, match=self.ROWS):
-                dataclasses.replace(ensemble, dnns=[*ensemble.dnns[:2], odd])
+        narrow = build_ensemble(desk_config(num_dnns=3, seed=25, hidden_sizes=(16,)))
+        params, m, v = ensemble.stack
+        read_only = v.copy()
+        read_only.flags.writeable = False
+        for arch, stack in [
+            (narrow.dnn_arch, ensemble.stack),  # rows of another architecture's length
+            (ensemble.dnn_arch, narrow.stack),
+            (ensemble.dnn_arch, (params, m.astype(np.float64), v)),  # moments of another dtype
+            (ensemble.dnn_arch, (params, m, v.astype(np.float64))),
+            (ensemble.dnn_arch, (params.astype(np.float64), m, v)),
+            (ensemble.dnn_arch, tuple(a.astype(np.int32) for a in ensemble.stack)),
+            (ensemble.dnn_arch, (np.asfortranarray(params), m, v)),  # rows that are not contiguous
+            (ensemble.dnn_arch, (params, m, read_only)),
+        ]:
+            with pytest.raises(ContractError, match=self.UNFIT):
+                DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.extractor,
+                            arch, ensemble.dnn_hyper, stack)
 
-    def test_networks_of_another_ensemble_are_refused(self):
+    def test_a_stack_that_is_not_k_by_p_is_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=26))
-        other = build_ensemble(desk_config(num_dnns=3, seed=27))
-        loose = [as_dtype(d, np.float32) for d in ensemble.dnns]
-        a, b, c = ensemble.dnns
-        for dnns in ([a, b], [b, c], [a, b, other.dnns[2]], [c, b, a], [a, a, c], loose):
-            with pytest.raises(ContractError, match=self.ROWS):
-                dataclasses.replace(ensemble, dnns=dnns)
-        with pytest.raises(ContractError, match="at least one"):
-            DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.extractor, [])
+        params, m, v = ensemble.stack
+        for stack in [
+            (params[:0], m[:0], v[:0]),  # no networks
+            (params[0], m[0], v[0]),
+            (params[None], m[None], v[None]),
+            (params, m[:2], v),
+            (params, m, v[:, :-1]),
+        ]:
+            with pytest.raises(ContractError, match=r"three \(K, P\) arrays with K >= 1"):
+                dataclasses.replace(ensemble, stack=stack)
         assert_rows_of_buffers(ensemble)
 
     def test_checkpoint_with_networks_of_different_dtype_is_refused(self, tmp_path):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _models import from_layers
 
 from dtplace.errors import ContractError
 from dtplace.neural import (
@@ -60,12 +61,7 @@ def finite_difference_grads(model, x, t, h=1e-6):
 
 def cast(model, dtype):
     """The same network with its weights and biases converted to ``dtype``."""
-    return MlpModel(
-        model.arch,
-        [w.astype(dtype) for w in model.weights],
-        [b.astype(dtype) for b in model.biases],
-        model.hyper,
-    )
+    return from_layers(model.arch, model.weights, model.biases, model.hyper, dtype)
 
 
 def max_relative_error(analytic, numeric):
@@ -80,7 +76,7 @@ def max_relative_error(analytic, numeric):
 class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         arch = MlpArch((4, 3, 2), (RELU, SIG))
-        model = MlpModel(arch, [np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
+        model = from_layers(arch, [np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
         out = model.forward(np.ones(4))
         assert np.allclose(out, 0.5)
 
@@ -88,7 +84,7 @@ class TestForward:
         arch = MlpArch((2, 2), (IDENT,))
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([0.5, -0.5])
-        model = MlpModel(arch, [w], [b])
+        model = from_layers(arch, [w], [b])
         x = np.array([1.0, 1.0])
         assert np.allclose(model.forward(x), w @ x + b)
 
@@ -143,7 +139,7 @@ class TestBackward:
         # at that value makes (prediction - target) vanish.
         arch = MlpArch((2, 2), (SIG,))
         bias = np.array([0.3, -0.7])
-        model = MlpModel(arch, [np.zeros((2, 2))], [bias])
+        model = from_layers(arch, [np.zeros((2, 2))], [bias])
         target = 1.0 / (1.0 + np.exp(-bias))
         # targets must be 0/1 for the loss; use the raw residual path instead
         f = model.forward(np.array([0.5, 0.5]))
@@ -151,7 +147,7 @@ class TestBackward:
 
     def test_zero_target_residual_means_zero_gradient(self):
         arch = MlpArch((2, 1), (SIG,))
-        model = MlpModel(arch, [np.zeros((1, 2))], [np.zeros(1)])
+        model = from_layers(arch, [np.zeros((1, 2))], [np.zeros(1)])
         # prediction is exactly 0.5 everywhere; average of targets 0 and 1
         # over a duplicated input cancels the residual.
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
@@ -193,7 +189,7 @@ class TestBackward:
         x = rng.normal(size=(6, 3))
         t = rng.integers(0, 2, size=(6, 2)).astype(float)
 
-        joint = MlpModel(
+        joint = from_layers(
             MlpArch((3, 4, 2), (RELU, SIG)),
             [front.weights[0].copy(), back.weights[0].copy()],
             [front.biases[0].copy(), back.biases[0].copy()],
@@ -252,29 +248,26 @@ class TestDtype:
             assert np.allclose(g, w, rtol=1e-4, atol=1e-6)
 
     def test_float32_sigmoid_saturates_without_warning(self):
-        model = cast(MlpModel(MlpArch((1, 1), (SIG,)), [[[1.0]]], [[0.0]]), np.float32)
+        model = from_layers(MlpArch((1, 1), (SIG,)), [[[1.0]]], [[0.0]], dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = model.forward(np.array([-200.0, 200.0])[:, None])
         assert out.ravel().tolist() == [0.0, 1.0]
 
-    def test_integer_parameters_become_float64(self):
-        model = MlpModel(MlpArch((2, 1), (SIG,)), [np.ones((1, 2), dtype=int)], [[0]])
-        assert model.dtype == np.float64
-        assert model.biases[0].dtype == np.float64
-
     def test_mixed_dtypes_rejected(self):
+        # moments must be in the dtype of the parameters
         model = init_random(self.ARCH, seed=4)
-        with pytest.raises(ContractError):
-            MlpModel(self.ARCH, [model.weights[0].astype(np.float32), model.weights[1]],
-                     model.biases)
+        narrow = model.params.astype(np.float32)
+        for m, v in ((model.m, None), (None, model.v), (model.m, model.v)):
+            with pytest.raises(ContractError):
+                MlpModel(self.ARCH, narrow, model.hyper, m, v)
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
         arch = MlpArch((1, 1), (SIG,))
-        model = MlpModel(arch, [np.array([[2.0]])], [np.array([1.0])],
-                         AdamHyper(learning_rate=0.01))
+        model = from_layers(arch, [np.array([[2.0]])], [np.array([1.0])],
+                            AdamHyper(learning_rate=0.01))
         g = np.array([[0.5]])
         model.adam_step([(g, np.array([0.25]))])
         # First bias-corrected step is lr * g / (|g| + eps), i.e. nearly lr.
@@ -409,26 +402,40 @@ class TestFlatBuffers:
     def test_given_buffers_hold_the_model(self):
         model = self.trained()
         stack = self.stack()
-        rows = tuple(buf[1] for buf in stack)
-        built = MlpModel(self.ARCH, model.weights, model.biases, model.hyper, rows)
-        assert all(a is b for a, b in zip((built.params, built.m, built.v), rows))
-        assert np.array_equal(built.params, model.params)
-        assert not built.m.any() and not built.v.any()
-        loaded = load_state(model_meta(model), model_state(model), buffers=rows)
-        self.assert_views_share_flat_buffers(loaded)
-        assert all(a is b for a, b in zip((loaded.params, loaded.m, loaded.v), rows))
+        for buf, flat in zip(stack, (model.params, model.m, model.v)):
+            buf[1] = flat
+        params, m, v = (buf[1] for buf in stack)
+        held = MlpModel(self.ARCH, params, model.hyper, m, v)
+        assert all(a is b for a, b in zip((held.params, held.m, held.v), (params, m, v)))
+        self.assert_views_share_flat_buffers(held)
+        # construction writes nothing: the moments given stay as they were
         for flat in ("params", "m", "v"):
-            assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
+            assert np.array_equal(getattr(held, flat), getattr(model, flat))
         assert not stack[0][[0, 2]].any()
+        x = np.random.default_rng(9).normal(size=(4, 5))
+        assert np.array_equal(held.forward(x), model.forward(x))
+        # without moments the model gets zeroed ones of its own, in the parameters' dtype
+        fresh = MlpModel(self.ARCH, stack[0][0])
+        assert not (fresh.m.any() or fresh.v.any() or np.shares_memory(fresh.m, fresh.v))
+        assert fresh.m.dtype == fresh.v.dtype == np.float64
+        # loading copies the stored vectors
+        state = model_state(model)
+        loaded = load_state(model_meta(model), state)
+        for flat in ("params", "m", "v"):
+            assert not np.shares_memory(getattr(loaded, flat), state[flat])
 
-    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
-                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize(
+        "copier", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
     def test_copies_of_a_row_own_fresh_vectors_with_the_whole_state(self, copier):
         trained = cast(self.trained(), np.float32)
         trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients)
         stack = self.stack(dtype=np.float32)
-        rows = tuple(buf[1] for buf in stack)
-        model = load_state(model_meta(trained), model_state(trained), buffers=rows)
+        for buf, flat in zip(stack, (trained.params, trained.m, trained.v)):
+            buf[1] = flat
+        model = MlpModel(self.ARCH, stack[0][1], trained.hyper, stack[1][1], stack[2][1])
+        model.step = trained.step
         clone = copier(model)
         self.assert_views_share_flat_buffers(clone)
         assert (clone.arch, clone.hyper, clone.step) == (model.arch, model.hyper, 1)
@@ -438,29 +445,40 @@ class TestFlatBuffers:
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("bad", ["size", "dtype", "strided", "read-only"])
+    @pytest.mark.parametrize("bad", ["size", "dtype", "strided", "read-only", "integer", "list"])
     def test_unfit_buffers_rejected(self, bad):
-        model = self.trained()
         n = self.ARCH.num_params
-        buffers = [np.zeros(n) for _ in range(3)]
-        if bad == "size":
-            buffers[1] = np.zeros(n + 1)
-        elif bad == "dtype":
-            buffers[2] = np.zeros(n, np.float32)
-        elif bad == "strided":
-            buffers[0] = np.zeros(2 * n)[::2]
-        else:
-            buffers[0].flags.writeable = False
-        with pytest.raises(ContractError):
-            MlpModel(self.ARCH, model.weights, model.biases, model.hyper, buffers)
+
+        def unfit():
+            if bad == "read-only":
+                a = np.zeros(n)
+                a.flags.writeable = False
+                return a
+            return {
+                "size": np.zeros(n + 1),
+                "dtype": np.zeros(n, np.float32),
+                "strided": np.zeros(2 * n)[::2],
+                "integer": np.zeros(n, np.int64),
+                "list": [0.0] * n,
+            }[bad]
+
+        # the fault on params, m and v in turn, then on params given alone
+        for k in range(3):
+            vectors = [np.zeros(n) for _ in range(3)]
+            vectors[k] = unfit()
+            params, m, v = vectors
+            with pytest.raises(ContractError):
+                MlpModel(self.ARCH, params, AdamHyper(), m, v)
+        if bad != "dtype":
+            with pytest.raises(ContractError):
+                MlpModel(self.ARCH, unfit())
 
     def test_layer_views_of_a_stack_are_each_rows_layers(self):
         stack = self.stack()
         models = []
         for k in range(3):
-            drawn = init_random(self.ARCH, seed=k)
-            rows = tuple(buf[k] for buf in stack)
-            models.append(MlpModel(self.ARCH, drawn.weights, drawn.biases, drawn.hyper, rows))
+            stack[0][k] = init_random(self.ARCH, seed=k).params
+            models.append(MlpModel(self.ARCH, stack[0][k], AdamHyper(), stack[1][k], stack[2][k]))
         weights, biases = layer_views(self.ARCH, stack[0])
         for i in range(models[0].num_layers):
             assert weights[i].shape == (3, *models[0].weights[i].shape)

@@ -38,12 +38,14 @@ def test_landscape_report_prints_exact_row(args, share):
 
 def test_bench_writes_one_alternating_pair(tmp_path):
     # The checkout's own src stands in for the parent, so no git is needed.
+    # The output directory does not exist yet.
+    out = tmp_path / "new" / "dir"
     done = run_script(
         "bench.py", "--workload", "reference-desk", "--seeds", "3", "--seconds", "1",
-        "--baseline-src", str(ROOT / "src"), "--label", "check", "--out", str(tmp_path),
+        "--baseline-src", str(ROOT / "src"), "--label", "check", "--out", str(out),
     )
     assert done.returncode == 0, done.stderr
-    bench = json.loads((tmp_path / "BENCH_check.json").read_text())
+    bench = json.loads((out / "BENCH_check.json").read_text())
     assert list(bench) == [
         "workload", "command", "machine", "sides", "order", "env", "units", "summary", "runs",
     ]
