@@ -24,8 +24,8 @@ batched forward (one ``matmul`` per layer over ``(K, in, out)`` weight
 views), while the replay update still runs every network's backward pass
 and Adam step on its own; those were measured slower when stacked.
 ``build_ensemble`` draws each network straight into its row.  A
-checkpoint stores the stack as it is, three ``(K, P)`` arrays plus the K
-steps, beside one flat record for the extractor, and ``load_ensemble``
+checkpoint stores the stack as it is, three ``(K, P)`` arrays plus one
+step, beside one flat record for the extractor, and ``load_ensemble``
 keeps the arrays it reads as the stack.  An ensemble copies and pickles
 as its checkpoint, so a copy gets a stack of its own.
 
@@ -40,7 +40,7 @@ import json
 import time
 import zipfile
 from dataclasses import dataclass, field
-from math import ceil, log2
+from math import ceil, isfinite, log2
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .neural import (
 from .scenario import GeneratorConfig, Scenario, generate_random
 
 ENSEMBLE_FORMAT = "dtplace-ensemble"
-ENSEMBLE_VERSION = 3
+ENSEMBLE_VERSION = 4
 NETWORK_DTYPE = np.float32
 
 # Each twin is flattened into SLOTS rows of (workload, x, y, bandwidth),
@@ -123,11 +123,9 @@ def decode_codes(outputs: np.ndarray, num_dts: int, num_servers: int) -> np.ndar
     """
     bits = bits_per_dt(num_servers)
     out = np.asarray(outputs)
-    if out.ndim == 1:
-        out = out[None, :]
-    if out.shape[1] != num_dts * bits:
+    if out.ndim != 2 or out.shape[1] != num_dts * bits:
         raise ContractError(
-            f"expected {num_dts * bits} outputs for {num_dts} DTs, got {out.shape[1]}"
+            f"expected a batch of {num_dts * bits} outputs for {num_dts} DTs, got shape {out.shape}"
         )
     raised = (out.reshape(out.shape[0], num_dts, bits) > 0.5).astype(np.int64)
     weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
@@ -187,7 +185,7 @@ class ReplayDatabase:
 _FLAT = ("params", "m", "v")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class DdlEnsemble:
     """Shared feature extractor plus K sibling placement networks.
 
@@ -195,10 +193,10 @@ class DdlEnsemble:
     whose row ``k`` holds network ``k``'s flat parameters and Adam moments
     (see the module docstring); every network has architecture
     ``dnn_arch`` and Adam setting ``dnn_hyper``.  ``dnns[k]`` is the model
-    on row ``k``.  Construction makes the K models anew at step 0, so
-    ``dataclasses.replace`` keeps the stack but not the networks' steps.
-    A stack that is not three ``(K, P)`` arrays of one shape with K >= 1,
-    or whose rows :class:`MlpModel` refuses, raises ``ContractError``.
+    on row ``k``.  ``step`` counts the replay updates, each one Adam step
+    of every network and of the extractor.  A stack that is not three
+    ``(K, P)`` arrays of one shape with K >= 1, or whose rows
+    :class:`MlpModel` refuses, raises ``ContractError``.
     """
 
     num_dts: int
@@ -207,6 +205,7 @@ class DdlEnsemble:
     dnn_arch: MlpArch
     dnn_hyper: AdamHyper
     stack: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    step: int = 0
     dnns: tuple[MlpModel, ...] = field(init=False, repr=False)
     _layers: tuple = field(init=False, repr=False)
 
@@ -215,17 +214,15 @@ class DdlEnsemble:
         shape = np.shape(params)
         if len(shape) != 2 or shape[0] < 1 or np.shape(m) != shape or np.shape(v) != shape:
             raise ContractError("an ensemble's stack must be three (K, P) arrays with K >= 1")
-        dnns = tuple(
+        self.dnns = tuple(
             MlpModel(self.dnn_arch, row, self.dnn_hyper, m_row, v_row)
             for row, m_row, v_row in zip(params, m, v)
         )
         weights, biases = layer_views(self.dnn_arch, params)
-        layers = tuple(
+        self._layers = tuple(
             (w.transpose(0, 2, 1), b[:, None, :], act)
             for w, b, act in zip(weights, biases, self.dnn_arch.activations)
         )
-        object.__setattr__(self, "dnns", dnns)
-        object.__setattr__(self, "_layers", layers)
 
     def __reduce__(self):
         # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint; the arrays are
@@ -272,8 +269,8 @@ def _check_config(c: TrainConfig) -> None:
         raise InvalidConfigError("iterations must not be negative")
     if c.num_dnns < 1:
         raise InvalidConfigError("num_dnns must be at least 1")
-    if c.learning_rate <= 0:
-        raise InvalidConfigError("learning_rate must be positive")
+    if not (c.learning_rate > 0 and isfinite(c.learning_rate)):
+        raise InvalidConfigError("learning_rate must be positive and finite")
     if any(n < 1 for n in c.hidden_sizes):
         raise InvalidConfigError("hidden_sizes must be positive")
     if c.db_capacity < 1 or c.batch_size < 1:
@@ -324,9 +321,7 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
     server indices with shape ``(num_dnns, batch, num_dts)``.
     """
     raw = np.asarray(raw_batch)
-    if raw.ndim == 2:
-        raw = raw[None, :, :]
-    if raw.shape[1:] != (ensemble.num_dts, INPUT_WIDTH):
+    if raw.ndim != 3 or raw.shape[1:] != (ensemble.num_dts, INPUT_WIDTH):
         raise ContractError("raw input shape does not match the ensemble")
     b, m, width = raw.shape
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
@@ -450,6 +445,7 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
     """One training step: per-network batches, averaged extractor gradient."""
     ext = ensemble.extractor
     m, width = ensemble.num_dts, INPUT_WIDTH
+    ensemble.step += 1
     ext_grads = None
     losses = []
     for dnn in ensemble.dnns:
@@ -457,38 +453,38 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
         flat = states.reshape(batch_size * m, width)
         emb, activations = ext.forward(flat, keep=True)
         result = dnn.backward(emb.reshape(batch_size, -1), targets)
-        dnn.adam_step(result.gradients)
+        dnn.adam_step(result.gradients, ensemble.step)
         upstream = result.input_gradient.reshape(batch_size * m, -1)
-        back = ext.backward_from_output(flat, upstream, activations)
+        back = ext.backward_from_output(upstream, activations)
         if ext_grads is None:
-            ext_grads = back.gradients
+            ext_grads = back
         else:
-            for (aw, ab), (gw, gb) in zip(ext_grads, back.gradients):
+            for (aw, ab), (gw, gb) in zip(ext_grads, back):
                 aw += gw
                 ab += gb
         losses.append(result.loss)
     k = ensemble.num_dnns
-    ext.adam_step([(gw / k, gb / k) for gw, gb in ext_grads])
+    ext.adam_step([(gw / k, gb / k) for gw, gb in ext_grads], ensemble.step)
     return losses
 
 
 def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
     """``ensemble`` as a JSON-ready header and named arrays that view its stack.
 
-    The header holds a ``model_meta`` record for the extractor and one, ``dnn``, for all
-    K networks; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are the stack and ``dnn.step`` (K,).
+    The header holds the update count ``step``, a ``model_meta`` record for the extractor and
+    one, ``dnn``, for all K networks; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are the stack.
     """
     header = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_VERSION,
         "num_dts": ensemble.num_dts,
         "num_servers": ensemble.num_servers,
+        "step": ensemble.step,
         "extractor": model_meta(ensemble.extractor),
         "dnn": model_meta(ensemble.dnns[0]),
     }
     arrays = model_state(ensemble.extractor, prefix="ext.")
     arrays.update({f"dnn.{name}": a for name, a in zip(_FLAT, ensemble.stack)})
-    arrays["dnn.step"] = np.array([d.step for d in ensemble.dnns])
     return header, arrays
 
 
@@ -498,17 +494,16 @@ def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
     The arrays are kept, not copied: ``arrays`` may be an open ``np.load``
     archive, whose every read is a fresh array.
     """
+    step = header.get("step")
+    if type(step) is not int or step < 0:
+        raise ContractError(f"not an ensemble checkpoint: step {step!r} is not a count")
     extractor = load_state(header["extractor"], arrays, prefix="ext.")
-    params, m, v, step = (np.asarray(arrays[f"dnn.{name}"]) for name in (*_FLAT, "step"))
-    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape
-            and step.shape == params.shape[:1]):
-        raise ContractError("not an ensemble checkpoint: dnn.params, m, v, step are not "
-                            "(K, P), (K, P), (K, P), (K,) with K >= 1")
-    ensemble = DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor,
-                           *read_meta(header["dnn"]), (params, m, v))
-    for dnn, k_step in zip(ensemble.dnns, step.tolist()):
-        dnn.step = k_step
-    return ensemble
+    params, m, v = (np.asarray(arrays[f"dnn.{name}"]) for name in _FLAT)
+    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape):
+        raise ContractError("not an ensemble checkpoint: dnn.params, m and v are not "
+                            "(K, P) with K >= 1")
+    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor,
+                       *read_meta(header["dnn"]), (params, m, v), step)
 
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:

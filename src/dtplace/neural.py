@@ -5,8 +5,8 @@ activations, a binary cross-entropy loss against {0, 1} targets (the output
 layer must be sigmoid), and Adam with bias correction.  Weights initialize
 from N(0, 1/fan_in); biases start at zero.
 
-Shapes follow the row-per-sample convention: inputs are ``(batch, in)`` or a
-single ``(in,)`` vector, weight matrices are ``(out, in)``.
+Shapes follow the row-per-sample convention: inputs are ``(batch, in)``
+batches and nothing else, weight matrices are ``(out, in)``.
 
 A model computes in the floating dtype of its parameters: inputs, targets
 and upstream gradients are cast to it, and gradients and Adam moments come
@@ -19,17 +19,17 @@ models of one architecture can each be a model.  ``weights``, ``biases``,
 ``m_w``, ``v_w``, ``m_b`` and ``v_b`` are per-layer views into them (in the
 order w0, b0, w1, b1, ...; ``layer_views`` cuts a whole stack the same
 way), so an Adam step is one pass over three vectors and writes through
-every view.  Write into the views; do not rebind them.  A model copies and
-pickles as its checkpoint (``model_meta`` and ``model_state``), and
+every view.  Write into the views; do not rebind them.  A model keeps no
+step count: its owner passes the count to ``adam_step``.  A model copies
+and pickles as its checkpoint (``model_meta`` and ``model_state``), and
 ``load_state`` hands the model copies of the stored vectors, so a copy
 owns fresh ones.
 
-``forward(x, keep=True)`` also returns the activations it computed, which
-``backward_from_output`` accepts instead of running the forward pass again.
-``backward_from_output`` serves a network whose input is data (the
-extractor): it stops at the first layer's weight gradient and leaves
-``input_gradient`` as ``None``.  ``backward`` still returns the gradient on
-its input, which is what chains a decision network to the extractor.
+``backward`` returns the gradient on its input, which is what chains a
+decision network to the extractor.  ``backward_from_output`` serves the
+extractor, a network with an identity head whose input is data: it takes
+the activations ``forward(x, keep=True)`` returned and stops at the first
+layer's weight gradient.
 """
 
 from __future__ import annotations
@@ -100,13 +100,10 @@ class AdamHyper:
 
 @dataclass
 class BackwardResult:
-    """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss.
-
-    ``input_gradient`` is ``None`` from ``backward_from_output``.
-    """
+    """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss."""
 
     gradients: list[tuple[np.ndarray, np.ndarray]]
-    input_gradient: np.ndarray | None
+    input_gradient: np.ndarray
     loss: float
 
 
@@ -152,7 +149,6 @@ class MlpModel:
                     "values of one floating dtype"
                 )
         self.params, self.m, self.v = params, m, v
-        self.step = 0
         # per-layer views into the flat vectors, in the order w0, b0, w1, b1, ...
         self.weights, self.biases = layer_views(self.arch, self.params)
         self.m_w, self.m_b = layer_views(self.arch, self.m)
@@ -180,27 +176,26 @@ class MlpModel:
             post.append(a)
         return pre, post
 
+    def _batch(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 2 or x.shape[1] != self.arch.sizes[0]:
+            raise ContractError(
+                f"input of shape {x.shape} is not a batch of width {self.arch.sizes[0]}"
+            )
+        return x
+
     def forward(self, x, keep: bool = False):
-        """Output for a batch or a single vector.
+        """Output for a ``(batch, in)`` batch.
 
         With ``keep`` the result is ``(output, activations)``, where the
         activations are what ``backward_from_output`` needs for this batch.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        single = x.ndim == 1
-        batch = x[None, :] if single else x
-        if batch.shape[1] != self.arch.sizes[0]:
-            raise ContractError(
-                f"input width {batch.shape[1]} does not match the architecture "
-                f"({self.arch.sizes[0]})"
-            )
-        activations = self._forward_cached(batch)
+        activations = self._forward_cached(self._batch(x))
         out = activations[1][-1]
-        out = out[0] if single else out
         return (out, activations) if keep else out
 
-    def _backprop(self, pre, post, delta, to_input: bool):
-        """Per-layer gradients, plus the input gradient if ``to_input``."""
+    def _backprop(self, pre, post, delta):
+        """Per-layer gradients for the output residual ``delta``, and the first layer's residual."""
         gradients = []
         for i in range(self.num_layers - 1, -1, -1):
             gradients.append((delta.T @ post[i], delta.sum(axis=0)))
@@ -208,7 +203,7 @@ class MlpModel:
                 act = self.arch.activations[i - 1]
                 delta = (delta @ self.weights[i]) * act.derivative(pre[i - 1], post[i])
         gradients.reverse()
-        return gradients, (delta @ self.weights[0] if to_input else None)
+        return gradients, delta
 
     def backward(self, x, targets) -> BackwardResult:
         """Gradient of the mean binary cross-entropy over the batch.
@@ -218,15 +213,11 @@ class MlpModel:
         """
         if self.arch.activations[-1] is not Activation.SIGMOID:
             raise ContractError("cross-entropy backward requires a sigmoid output layer")
-        x = np.asarray(x, dtype=self.dtype)
+        x = self._batch(x)
         t = np.asarray(targets, dtype=self.dtype)
-        if x.ndim == 1:
-            x = x[None, :]
-        if t.ndim == 1:
-            t = t[None, :]
         if not ((t == 0.0) | (t == 1.0)).all():
             raise ContractError("targets must be 0 or 1")
-        if x.shape[0] != t.shape[0] or t.shape[1] != self.arch.sizes[-1]:
+        if t.shape != (x.shape[0], self.arch.sizes[-1]):
             raise ContractError("target shape does not match input batch and output width")
 
         pre, post = self._forward_cached(x)
@@ -234,41 +225,32 @@ class MlpModel:
         u = x.shape[0]
         clamped = np.clip(f, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
         loss = float(-(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).sum() / u)
-        gradients, input_gradient = self._backprop(pre, post, (f - t) / u, to_input=True)
-        return BackwardResult(gradients, input_gradient, loss)
+        gradients, delta = self._backprop(pre, post, (f - t) / u)
+        return BackwardResult(gradients, delta @ self.weights[0], loss)
 
-    def backward_from_output(self, x, output_gradient, activations=None) -> BackwardResult:
-        """Chain-rule pass for an upstream gradient on this net's output.
+    def backward_from_output(self, output_gradient, activations) -> list:
+        """Per-layer ``(d_weights, d_biases)`` for an upstream gradient on the identity head.
 
-        ``activations`` from ``forward(x, keep=True)`` spare a second forward
-        pass over ``x``.  The input is taken to be data, so no gradient is
-        computed for it: ``input_gradient`` is ``None``.
+        ``activations`` are what ``forward(x, keep=True)`` returned for the
+        batch ``x``.  The input is taken to be data, so no gradient is
+        computed for it.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        g = np.asarray(output_gradient, dtype=self.dtype)
-        if x.ndim == 1:
-            x = x[None, :]
-        if g.ndim == 1:
-            g = g[None, :]
-        if g.shape != (x.shape[0], self.arch.sizes[-1]):
-            raise ContractError("output gradient shape does not match the forward batch")
-        if activations is None:
-            activations = self._forward_cached(x)
+        if self.arch.activations[-1] is not Activation.IDENTITY:
+            raise ContractError("backward_from_output requires an identity output layer")
         pre, post = activations
-        if post[0].shape != x.shape:
-            raise ContractError("activations do not belong to this input batch")
-        act = self.arch.activations[-1]
-        # an identity head passes the gradient through unchanged
-        delta = g if act is Activation.IDENTITY else g * act.derivative(pre[-1], post[-1])
-        gradients, _ = self._backprop(pre, post, delta, to_input=False)
-        return BackwardResult(gradients, None, 0.0)
+        g = np.asarray(output_gradient, dtype=self.dtype)
+        if g.shape != (post[0].shape[0], self.arch.sizes[-1]):
+            raise ContractError("output gradient shape does not match the forward batch")
+        return self._backprop(pre, post, g)[0]
 
-    def adam_step(self, gradients) -> None:
-        """One Adam update with bias correction; mutates the model in place.
+    def adam_step(self, gradients, step: int) -> None:
+        """Adam update number ``step`` (counted from 1), with bias correction; mutates the model.
 
         The gradients are concatenated in the layout of ``params``, so the
         update is one pass over the flat parameter and moment vectors.
         """
+        if step < 1:
+            raise ContractError("Adam steps are counted from 1")
         if len(gradients) != self.num_layers:
             raise ContractError("gradient count does not match layer count")
         for i, (d_w, d_b) in enumerate(gradients):
@@ -276,9 +258,8 @@ class MlpModel:
                 raise ContractError(f"gradient shape mismatch at layer {i}")
         g = np.concatenate([a.ravel() for pair in gradients for a in pair])
         h = self.hyper
-        self.step += 1
-        correct1 = 1.0 - h.beta1 ** self.step
-        correct2 = 1.0 - h.beta2 ** self.step
+        correct1 = 1.0 - h.beta1 ** step
+        correct2 = 1.0 - h.beta2 ** step
         m, v = self.m, self.v
         m *= h.beta1
         m += (1.0 - h.beta1) * g
@@ -297,10 +278,8 @@ def init_random(arch: MlpArch, seed: int, hyper: AdamHyper = AdamHyper()) -> Mlp
 
 
 def model_state(model: MlpModel, prefix: str = "") -> dict[str, np.ndarray]:
-    """The model's flat ``params``, ``m`` and ``v`` and its ``step``; ``load_state`` inverts it."""
-    state = {f"{prefix}{name}": getattr(model, name) for name in ("params", "m", "v")}
-    state[f"{prefix}step"] = np.asarray(model.step)
-    return state
+    """The model's flat ``params``, ``m`` and ``v``; ``load_state`` inverts it."""
+    return {f"{prefix}{name}": getattr(model, name) for name in ("params", "m", "v")}
 
 
 def model_meta(model: MlpModel) -> dict:
@@ -328,6 +307,4 @@ def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") ->
     """
     arch, hyper = read_meta(meta)
     params, m, v = (np.array(state[f"{prefix}{name}"]) for name in ("params", "m", "v"))
-    model = MlpModel(arch, params, hyper, m, v)
-    model.step = int(state[f"{prefix}step"])
-    return model
+    return MlpModel(arch, params, hyper, m, v)

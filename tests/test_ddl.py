@@ -77,16 +77,16 @@ class TestCodes:
 
     def test_decode_thresholds_at_half(self):
         # Two DTs, four servers: big-endian pairs (0.9, 0.9) -> 3, (0.1, 0.9) -> 1.
-        out = np.array([0.9, 0.9, 0.1, 0.9])
-        assert decode_codes(out, 2, 4)[0].tolist() == [3, 1]
+        out = np.array([[0.9, 0.9, 0.1, 0.9]])
+        assert decode_codes(out, 2, 4).tolist() == [[3, 1]]
 
     def test_decode_all_low_is_server_zero(self):
-        assert decode_codes(np.full(6, 0.1), 3, 4)[0].tolist() == [0, 0, 0]
+        assert decode_codes(np.full((1, 6), 0.1), 3, 4).tolist() == [[0, 0, 0]]
 
     def test_decode_wraps_modulo(self):
         # Code 3 with only 3 servers wraps to 0.
-        out = np.array([0.9, 0.9])
-        assert decode_codes(out, 1, 3)[0].tolist() == [0]
+        out = np.array([[0.9, 0.9]])
+        assert decode_codes(out, 1, 3).tolist() == [[0]]
 
     def test_decode_batch_shape(self):
         out = np.array([[0.9, 0.1, 0.1, 0.9], [0.1, 0.1, 0.9, 0.9]])
@@ -95,8 +95,10 @@ class TestCodes:
         assert codes.tolist() == [[2, 1], [0, 3]]
 
     def test_decode_width_mismatch(self):
-        with pytest.raises(ContractError):
-            decode_codes(np.zeros(5), 2, 4)
+        # a single output vector, even of the right width, is not a batch
+        for bad in (np.zeros((1, 5)), np.zeros(5), np.zeros(4), np.zeros((1, 1, 4))):
+            with pytest.raises(ContractError):
+                decode_codes(bad, 2, 4)
 
     def test_encode_examples(self):
         target = encode_decision(Decision((3, 0, 2)), 4)
@@ -111,7 +113,7 @@ class TestCodes:
         rng = np.random.default_rng(seed)
         d = Decision(tuple(int(v) for v in rng.integers(0, num_servers, size=m)))
         target = encode_decision(d, num_servers)
-        codes = decode_codes(target, m, num_servers)[0]
+        codes = decode_codes(target[None], m, num_servers)[0]
         assert tuple(codes.tolist()) == d.assignment
         # the per-bit loop that encode_decision vectorizes
         bits = bits_per_dt(num_servers)
@@ -233,7 +235,9 @@ class TestEnsemble:
 
     def test_propose_rejects_wrong_shape(self):
         ens = build_ensemble(desk_config())
-        for shape in [(1, 5, ddl.INPUT_WIDTH), (ddl.INPUT_WIDTH,), (1, 1, 6, ddl.INPUT_WIDTH)]:
+        shapes = [(1, 5, ddl.INPUT_WIDTH), (ddl.INPUT_WIDTH,), (1, 1, 6, ddl.INPUT_WIDTH),
+                  (6, ddl.INPUT_WIDTH)]  # one scenario's rows, not a batch of one
+        for shape in shapes:
             with pytest.raises(ContractError):
                 propose_batch(ens, np.zeros(shape))
 
@@ -420,6 +424,11 @@ class TestTrain:
                 for a, b in zip(getattr(got, name), getattr(want, name)):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_that_is_not_positive_and_finite_rejected(self, rate):
+        with pytest.raises(InvalidConfigError, match="learning_rate"):
+            train(desk_config(iterations=1, learning_rate=rate))
+
     def test_batch_larger_than_database_rejected(self):
         with pytest.raises(InvalidConfigError):
             train(desk_config(iterations=1, db_capacity=8, batch_size=9))
@@ -569,10 +578,11 @@ class ReferenceNet:
                 v += (1.0 - h.beta2) * g * g
                 p -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
 
-    def matches(self, model) -> bool:
+    def matches(self, model, step) -> bool:
+        """Whether ``model``, owned by an ensemble at update count ``step``, holds this state."""
         pairs = zip((self.w, self.b, self.mw, self.vw, self.mb, self.vb),
                     (model.weights, model.biases, model.m_w, model.v_w, model.m_b, model.v_b))
-        return self.step == model.step and all(
+        return self.step == step and all(
             a.dtype == b.dtype and np.array_equal(a, b)
             for mine, theirs in pairs for a, b in zip(mine, theirs)
         )
@@ -616,8 +626,8 @@ class TestReplayUpdate:
             got = ddl._update(ensemble, db, got_rng, 16)
             want = reference_update(ext, dnns, db, want_rng, 16, DESK.num_dts)
             assert got == want
-            assert ext.matches(ensemble.extractor)
-            assert all(r.matches(d) for r, d in zip(dnns, ensemble.dnns))
+            assert ext.matches(ensemble.extractor, ensemble.step)
+            assert all(r.matches(d, ensemble.step) for r, d in zip(dnns, ensemble.dnns))
 
 
 def restacked(ensemble, dtype):
@@ -643,8 +653,8 @@ class TestNetworkDtype:
         assert build_ensemble(desk_config(num_dnns=2)).extractor.dtype == np.float32
         cfg = desk_config(iterations=12, db_capacity=8, batch_size=4, num_dnns=3, seed=8)
         ensemble = train(cfg).ensemble
+        assert ensemble.step > 0
         for model in [ensemble.extractor, *ensemble.dnns]:
-            assert model.step > 0
             for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
                 assert all(a.dtype == np.float32 for a in getattr(model, name))
         (db,) = databases
@@ -671,13 +681,13 @@ class TestCheckpoint:
         assert loaded.num_dts == result.ensemble.num_dts
         assert loaded.num_servers == result.ensemble.num_servers
         assert loaded.num_dnns == 3
+        assert loaded.step == result.ensemble.step > 0
         models = [(loaded.extractor, result.ensemble.extractor)]
         models += list(zip(loaded.dnns, result.ensemble.dnns))
         for got, want in models:
             assert isinstance(got, MlpModel)
             assert got.arch == want.arch
             assert got.hyper == want.hyper
-            assert got.step == want.step
             for i in range(want.num_layers):
                 for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
                     got_a, want_a = getattr(got, name)[i], getattr(want, name)[i]
@@ -705,7 +715,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kind", [
         "other-format", "list-header", "no-header", "text", "empty", "truncated-zip", "npy",
-        "header-without-dnns", "missing-array", "short-moment-stack", "step-count", "no-networks",
+        "header-without-dnns", "missing-array", "short-moment-stack", "no-networks",
+        "no-step", "negative-step", "bool-step", "float-step",
     ])
     def test_wrong_format_rejected(self, tmp_path, kind):
         path = tmp_path / "junk.npz"
@@ -735,10 +746,12 @@ class TestCheckpoint:
                 del arrays["dnn.v"]
             elif kind == "short-moment-stack":
                 arrays["dnn.m"] = arrays["dnn.m"][:1]
-            elif kind == "step-count":
-                arrays["dnn.step"] = arrays["dnn.step"][:1]
+            elif kind == "no-step":
+                del header["step"]
+            elif kind.endswith("-step"):
+                header["step"] = {"negative": -3, "bool": True, "float": 2.0}[kind[:-5]]
             else:
-                for name in ("params", "m", "v", "step"):
+                for name in ("params", "m", "v"):
                     arrays[f"dnn.{name}"] = arrays[f"dnn.{name}"][:0]
             if "header" in arrays:
                 arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
@@ -754,13 +767,13 @@ class TestCheckpoint:
         save_ensemble(path, ensemble)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
-        flat = [f"{model}.{name}" for model in ("ext", "dnn") for name in ("params", "m", "v", "step")]
+        flat = [f"{model}.{name}" for model in ("ext", "dnn") for name in ("params", "m", "v")]
         assert sorted(arrays) == sorted(["header", *flat])
         for name, buffer in zip(("params", "m", "v"), ensemble.stack):
             assert arrays[f"dnn.{name}"].dtype == buffer.dtype == np.float32
             assert np.array_equal(arrays[f"dnn.{name}"], buffer)
-        assert arrays["dnn.step"].tolist() == [d.step for d in ensemble.dnns]
         header = json.loads(bytes(arrays["header"]).decode())
+        assert header["step"] == ensemble.step > 0
         assert header["dnn"] == model_meta(ensemble.dnns[0]) and "dnns" not in header
 
     def test_a_checkpoint_loads_into_its_own_arrays(self, tmp_path):
@@ -801,6 +814,7 @@ class TestCheckpoint:
         path = tmp_path / "ensemble.npz"
         save_ensemble(path, result.ensemble)
         loaded = load_ensemble(path)
+        assert loaded.step == result.ensemble.step
 
         s = generate_random(77, DESK)
         raw = raw_group_input(s)
@@ -811,8 +825,8 @@ class TestCheckpoint:
         assert np.array_equal(emb_a, emb_b)
         ga = result.ensemble.dnns[0].backward(np.repeat(emb_a, 4, axis=0), targets)
         gb = loaded.dnns[0].backward(np.repeat(emb_b, 4, axis=0), targets)
-        result.ensemble.dnns[0].adam_step(ga.gradients)
-        loaded.dnns[0].adam_step(gb.gradients)
+        result.ensemble.dnns[0].adam_step(ga.gradients, result.ensemble.step + 1)
+        loaded.dnns[0].adam_step(gb.gradients, loaded.step + 1)
         assert np.array_equal(result.ensemble.dnns[0].weights[0], loaded.dnns[0].weights[0])
 
 
@@ -843,7 +857,7 @@ def step_toward_other_codes(ensemble, k, raw):
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
     dnn = ensemble.dnns[k]
     targets = (dnn.forward(emb) <= 0.5).astype(float)
-    dnn.adam_step(dnn.backward(emb, targets).gradients)
+    dnn.adam_step(dnn.backward(emb, targets).gradients, ensemble.step + 1)
 
 
 class TestStackedNetworks:
@@ -918,13 +932,23 @@ class TestStackedNetworks:
             assert not np.shares_memory(got, want)
             assert got.dtype == want.dtype == np.float32
             assert np.array_equal(got, want)
-        steps = [model.step for model in (original.extractor, *original.dnns)]
-        assert [model.step for model in (clone.extractor, *clone.dnns)] == steps
+        assert clone.step == original.step
+
+    @staticmethod
+    def trained_and_its_labels():
+        """A desk ensemble trained for a few updates, and a full database of its own labels."""
+        cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24)
+        ensemble = train(cfg).ensemble
+        servers = ensemble.num_servers
+        db = ReplayDatabase(6, (DESK.num_dts, ddl.INPUT_WIDTH), DESK.num_dts * bits_per_dt(servers))
+        for i in range(6):
+            s = generate_random(600 + i, DESK)
+            db.insert(raw_group_input(s), encode_decision(best_of_k(ensemble, s).decision, servers))
+        return ensemble, db
 
     def test_copies_leave_the_original_on_its_own_buffers(self):
-        cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24)
-        original = train(cfg).ensemble
-        assert min(model.step for model in (original.extractor, *original.dnns)) > 0
+        original, db = self.trained_and_its_labels()
+        assert original.step > 0
         clones = [copy.copy(original), copy.deepcopy(original),
                   pickle.loads(pickle.dumps(original))]
         for clone in clones:
@@ -932,11 +956,6 @@ class TestStackedNetworks:
         assert_rows_of_buffers(original)
 
         # the copies keep training exactly as the original does
-        servers = original.num_servers
-        db = ReplayDatabase(6, (DESK.num_dts, ddl.INPUT_WIDTH), DESK.num_dts * bits_per_dt(servers))
-        for i in range(6):
-            s = generate_random(600 + i, DESK)
-            db.insert(raw_group_input(s), encode_decision(best_of_k(original, s).decision, servers))
         before = [buf.copy() for buf in original.stack]
         for ensemble in (original, *clones):
             ddl._update(ensemble, db, np.random.default_rng(31), 4)
@@ -944,10 +963,17 @@ class TestStackedNetworks:
         for clone in clones:
             self.assert_same_training_state(clone, original)
 
-        # a replaced ensemble keeps the stack, so its networks are the same rows
+    def test_a_replaced_ensemble_keeps_the_stack_and_the_update_count(self):
+        original, db = self.trained_and_its_labels()
+        clone = copy.deepcopy(original)
         same_stack = dataclasses.replace(original, num_servers=original.num_servers)
         assert all(a is b for a, b in zip(same_stack.stack, original.stack))
         assert_rows_of_buffers(same_stack)
+        assert same_stack.step == original.step > 0
+        # so its next update applies the bias correction of the moments it holds
+        for ensemble in (clone, same_stack):
+            ddl._update(ensemble, db, np.random.default_rng(32), 4)
+        self.assert_same_training_state(clone, same_stack)
 
     UNFIT = "writable contiguous vectors of"
 

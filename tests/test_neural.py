@@ -25,11 +25,7 @@ IDENT = Activation.IDENTITY
 
 
 def bce_loss(model, x, t):
-    f = model.forward(x)
-    if f.ndim == 1:
-        f = f[None, :]
-        t = np.asarray(t, dtype=float)[None, :]
-    f = np.clip(f, 1e-7, 1 - 1e-7)
+    f = np.clip(model.forward(x), 1e-7, 1 - 1e-7)
     return float(-(t * np.log(f) + (1 - t) * np.log(1 - f)).sum() / f.shape[0])
 
 
@@ -77,24 +73,16 @@ class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         arch = MlpArch((4, 3, 2), (RELU, SIG))
         model = from_layers(arch, [np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
-        out = model.forward(np.ones(4))
-        assert np.allclose(out, 0.5)
+        out = model.forward(np.ones((1, 4)))
+        assert out.shape == (1, 2) and np.allclose(out, 0.5)
 
     def test_identity_single_layer_is_affine(self):
         arch = MlpArch((2, 2), (IDENT,))
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([0.5, -0.5])
         model = from_layers(arch, [w], [b])
-        x = np.array([1.0, 1.0])
-        assert np.allclose(model.forward(x), w @ x + b)
-
-    def test_batch_and_single_agree(self):
-        model = init_random(MlpArch((5, 8, 3), (RELU, SIG)), seed=0)
-        x = np.random.default_rng(1).normal(size=(6, 5))
-        batch = model.forward(x)
-        rows = np.stack([model.forward(row) for row in x])
-        assert np.allclose(batch, rows)
-        assert batch.shape == (6, 3)
+        x = np.array([[1.0, 1.0], [2.0, -1.0]])
+        assert np.allclose(model.forward(x), x @ w.T + b)
 
     def test_outputs_stay_in_unit_interval(self):
         model = init_random(MlpArch((10, 32, 16, 4), (RELU, RELU, SIG)), seed=3)
@@ -104,9 +92,13 @@ class TestForward:
         assert ((out > 0) & (out < 1)).all()
 
     def test_width_mismatch_rejected(self):
+        # a single vector, even of the right width, or a stack of batches is not a batch
         model = init_random(MlpArch((5, 3), (SIG,)), seed=0)
-        with pytest.raises(ContractError):
-            model.forward(np.ones(4))
+        for bad in (np.ones((2, 4)), np.ones(4), np.ones(5), np.ones((1, 2, 5))):
+            with pytest.raises(ContractError):
+                model.forward(bad)
+            with pytest.raises(ContractError):
+                model.forward(bad, keep=True)
 
     def test_bad_arch_rejected(self):
         with pytest.raises(ContractError):
@@ -142,7 +134,7 @@ class TestBackward:
         model = from_layers(arch, [np.zeros((2, 2))], [bias])
         target = 1.0 / (1.0 + np.exp(-bias))
         # targets must be 0/1 for the loss; use the raw residual path instead
-        f = model.forward(np.array([0.5, 0.5]))
+        f = model.forward(np.array([[0.5, 0.5]]))
         assert np.allclose(f, target)
 
     def test_zero_target_residual_means_zero_gradient(self):
@@ -178,31 +170,40 @@ class TestBackward:
         model = init_random(MlpArch((2, 1), (IDENT,)), seed=1)
         with pytest.raises(ContractError):
             model.backward(np.ones((1, 2)), np.array([[1.0]]))
+        # and the chain-rule pass refuses any head but the identity
+        for head in (SIG, RELU):
+            model = init_random(MlpArch((2, 1), (head,)), seed=1)
+            _, activations = model.forward(np.ones((1, 2)), keep=True)
+            with pytest.raises(ContractError, match="identity"):
+                model.backward_from_output(np.ones((1, 1)), activations)
 
     def test_chained_backward_matches_joint_network(self):
-        # Splitting a network into two halves and chaining the upstream
-        # gradient through backward_from_output must reproduce the joint
-        # gradients of the full network.
+        # Splitting a network into an identity-headed front half and a back
+        # half, and chaining the upstream gradient through
+        # backward_from_output, must reproduce the joint gradients of the
+        # full network, whose hidden layer is then an identity layer.
         rng = np.random.default_rng(10)
-        front = init_random(MlpArch((3, 4), (RELU,)), seed=21)
+        front = init_random(MlpArch((3, 5, 4), (RELU, IDENT)), seed=21)
         back = init_random(MlpArch((4, 2), (SIG,)), seed=22)
         x = rng.normal(size=(6, 3))
         t = rng.integers(0, 2, size=(6, 2)).astype(float)
 
         joint = from_layers(
-            MlpArch((3, 4, 2), (RELU, SIG)),
-            [front.weights[0].copy(), back.weights[0].copy()],
-            [front.biases[0].copy(), back.biases[0].copy()],
+            MlpArch((3, 5, 4, 2), (RELU, IDENT, SIG)),
+            [w.copy() for w in (*front.weights, *back.weights)],
+            [b.copy() for b in (*front.biases, *back.biases)],
         )
         joint_result = joint.backward(x, t)
 
-        hidden = front.forward(x)
+        hidden, activations = front.forward(x, keep=True)
         back_result = back.backward(hidden, t)
-        front_result = front.backward_from_output(x, back_result.input_gradient)
+        front_gradients = front.backward_from_output(back_result.input_gradient, activations)
 
-        assert np.allclose(front_result.gradients[0][0], joint_result.gradients[0][0])
-        assert np.allclose(front_result.gradients[0][1], joint_result.gradients[0][1])
-        assert np.allclose(back_result.gradients[0][0], joint_result.gradients[1][0])
+        chained = [*front_gradients, *back_result.gradients]
+        assert len(chained) == len(joint_result.gradients) == 3
+        for (cw, cb), (jw, jb) in zip(chained, joint_result.gradients):
+            assert np.allclose(cw, jw)
+            assert np.allclose(cb, jb)
 
 
 class TestDtype:
@@ -224,14 +225,14 @@ class TestDtype:
         t = rng.integers(0, 2, size=(6, 3)).astype(other)
         assert model.dtype == dtype
         assert model.forward(x).dtype == dtype
-        assert model.forward(x[0]).dtype == dtype
         result = model.backward(x, t)
         assert type(result.loss) is float
         assert all(a.dtype == dtype for a in self.arrays(result))
-        upstream = model.backward_from_output(x, np.ones((6, 3), dtype=other))
-        assert all(a.dtype == dtype for pair in upstream.gradients for a in pair)
-        assert upstream.input_gradient is None
-        model.adam_step(result.gradients)
+        extractor = cast(init_random(MlpArch((5, 4, 3), (RELU, IDENT)), seed=4), dtype)
+        _, activations = extractor.forward(x, keep=True)
+        upstream = extractor.backward_from_output(np.ones((6, 3), dtype=other), activations)
+        assert all(a.dtype == dtype for pair in upstream for a in pair)
+        model.adam_step(result.gradients, 1)
         for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
             assert all(a.dtype == dtype for a in getattr(model, name))
 
@@ -269,43 +270,46 @@ class TestAdam:
         model = from_layers(arch, [np.array([[2.0]])], [np.array([1.0])],
                             AdamHyper(learning_rate=0.01))
         g = np.array([[0.5]])
-        model.adam_step([(g, np.array([0.25]))])
+        model.adam_step([(g, np.array([0.25]))], 1)
         # First bias-corrected step is lr * g / (|g| + eps), i.e. nearly lr.
         expected_w = 2.0 - 0.01 * 0.5 / (0.5 + 1e-8)
         expected_b = 1.0 - 0.01 * 0.25 / (0.25 + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected_w, rel=1e-9)
         assert model.biases[0][0] == pytest.approx(expected_b, rel=1e-9)
-        assert model.step == 1
 
     def test_zero_gradient_keeps_parameters(self):
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         w_before = model.weights[0].copy()
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero)
+        model.adam_step(zero, 1)
         assert np.array_equal(model.weights[0], w_before)
 
     def test_moments_decay_after_real_step(self):
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         g = [(np.ones_like(model.weights[0]), np.ones_like(model.biases[0]))]
-        model.adam_step(g)
+        model.adam_step(g, 1)
         m_after_first = model.m_w[0].copy()
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero)
+        model.adam_step(zero, 2)
         assert np.allclose(model.m_w[0], 0.9 * m_after_first)
 
     def test_identical_models_stay_identical(self):
         a = init_random(MlpArch((4, 3), (SIG,)), seed=6)
         b = copy.deepcopy(a)
         g = [(np.full_like(a.weights[0], 0.1), np.full_like(a.biases[0], -0.2))]
-        a.adam_step(g)
-        b.adam_step(g)
+        a.adam_step(g, 1)
+        b.adam_step(g, 1)
         assert np.array_equal(a.weights[0], b.weights[0])
         assert np.array_equal(a.biases[0], b.biases[0])
 
     def test_gradient_shape_mismatch_rejected(self):
         model = init_random(MlpArch((4, 3), (SIG,)), seed=6)
         with pytest.raises(ContractError):
-            model.adam_step([(np.zeros((2, 2)), np.zeros(3))])
+            model.adam_step([(np.zeros((2, 2)), np.zeros(3))], 1)
+        # steps count from 1: step 0 would divide the moments by a zero bias correction
+        zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
+        with pytest.raises(ContractError, match="counted from 1"):
+            model.adam_step(zero, 0)
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(30)
@@ -313,8 +317,8 @@ class TestAdam:
         x = rng.normal(size=(64, 6))
         t = (rng.random((64, 4)) < 0.5).astype(float)
         first = model.backward(x, t).loss
-        for _ in range(200):
-            model.adam_step(model.backward(x, t).gradients)
+        for step in range(1, 201):
+            model.adam_step(model.backward(x, t).gradients, step)
         last = model.backward(x, t).loss
         assert last < first
 
@@ -335,10 +339,10 @@ class TestFlatBuffers:
     def trained(self):
         model = init_random(self.ARCH, seed=4)
         rng = np.random.default_rng(5)
-        for _ in range(3):
+        for step in range(1, 4):
             x = rng.normal(size=(6, 5))
             t = rng.integers(0, 2, size=(6, 3)).astype(float)
-            model.adam_step(model.backward(x, t).gradients)
+            model.adam_step(model.backward(x, t).gradients, step)
         return model
 
     def test_views_share_the_flat_buffers(self):
@@ -357,7 +361,7 @@ class TestFlatBuffers:
         views = model.weights
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 5))
-        model.adam_step(model.backward(x, np.ones((6, 3))).gradients)
+        model.adam_step(model.backward(x, np.ones((6, 3))).gradients, 4)
         assert model.weights is views
         assert all(not np.array_equal(w, b) for w, b in zip(model.weights, before))
 
@@ -366,27 +370,12 @@ class TestFlatBuffers:
         x = np.random.default_rng(7).normal(size=(6, 5))
         out, _ = model.forward(x, keep=True)
         assert np.array_equal(out, model.forward(x))
-        single, _ = model.forward(x[0], keep=True)
-        assert np.array_equal(single, model.forward(x[0]))
-
-    def test_kept_activations_give_the_same_gradients(self):
-        model = self.trained()
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(6, 5))
-        g = rng.normal(size=(6, 3))
-        _, activations = model.forward(x, keep=True)
-        kept = model.backward_from_output(x, g, activations)
-        fresh = model.backward_from_output(x, g)
-        for (kw, kb), (fw, fb) in zip(kept.gradients, fresh.gradients):
-            assert np.array_equal(kw, fw)
-            assert np.array_equal(kb, fb)
 
     def test_activations_of_another_batch_rejected(self):
-        model = self.trained()
-        x = np.ones((6, 5))
-        _, activations = model.forward(x[:4], keep=True)
-        with pytest.raises(ContractError):
-            model.backward_from_output(x, np.ones((6, 3)), activations)
+        model = init_random(MlpArch((5, 4, 3), (RELU, IDENT)), seed=4)
+        _, activations = model.forward(np.ones((4, 5)), keep=True)
+        with pytest.raises(ContractError, match="forward batch"):
+            model.backward_from_output(np.ones((6, 3)), activations)
 
     def test_moment_of_another_shape_rejected(self):
         model = self.trained()
@@ -430,15 +419,14 @@ class TestFlatBuffers:
     )
     def test_copies_of_a_row_own_fresh_vectors_with_the_whole_state(self, copier):
         trained = cast(self.trained(), np.float32)
-        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients)
+        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients, 1)
         stack = self.stack(dtype=np.float32)
         for buf, flat in zip(stack, (trained.params, trained.m, trained.v)):
             buf[1] = flat
         model = MlpModel(self.ARCH, stack[0][1], trained.hyper, stack[1][1], stack[2][1])
-        model.step = trained.step
         clone = copier(model)
         self.assert_views_share_flat_buffers(clone)
-        assert (clone.arch, clone.hyper, clone.step) == (model.arch, model.hyper, 1)
+        assert (clone.arch, clone.hyper) == (model.arch, model.hyper)
         for flat in ("params", "m", "v"):
             got, want = getattr(clone, flat), getattr(model, flat)
             assert not np.shares_memory(got, stack[0]) and not np.shares_memory(got, want)
@@ -518,15 +506,15 @@ class TestCheckpoint:
             model = cast(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9,
                                      hyper=AdamHyper(learning_rate=0.005)), dtype)
             rng = np.random.default_rng(10)
-            for _ in range(3):
+            for step in range(1, 4):
                 x = rng.normal(size=(4, 6))
                 t = rng.integers(0, 2, size=(4, 3)).astype(float)
-                model.adam_step(model.backward(x, t).gradients)
+                model.adam_step(model.backward(x, t).gradients, step)
 
             state = model_state(model, prefix="net.")
+            assert sorted(state) == ["net.m", "net.params", "net.v"]
             loaded = load_state(model_meta(model), state, prefix="net.")
             assert loaded.arch == model.arch
-            assert loaded.step == model.step
             assert loaded.hyper == model.hyper
             for i in range(model.num_layers):
                 for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
