@@ -59,6 +59,7 @@ from .neural import (
     model_state,
     read_meta,
 )
+from .scenario import BANDWIDTH, FIELD_SIZE, MEGABITS_PER_MEGABYTE, WORKLOAD_RANGE
 from .scenario import GeneratorConfig, Scenario, generate_random
 
 ENSEMBLE_FORMAT = "dtplace-ensemble"
@@ -66,15 +67,16 @@ ENSEMBLE_VERSION = 4
 NETWORK_DTYPE = np.float32
 
 # Each twin is flattened into SLOTS rows of (workload, x, y, bandwidth),
-# members first in a canonical order, zero rows after.  The scales bring
-# every entry near [0, 1]; the bandwidth column doubles as an occupancy
-# flag because real devices always have positive bandwidth.  SLOTS bounds
-# the devices one twin may own, with slack over the expected maximum
-# occupancy (24 covers 120 devices over 15 twins with room to spare).
+# members first in a canonical order, zero rows after.  The scales are the
+# generator's bounds, so a generated scenario's entries lie in [0, 1]; the
+# bandwidth column doubles as an occupancy flag because real devices always
+# have positive bandwidth.  SLOTS bounds the devices one twin may own, with
+# slack over the expected maximum occupancy (24 covers 120 devices over 15
+# twins with room to spare).
 SLOTS = 24
-WORKLOAD_SCALE = 320.0
-COORD_SCALE = (1000.0, 800.0)
-BANDWIDTH_SCALE = 1000.0
+WORKLOAD_SCALE = WORKLOAD_RANGE[1] * MEGABITS_PER_MEGABYTE
+COORD_SCALE = FIELD_SIZE
+BANDWIDTH_SCALE = BANDWIDTH
 _FEATURES_PER_DEVICE = 4  # workload, x, y, bandwidth
 _SCALES = np.array([WORKLOAD_SCALE, *COORD_SCALE, BANDWIDTH_SCALE])
 INPUT_WIDTH = SLOTS * _FEATURES_PER_DEVICE
@@ -488,22 +490,37 @@ def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _header_count(header: dict, key: str, least: int) -> int:
+    """The header's ``key``, refused unless an ``int`` (not a ``bool``) of at least ``least``."""
+    value = header.get(key)
+    if type(value) is not int or value < least:
+        raise ContractError(f"not an ensemble checkpoint: {key} {value!r} is not a count "
+                            f"of at least {least}")
+    return value
+
+
 def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
     """The ensemble ``_checkpoint`` described; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are its stack.
 
     The arrays are kept, not copied: ``arrays`` may be an open ``np.load``
-    archive, whose every read is a fresh array.
+    archive, whose every read is a fresh array.  Decision networks whose input
+    or output width does not fit ``num_dts`` twins on ``num_servers`` servers
+    raise ``ContractError``.
     """
-    step = header.get("step")
-    if type(step) is not int or step < 0:
-        raise ContractError(f"not an ensemble checkpoint: step {step!r} is not a count")
+    num_dts = _header_count(header, "num_dts", 1)
+    num_servers = _header_count(header, "num_servers", 1)
+    step = _header_count(header, "step", 0)
+    dnn_arch, dnn_hyper = read_meta(header["dnn"])
+    widths = (num_dts * EMBEDDING_SIZES[-1], num_dts * bits_per_dt(num_servers))
+    if (dnn_arch.sizes[0], dnn_arch.sizes[-1]) != widths:
+        raise ContractError(f"not an ensemble checkpoint: the decision networks do not place "
+                            f"{num_dts} twins on {num_servers} servers")
     extractor = load_state(header["extractor"], arrays, prefix="ext.")
     params, m, v = (np.asarray(arrays[f"dnn.{name}"]) for name in _FLAT)
     if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape):
         raise ContractError("not an ensemble checkpoint: dnn.params, m and v are not "
                             "(K, P) with K >= 1")
-    return DdlEnsemble(int(header["num_dts"]), int(header["num_servers"]), extractor,
-                       *read_meta(header["dnn"]), (params, m, v), step)
+    return DdlEnsemble(num_dts, num_servers, extractor, dnn_arch, dnn_hyper, (params, m, v), step)
 
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:

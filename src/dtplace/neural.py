@@ -15,15 +15,14 @@ out in it.  Losses are Python floats whatever the dtype.
 A model is its flat parameter vector ``params`` and its Adam moments ``m``
 and ``v``, and it keeps the vectors it is given: it neither copies them nor
 writes them on construction, so the rows of one matrix that stacks several
-models of one architecture can each be a model.  ``weights``, ``biases``,
-``m_w``, ``v_w``, ``m_b`` and ``v_b`` are per-layer views into them (in the
-order w0, b0, w1, b1, ...; ``layer_views`` cuts a whole stack the same
-way), so an Adam step is one pass over three vectors and writes through
-every view.  Write into the views; do not rebind them.  A model keeps no
-step count: its owner passes the count to ``adam_step``.  A model copies
-and pickles as its checkpoint (``model_meta`` and ``model_state``), and
-``load_state`` hands the model copies of the stored vectors, so a copy
-owns fresh ones.
+models of one architecture can each be a model.  ``weights`` and ``biases``
+are per-layer views into ``params`` (in the order w0, b0, w1, b1, ...;
+``layer_views`` cuts a moment vector or a whole stack the same way), so an
+Adam step is one pass over three vectors and writes through every view.
+Write into the views; do not rebind them.  A model keeps no step count:
+its owner passes the count to ``adam_step``.  A model copies and pickles as
+its checkpoint (``model_meta`` and ``model_state``), and ``load_state``
+hands the model copies of the stored vectors, so a copy owns fresh ones.
 
 ``backward`` returns the gradient on its input, which is what chains a
 decision network to the extractor.  ``backward_from_output`` serves the
@@ -149,10 +148,8 @@ class MlpModel:
                     "values of one floating dtype"
                 )
         self.params, self.m, self.v = params, m, v
-        # per-layer views into the flat vectors, in the order w0, b0, w1, b1, ...
+        # per-layer views into the flat parameters, in the order w0, b0, w1, b1, ...
         self.weights, self.biases = layer_views(self.arch, self.params)
-        self.m_w, self.m_b = layer_views(self.arch, self.m)
-        self.v_w, self.v_b = layer_views(self.arch, self.v)
 
     def __reduce__(self):
         # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint, into fresh vectors

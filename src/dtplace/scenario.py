@@ -11,9 +11,8 @@ A scenario couples three ingredient groups:
 Scenario values are immutable and compare by content.  Generation is a pure
 function of ``(seed, config)``; serialization round-trips exactly.
 
-Units: workloads are data units (megabits when generated with the default
-megabyte ingest flag), bandwidths Mbps, clock speeds GHz, coordinates meters,
-energies millijoules.
+Units: workloads are data units (generated ones are megabits), bandwidths
+Mbps, clock speeds GHz, coordinates meters, energies millijoules.
 """
 
 from __future__ import annotations
@@ -159,14 +158,30 @@ class Scenario:
     num_servers_total: int
 
 
+# The environment every generated scenario shares.  Documents carry these
+# values, so a document may hold others and still parse, validate and solve.
+FIELD_SIZE = (1000.0, 800.0)  # meters
+WORKLOAD_RANGE = (10.0, 40.0)  # megabytes
+MEGABITS_PER_MEGABYTE = 8.0
+BANDWIDTH = 1000.0  # Mbps
+EDGE_CLOCK_RANGE = (1.8, 3.0)  # GHz
+CLOUD_CLOCK_SPEED = 3.5  # GHz
+CLOUD_EXEC_ENERGY = 0.1  # mJ per instruction
+EDGE_EXEC_ENERGY = 0.125
+CLOUD_TX_ENERGY = 0.15  # mJ per data unit
+EDGE_TX_ENERGY = 0.125
+GAMMA = 0.004
+LAMBDA = 2000.0
+DELTA = 1.5
+MIN_EDGE_DISTANCE = 1.0  # meters between a device and any edge server
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Random scenario shape and constants.
+    """Random scenario shape.
 
-    Defaults describe the full-scale environment: a 1000 m x 800 m field,
-    120 devices feeding 15 DTs, and 3 edge servers next to one cloud server.
-    Workload bounds are megabytes unless ``workload_in_megabytes`` is cleared,
-    in which case they are used verbatim as data units.
+    Defaults describe the full-scale environment: 120 devices feeding 15 DTs,
+    and 3 edge servers next to one cloud server.
 
     ``server_seed`` pins the server pool: scenarios generated with different
     seeds but the same ``server_seed`` share one pool, which is how a decision
@@ -176,27 +191,8 @@ class GeneratorConfig:
     num_devices: int = 120
     num_dts: int = 15
     num_edge_servers: int = 3
-    field_size: Coord = (1000.0, 800.0)
-    workload_range: tuple[float, float] = (10.0, 40.0)
-    workload_in_megabytes: bool = True
-    bandwidth: float = 1000.0
-    edge_clock_range: tuple[float, float] = (1.8, 3.0)
-    cloud_clock_speed: float = 3.5
-    cloud_exec_energy: float = 0.1
-    edge_exec_energy: float = 0.125
-    cloud_tx_energy: float = 0.15
-    edge_tx_energy: float = 0.125
-    gamma: float = 0.004
-    lambda_: float = 2000.0
-    delta: float = 1.5
     alpha: float = 0.5
-    cluster_devices: bool = False
-    cluster_spread: float = 120.0
-    min_edge_distance: float = 1.0
     server_seed: int | None = None
-
-
-MEGABITS_PER_MEGABYTE = 8.0
 
 
 def _check_config(config: GeneratorConfig) -> None:
@@ -210,121 +206,80 @@ def _check_config(config: GeneratorConfig) -> None:
         )
     if c.num_edge_servers < 1:
         raise InvalidConfigError("num_edge_servers must be at least 1")
-    if not (c.field_size[0] > 0 and c.field_size[1] > 0):
-        raise InvalidConfigError("field_size must be positive")
-    lo, hi = c.workload_range
-    if not (0 < lo <= hi):
-        raise InvalidConfigError("workload_range must satisfy 0 < lo <= hi")
-    lo, hi = c.edge_clock_range
-    if not (0 < lo <= hi):
-        raise InvalidConfigError("edge_clock_range must satisfy 0 < lo <= hi")
-    if c.cloud_clock_speed <= 0 or c.bandwidth <= 0:
-        raise InvalidConfigError("cloud_clock_speed and bandwidth must be positive")
-    for name in ("cloud_exec_energy", "edge_exec_energy", "cloud_tx_energy", "edge_tx_energy"):
-        if getattr(c, name) <= 0:
-            raise InvalidConfigError(f"{name} must be positive")
-    if not 0 < c.gamma <= 1:
-        raise InvalidConfigError("gamma must lie in (0, 1]")
-    if c.lambda_ <= 0 or c.delta <= 0:
-        raise InvalidConfigError("lambda_ and delta must be positive")
     if not 0 <= c.alpha <= 1:
         raise InvalidConfigError("alpha must lie in [0, 1]")
-    if c.cluster_spread <= 0:
-        raise InvalidConfigError("cluster_spread must be positive")
-    if c.min_edge_distance < 0:
-        raise InvalidConfigError("min_edge_distance must be non-negative")
 
 
 _LOCATION_REDRAWS = 1000
 
 
-def _draw_locations(rng, count, config, edge_locations, centers=None):
-    """Uniform (or clustered) positions, kept min_edge_distance away from edges.
+def _draw_locations(rng, count, edge_locations):
+    """Uniform positions, kept MIN_EDGE_DISTANCE away from edge servers.
 
     Devices too close to an edge server are redrawn; if some still are after
     ``_LOCATION_REDRAWS`` rounds, the distance cannot be met and this raises.
     """
-    w, h = config.field_size
     edges = np.asarray(edge_locations, dtype=float)
 
-    def draw(n, idx):
-        if centers is None:
-            return rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
-        offsets = rng.normal(0.0, config.cluster_spread, size=(n, 2))
-        pts = centers[idx] + offsets
-        return np.clip(pts, (0.0, 0.0), (w, h))
+    def draw(n):
+        return rng.uniform((0.0, 0.0), FIELD_SIZE, size=(n, 2))
 
     def too_close():
         dist = np.hypot(pts[:, None, 0] - edges[None, :, 0],
                         pts[:, None, 1] - edges[None, :, 1])
-        return dist.min(axis=1) < config.min_edge_distance
+        return dist.min(axis=1) < MIN_EDGE_DISTANCE
 
-    idx = np.arange(count)
-    pts = draw(count, idx)
-    if config.min_edge_distance > 0:
-        for _ in range(_LOCATION_REDRAWS):
-            bad = too_close()
-            if not bad.any():
-                return pts
-            pts[bad] = draw(int(bad.sum()), idx[bad])
-        if too_close().any():
-            raise InvalidConfigError(
-                f"min_edge_distance {config.min_edge_distance} leaves devices too "
-                f"close to an edge server after {_LOCATION_REDRAWS} redraws"
-            )
+    pts = draw(count)
+    for _ in range(_LOCATION_REDRAWS):
+        bad = too_close()
+        if not bad.any():
+            return pts
+        pts[bad] = draw(int(bad.sum()))
+    if too_close().any():
+        raise InvalidConfigError(
+            f"min_edge_distance {MIN_EDGE_DISTANCE} leaves devices too "
+            f"close to an edge server after {_LOCATION_REDRAWS} redraws"
+        )
     return pts
 
 
-def _draw_pool(rng, config: GeneratorConfig) -> ServerPool:
-    s = config.num_edge_servers
-    lo, hi = config.edge_clock_range
-    clocks = rng.uniform(lo, hi, size=s)
-    w, h = config.field_size
-    edge_locations = rng.uniform((0.0, 0.0), (w, h), size=(s, 2))
+def _draw_pool(rng, num_edge_servers: int) -> ServerPool:
+    clocks = rng.uniform(*EDGE_CLOCK_RANGE, size=num_edge_servers)
+    edge_locations = rng.uniform((0.0, 0.0), FIELD_SIZE, size=(num_edge_servers, 2))
     # tolist hands out Python floats and ints, the values float() and int()
     # would make of each element, without a Python-level loop.
     return ServerPool(
         edge_clock_speeds=tuple(clocks.tolist()),
-        cloud_clock_speed=float(config.cloud_clock_speed),
+        cloud_clock_speed=CLOUD_CLOCK_SPEED,
         edge_locations=tuple(map(tuple, edge_locations.tolist())),
-        edge_exec_energy=float(config.edge_exec_energy),
-        cloud_exec_energy=float(config.cloud_exec_energy),
-        edge_tx_energy=float(config.edge_tx_energy),
-        cloud_tx_energy=float(config.cloud_tx_energy),
+        edge_exec_energy=EDGE_EXEC_ENERGY,
+        cloud_exec_energy=CLOUD_EXEC_ENERGY,
+        edge_tx_energy=EDGE_TX_ENERGY,
+        cloud_tx_energy=CLOUD_TX_ENERGY,
     )
 
 
-# The fields a pinned pool is drawn from; configs that agree on them share it.
-_POOL_FIELDS = (
-    "server_seed", "num_edge_servers", "edge_clock_range", "field_size", "cloud_clock_speed",
-    "edge_exec_energy", "cloud_exec_energy", "edge_tx_energy", "cloud_tx_energy",
-)
-
-
 @functools.lru_cache(maxsize=16, typed=True)
-def _pinned_pool(*values) -> ServerPool:
-    config = GeneratorConfig(**dict(zip(_POOL_FIELDS, values)))
-    return _draw_pool(np.random.default_rng(config.server_seed), config)
+def _pinned_pool(server_seed: int, num_edge_servers: int) -> ServerPool:
+    return _draw_pool(np.random.default_rng(server_seed), num_edge_servers)
 
 
 def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Scenario:
     """Draw a scenario; a pure function of ``(seed, config)``.
 
-    Devices are placed uniformly in the field (or clustered around per-DT
-    centers when ``cluster_devices`` is set), ownership is uniform over DTs
+    Devices are placed uniformly in the field, ownership is uniform over DTs
     with empty DTs repaired by moving one random device each, and workloads
-    are uniform over the configured range.  A pinned pool (``server_seed``
-    set) is drawn once per pool-shaping config, and every scenario drawn
-    from such a config shares that one ``ServerPool``.
+    are uniform over WORKLOAD_RANGE megabytes, counted in megabits.  A pinned
+    pool (``server_seed`` set) is drawn once per ``(server_seed,
+    num_edge_servers)``, and every scenario drawn with that pair shares that
+    one ``ServerPool``.
     """
     _check_config(config)
     rng = np.random.default_rng(seed)
     if config.server_seed is None:
-        servers = _draw_pool(rng, config)
+        servers = _draw_pool(rng, config.num_edge_servers)
     else:
-        servers = _pinned_pool(*(getattr(config, name) for name in _POOL_FIELDS))
-    edge_locations = servers.arrays.edge_xy
-    w, h = config.field_size
+        servers = _pinned_pool(config.server_seed, config.num_edge_servers)
 
     n, m = config.num_devices, config.num_dts
     ownership = rng.integers(0, m, size=n)
@@ -337,29 +292,16 @@ def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> S
             ownership[moved] = dt
             counts[dt] += 1
 
-    centers = None
-    if config.cluster_devices:
-        dt_centers = rng.uniform((0.0, 0.0), (w, h), size=(m, 2))
-        centers = dt_centers[ownership]
-    locations = _draw_locations(rng, n, config, edge_locations, centers)
-
-    lo, hi = config.workload_range
-    workloads = rng.uniform(lo, hi, size=n)
-    if config.workload_in_megabytes:
-        workloads = workloads * MEGABITS_PER_MEGABYTE
+    locations = _draw_locations(rng, n, servers.arrays.edge_xy)
+    workloads = rng.uniform(*WORKLOAD_RANGE, size=n) * MEGABITS_PER_MEGABYTE
 
     devices = DeviceSet(
         workloads=tuple(workloads.tolist()),
         locations=tuple(map(tuple, locations.tolist())),
-        bandwidths=(float(config.bandwidth),) * n,
+        bandwidths=(BANDWIDTH,) * n,
         ownership=tuple(ownership.tolist()),
     )
-    params = PhysicalParams(
-        gamma=float(config.gamma),
-        lambda_=float(config.lambda_),
-        delta=float(config.delta),
-        alpha=float(config.alpha),
-    )
+    params = PhysicalParams(gamma=GAMMA, lambda_=LAMBDA, delta=DELTA, alpha=float(config.alpha))
     return Scenario(servers, devices, params, num_dts=m, num_servers_total=config.num_edge_servers + 1)
 
 

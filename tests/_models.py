@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dtplace.neural import AdamHyper, MlpModel
+from dtplace.neural import AdamHyper, MlpModel, layer_views
 
 
 def from_layers(arch, weights, biases, hyper=AdamHyper(), dtype=None) -> MlpModel:
@@ -15,3 +15,10 @@ def from_layers(arch, weights, biases, hyper=AdamHyper(), dtype=None) -> MlpMode
     model = MlpModel(arch, params, hyper)
     assert all(np.shape(w) == v.shape for w, v in zip(weights, model.weights))
     return model
+
+
+def named_layers(model: MlpModel) -> dict:
+    """A model's per-layer weights, biases and Adam moments, each a list of views by name."""
+    (m_w, m_b), (v_w, v_b) = layer_views(model.arch, model.m), layer_views(model.arch, model.v)
+    return {"weights": model.weights, "biases": model.biases,
+            "m_w": m_w, "v_w": v_w, "m_b": m_b, "v_b": v_b}

@@ -45,7 +45,6 @@ DESK = GeneratorConfig(num_devices=24, num_dts=6)
 SHAPES = {
     "desk": DESK,
     "full": GeneratorConfig(),
-    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
 }
 
 

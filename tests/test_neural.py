@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _models import from_layers
+from _models import from_layers, named_layers
 
 from dtplace.errors import ContractError
 from dtplace.neural import (
@@ -233,8 +233,8 @@ class TestDtype:
         upstream = extractor.backward_from_output(np.ones((6, 3), dtype=other), activations)
         assert all(a.dtype == dtype for pair in upstream for a in pair)
         model.adam_step(result.gradients, 1)
-        for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
-            assert all(a.dtype == dtype for a in getattr(model, name))
+        for views in named_layers(model).values():
+            assert all(a.dtype == dtype for a in views)
 
     def test_float32_agrees_with_float64_to_its_precision(self):
         wide = init_random(self.ARCH, seed=4)
@@ -288,10 +288,11 @@ class TestAdam:
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         g = [(np.ones_like(model.weights[0]), np.ones_like(model.biases[0]))]
         model.adam_step(g, 1)
-        m_after_first = model.m_w[0].copy()
+        m_w, _ = layer_views(model.arch, model.m)
+        m_after_first = m_w[0].copy()
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
         model.adam_step(zero, 2)
-        assert np.allclose(model.m_w[0], 0.9 * m_after_first)
+        assert np.allclose(m_w[0], 0.9 * m_after_first)
 
     def test_identical_models_stay_identical(self):
         a = init_random(MlpArch((4, 3), (SIG,)), seed=6)
@@ -325,14 +326,11 @@ class TestAdam:
 
 class TestFlatBuffers:
     ARCH = MlpArch((5, 4, 3), (RELU, SIG))
-    VIEWS = (("weights", "params"), ("biases", "params"), ("m_w", "m"), ("m_b", "m"),
-             ("v_w", "v"), ("v_b", "v"))
 
     def assert_views_share_flat_buffers(self, model):
-        for views, flat in self.VIEWS:
-            buffer = getattr(model, flat)
-            assert buffer.ndim == 1 and buffer.flags.c_contiguous
-            assert all(np.shares_memory(a, buffer) for a in getattr(model, views))
+        for flat in (model.params, model.m, model.v):
+            assert flat.ndim == 1 and flat.flags.c_contiguous
+        assert all(np.shares_memory(a, model.params) for a in model.weights + model.biases)
         layers = zip(model.weights, model.biases)
         assert sum(w.size + b.size for w, b in layers) == model.params.size
 
@@ -516,9 +514,8 @@ class TestCheckpoint:
             loaded = load_state(model_meta(model), state, prefix="net.")
             assert loaded.arch == model.arch
             assert loaded.hyper == model.hyper
-            for i in range(model.num_layers):
-                for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
-                    got, want = getattr(loaded, name)[i], getattr(model, name)[i]
+            for got_views, want_views in zip(named_layers(loaded).values(), named_layers(model).values()):
+                for got, want in zip(got_views, want_views, strict=True):
                     assert got.dtype == want.dtype == dtype
                     assert np.array_equal(got, want)
 

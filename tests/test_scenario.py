@@ -15,8 +15,10 @@ from hypothesis import given, strategies as st
 import dtplace
 from _oracle import reference_document
 from dtplace.errors import ContractError, InvalidConfigError, ParseError, ValidationError
+from dtplace import scenario
 from dtplace.scenario import (
     DOCUMENT_VERSION,
+    EDGE_CLOCK_RANGE,
     DeviceSet,
     GeneratorConfig,
     PhysicalParams,
@@ -33,7 +35,6 @@ GOLDEN = Path(__file__).with_name("golden_scenario.json")
 SHAPES = {
     "desk": DESK,
     "full": GeneratorConfig(),
-    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
     "one-of-each": GeneratorConfig(num_devices=1, num_dts=1, num_edge_servers=1),
 }
 
@@ -62,12 +63,8 @@ class TestGenerate:
             generate_random(0, GeneratorConfig(num_devices=5, num_dts=6))
 
     def test_workload_megabyte_ingest(self):
-        mb = generate_random(5, dataclasses.replace(DESK, workload_range=(10.0, 40.0)))
+        mb = generate_random(5, DESK)
         assert all(80.0 <= w <= 320.0 for w in mb.devices.workloads)
-        raw = generate_random(
-            5, dataclasses.replace(DESK, workload_range=(10.0, 40.0), workload_in_megabytes=False)
-        )
-        assert all(10.0 <= w <= 40.0 for w in raw.devices.workloads)
 
     def test_edge_clock_range(self):
         s = generate_random(11)
@@ -78,17 +75,18 @@ class TestGenerate:
         w, h = 1000.0, 800.0
         assert all(0 <= x <= w and 0 <= y <= h for x, y in s.devices.locations)
 
-    def test_min_edge_distance_enforced(self):
-        s = generate_random(17, dataclasses.replace(DESK, min_edge_distance=5.0))
+    def test_min_edge_distance_enforced(self, monkeypatch):
+        monkeypatch.setattr(scenario, "MIN_EDGE_DISTANCE", 5.0)
+        s = generate_random(17, DESK)
         for x, y in s.devices.locations:
             for ex, ey in s.servers.edge_locations:
                 assert np.hypot(x - ex, y - ey) >= 5.0
 
-    def test_unreachable_min_edge_distance_rejected(self):
+    def test_unreachable_min_edge_distance_rejected(self, monkeypatch):
         # No point of the 1000 m x 800 m field is 2 km from every edge server.
-        cfg = dataclasses.replace(DESK, min_edge_distance=2000.0)
+        monkeypatch.setattr(scenario, "MIN_EDGE_DISTANCE", 2000.0)
         with pytest.raises(InvalidConfigError, match="min_edge_distance"):
-            generate_random(17, cfg)
+            generate_random(17, DESK)
 
     def test_server_seed_pins_pool_across_scenarios(self):
         cfg = dataclasses.replace(DESK, server_seed=99)
@@ -105,8 +103,6 @@ class TestGenerate:
         assert c.servers is a.servers
         other = generate_random(1, dataclasses.replace(cfg, server_seed=97))
         assert other.servers != a.servers
-        energies = generate_random(1, dataclasses.replace(cfg, edge_tx_energy=0.5))
-        assert energies.servers.edge_tx_energy == 0.5 and energies.servers is not a.servers
 
     def test_unpinned_pools_come_from_the_scenario_seed(self):
         a, b = generate_random(1, DESK), generate_random(2, DESK)
@@ -114,15 +110,8 @@ class TestGenerate:
         assert generate_random(1, DESK).servers == a.servers
         # the pool is the first draw of the scenario's own generator
         rng = np.random.default_rng(1)
-        lo, hi = DESK.edge_clock_range
+        lo, hi = EDGE_CLOCK_RANGE
         assert a.servers.edge_clock_speeds == tuple(rng.uniform(lo, hi, size=DESK.num_edge_servers).tolist())
-
-    def test_cluster_mode_generates_valid_scenarios(self):
-        cfg = dataclasses.replace(DESK, cluster_devices=True)
-        s = generate_random(23, cfg)
-        assert validate(s) == []
-        w, h = cfg.field_size
-        assert all(0 <= x <= w and 0 <= y <= h for x, y in s.devices.locations)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 8))
     def test_generated_scenarios_validate_clean(self, seed, n, m):
@@ -365,7 +354,6 @@ class TestDocumentLayout:
 PINNED_SHAPES = {
     "desk-pinned-pool": dataclasses.replace(DESK, server_seed=0),
     "full": GeneratorConfig(),
-    "clustered-desk": dataclasses.replace(DESK, cluster_devices=True),
 }
 PINNED = {
     ("desk-pinned-pool", 0): "3e7b012c62fc140e8fa29d22d5be13c449092982a90c632b589dd85e5b5945ff",
@@ -374,9 +362,6 @@ PINNED = {
     ("full", 0): "814eaabdac2b22f573016fae1afc04b81223d93634f61f89dd19c10dd86dc665",
     ("full", 1): "0a2fc08ab14f48a8e786d5da64d4e88d0bf32574073b4f965ce8e7ca2719a79c",
     ("full", 2**32 - 1): "3dcf30858348050da037b3284ac36cb3f08155b072c705c5061515c480bd2397",
-    ("clustered-desk", 0): "5b049329114ce0479462487f6043db8eea7c8c00729a4a4ab565f5e52eff04f6",
-    ("clustered-desk", 1): "a7fcd014c5f4f18835b3afe02fba8c61d87a0a265123cdf2ef00ba226ff6f440",
-    ("clustered-desk", 2**32 - 1): "fa8d0a9d001b6d7e311d9fccc94931ad37bb0108d8d307aeff135aa2a1a940a2",
 }
 
 
