@@ -6,14 +6,16 @@
 
 Runs ``perfbench/run.py --trace 0`` for one workload on each seed, once on
 the parent and once on this checkout, as pairs that alternate which side
-runs first.  The parent is ``src/`` of ``--baseline <sha>`` (exported with
-``git archive``) or a copy of ``--baseline-src DIR``, placed in a temporary
-directory next to a copy of this checkout's ``perfbench/``, so both sides
-run the same benchmark.  Writes ``BENCH_<label>.json``: the command, the
+runs first, then one ``--trace 1`` pass per side on the first seed.  The
+parent is ``src/`` of ``--baseline <sha>`` (exported with ``git archive``)
+or a copy of ``--baseline-src DIR``, placed in a temporary directory next to
+a copy of this checkout's ``perfbench/``, so both sides run the same
+benchmark.  Writes ``BENCH_<label>.json``: the command, the
 machine, the environment line ``run.py`` prints, the metric units, a
 per-metric summary (medians, the parent's interquartile range, the pairs
 the change wins, its worsening against the metric's bound, each side's
-share of failed operations and whether it shows a gain) and every run's
+share of failed operations and whether it shows a gain), each side's
+per-layer calls and self seconds from its traced pass, and every run's
 side, seed and metrics.  Uses the standard library and subprocesses only.
 """
 
@@ -57,12 +59,12 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[str, dict]:
     """One ``perfbench/run.py`` process in ``tree``: its ``env:`` line and its result."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)],
         capture_output=True, text=True, env=env,
     )
     if done.returncode != 0:
@@ -164,6 +166,12 @@ def main(argv=None) -> int:
                     "metrics": {k: m["value"] for k, m in result["metrics"].items()},
                 })
                 print(json.dumps(runs[-1]), flush=True)
+        per_layer = {"command": f"python3 perfbench/run.py --workload {args.workload} "
+                                f"--seed {args.seeds[0]} --seconds {args.seconds:g} --trace 1"}
+        for side in ("parent", "change"):
+            _, result = run_once(trees[side], args.workload, args.seeds[0], args.seconds, trace=1)
+            per_layer[side] = {k: m["value"] for k, m in result["metrics"].items()
+                               if k.endswith((".calls", ".self_s"))}
 
     bench = {
         "workload": args.workload,
@@ -178,6 +186,7 @@ def main(argv=None) -> int:
         "env": env_line,
         "units": units,
         "summary": summarize(runs, {k: end_to_end[k] for k in units}),
+        "per_layer": per_layer,
         "runs": runs,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")

@@ -284,7 +284,7 @@ def _add_shape_flags(parser: argparse.ArgumentParser, with_full: bool) -> None:
     parser.add_argument("--alpha", type=float, help="latency weight in [0, 1]")
     parser.add_argument(
         "--server-seed",
-        type=int,
+        type=_nonnegative,
         help="fixed server pool seed (default: the master seed for train/experiment)",
     )
     if with_full:
@@ -312,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=0, help="master seed; every random choice derives from it"
+        "--seed",
+        type=_nonnegative,
+        default=0,
+        help="master seed; every random choice derives from it",
     )
     common.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,6 +19,8 @@ energy with weight ``alpha``.
 
 A deployment is priced once: per-twin time and energy on every server, built
 from one pass over the device matrices and kept on the scenario's device set.
+Each per-twin sum is one ``bincount`` over flat ``(owner, server)`` cells,
+which adds the devices in device order, as a per-device loop would.
 No price depends on ``alpha``, and a scenario re-weighted to another alpha
 shares its device set, so the cost table and ``evaluate`` of every cost mix
 share one build.
@@ -27,6 +29,7 @@ share one build.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,14 +82,19 @@ def _device_matrices(s: Scenario):
     return tx, ex, en
 
 
+def _per_twin_sum(own: np.ndarray, num_dts: int, rows: np.ndarray) -> np.ndarray:
+    """Sum ``(N, C)`` device rows per owning twin into ``(num_dts, C)``, in device order."""
+    cols = rows.shape[1]
+    cells = (own[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(cells, weights=rows.ravel(), minlength=num_dts * cols).reshape(num_dts, cols)
+
+
 def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
     """Per-DT per-cycle time on every server, ``(num_dts, S+1)``, from ``(N, S+1)`` device rows."""
     counts = np.bincount(own, minlength=num_dts).astype(float)
     sync = np.zeros((num_dts, tx.shape[1]))
     np.maximum.at(sync, own, tx)
-    exec_sum = np.zeros_like(sync)
-    np.add.at(exec_sum, own, ex)
-    return counts[:, None] * (sync + exec_sum)
+    return counts[:, None] * (sync + _per_twin_sum(own, num_dts, ex))
 
 
 def _pricing(s: Scenario):
@@ -97,7 +105,8 @@ def _pricing(s: Scenario):
     ``gamma``, ``lambda_``, ``delta`` and ``num_dts``.  A scenario that
     differs in any of them is priced again and its pricing replaces the
     kept one; the pricing dies with its device set.  It is stored as one
-    tuple, so a concurrent caller can at worst build it twice.
+    tuple, so a concurrent caller can at worst build it twice.  Each per-twin
+    sum, of execution time and of energy, is one ``bincount`` in device order.
     """
     par = s.params
     constants = (par.gamma, par.lambda_, par.delta, s.num_dts)
@@ -107,12 +116,19 @@ def _pricing(s: Scenario):
     own = s.devices.arrays.owner
     tx, ex, en = _device_matrices(s)
     dt_time = _per_dt_time(own, s.num_dts, tx, ex)
-    dt_energy = np.zeros_like(dt_time)
-    np.add.at(dt_energy, own, en)
+    dt_energy = _per_twin_sum(own, s.num_dts, en)
     for table in (dt_time, dt_energy, en):
         table.flags.writeable = False
     vars(s.devices)["_pricing"] = (s.servers, constants, (dt_time, dt_energy, en))
     return dt_time, dt_energy, en
+
+
+@lru_cache(maxsize=16)
+def _row_offsets(rows: int, cols: int) -> np.ndarray:
+    """Flat offset of each row's first cell in a C-ordered ``(rows, cols)`` table."""
+    offsets = np.arange(rows) * cols
+    offsets.flags.writeable = False
+    return offsets
 
 
 def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
@@ -129,9 +145,10 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
     assign = np.asarray(d.assignment, dtype=int)
     dt_time, _, device_energy = _pricing(s)
     own = s.devices.arrays.owner
+    cols = dt_time.shape[1]
     # Sequential sums, energy per device: per-twin sums would move traced bits.
-    total_time = float(sum(dt_time[np.arange(m), assign].tolist()))
-    total_energy = float(sum(device_energy[np.arange(own.size), assign[own]].tolist()))
+    total_time = float(sum(dt_time.take(_row_offsets(m, cols) + assign).tolist()))
+    total_energy = float(sum(device_energy.take(_row_offsets(own.size, cols) + assign[own]).tolist()))
     alpha = s.params.alpha
     weighted = float(alpha * total_time + (1.0 - alpha) * total_energy)
     return CostBreakdown(total_time, total_energy, weighted)

@@ -34,7 +34,7 @@ def solve_exact(s: Scenario) -> SchemeResult:
     the result the lexicographically smallest optimal assignment.
     """
     start = time.perf_counter()
-    decision = Decision(tuple(int(j) for j in per_dt_cost_table(s).argmin(axis=1)))
+    decision = Decision(tuple(per_dt_cost_table(s).argmin(axis=1).tolist()))
     return SchemeResult(decision, evaluate(s, decision), "exact", time.perf_counter() - start)
 
 
@@ -42,8 +42,7 @@ def scheme_random(s: Scenario, seed: int) -> SchemeResult:
     """Place each DT on a uniformly random server."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    assignment = tuple(int(v) for v in rng.integers(0, s.num_servers_total, size=s.num_dts))
-    decision = Decision(assignment)
+    decision = Decision(tuple(rng.integers(0, s.num_servers_total, size=s.num_dts).tolist()))
     return SchemeResult(decision, evaluate(s, decision), "ro", time.perf_counter() - start)
 
 
@@ -64,14 +63,15 @@ def scheme_average_distribution(s: Scenario) -> SchemeResult:
     """
     start = time.perf_counter()
     dev = s.devices.arrays
-    dt_load = np.zeros(s.num_dts)
-    np.add.at(dt_load, dev.owner, dev.workload)
+    dt_load = np.bincount(dev.owner, weights=dev.workload, minlength=s.num_dts).tolist()
 
-    order = sorted(range(s.num_dts), key=lambda m: (-dt_load[m], m))
-    server_load = np.zeros(s.num_servers_total)
+    # a stable sort, so equal loads keep index order even reversed
+    order = sorted(range(s.num_dts), key=dt_load.__getitem__, reverse=True)
+    servers = range(s.num_servers_total)
+    server_load = [0.0] * s.num_servers_total
     assignment = [0] * s.num_dts
     for m in order:
-        target = int(np.argmin(server_load))
+        target = min(servers, key=server_load.__getitem__)
         assignment[m] = target
         server_load[target] += dt_load[m]
     decision = Decision(tuple(assignment))

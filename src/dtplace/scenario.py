@@ -208,6 +208,8 @@ def _check_config(config: GeneratorConfig) -> None:
         raise InvalidConfigError("num_edge_servers must be at least 1")
     if not 0 <= c.alpha <= 1:
         raise InvalidConfigError("alpha must lie in [0, 1]")
+    if c.server_seed is not None and c.server_seed < 0:
+        raise InvalidConfigError("server_seed must not be negative")
 
 
 _LOCATION_REDRAWS = 1000

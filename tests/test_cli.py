@@ -38,6 +38,16 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--server-seed"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flag):
+        # numpy refuses a negative seed with a ValueError; the parser refuses it first
+        assert run("generate", flag, "-1", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"dtplace generate: error: argument {flag}: must not be negative"
+        ]
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
     def test_default_shape_is_full_scale(self, tmp_path):
         assert run("generate", "--seed", "1", "--out", str(tmp_path)) == 0
         s = from_document((tmp_path / "scenario_1.json").read_bytes())
@@ -156,6 +166,15 @@ class TestSolve:
         code = run("solve", scenario_path, "--scheme", "ddl", "--checkpoint", str(checkpoint))
         assert code == 1
         assert "error: not an ensemble checkpoint" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, scenario_path, capsys):
+        capsys.readouterr()
+        assert run("solve", scenario_path, "--scheme", "ro", "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "dtplace solve: error: argument --seed: must not be negative"
+        ]
+        assert "Traceback" not in err
 
     def test_ddl_without_checkpoint_is_usage_error(self, scenario_path, capsys):
         assert run("solve", scenario_path, "--scheme", "ddl") == 2

@@ -18,6 +18,8 @@ from dtplace.cost_model import (
     Decision,
     _device_matrices,
     _per_dt_time,
+    _per_twin_sum,
+    _pricing,
     evaluate,
     per_dt_cost_table,
 )
@@ -75,6 +77,34 @@ def reference_evaluate(s, d):
     """``evaluate`` as the gather-first path: sequential sums of :func:`reference_parts`."""
     dt_time, energy = reference_parts(s, d)
     total_time, total_energy = float(sum(dt_time.tolist())), float(sum(energy))
+    alpha = s.params.alpha
+    return CostBreakdown(total_time, total_energy, float(alpha * total_time + (1.0 - alpha) * total_energy))
+
+
+def add_at_sums(own, num_dts, rows):
+    """Per-twin sums of device rows by ``np.add.at``, one device at a time in device order."""
+    out = np.zeros((num_dts, rows.shape[1]))
+    np.add.at(out, own, rows)
+    return out
+
+
+def add_at_pricing(s):
+    """Per-twin time and energy tables built with ``np.add.at``, the formula :func:`_pricing` keeps."""
+    own = s.devices.arrays.owner
+    tx, ex, en = _device_matrices(s)
+    counts = np.bincount(own, minlength=s.num_dts).astype(float)
+    sync = np.zeros((s.num_dts, tx.shape[1]))
+    np.maximum.at(sync, own, tx)
+    return counts[:, None] * (sync + add_at_sums(own, s.num_dts, ex)), add_at_sums(own, s.num_dts, en)
+
+
+def fancy_index_evaluate(s, d):
+    """``evaluate`` gathering with two 2-D fancy indexes over ``np.arange`` rows."""
+    assign = np.asarray(d.assignment, dtype=int)
+    dt_time, _, device_energy = _pricing(s)
+    own = s.devices.arrays.owner
+    total_time = float(sum(dt_time[np.arange(s.num_dts), assign].tolist()))
+    total_energy = float(sum(device_energy[np.arange(own.size), assign[own]].tolist()))
     alpha = s.params.alpha
     return CostBreakdown(total_time, total_energy, float(alpha * total_time + (1.0 - alpha) * total_energy))
 
@@ -478,6 +508,57 @@ class TestPricing:
             assert len(rows) == 40 * len(scenarios)
             for k, cost, table in rows:
                 assert (cost, table) == serial[k]
+
+
+class TestBitForBit:
+    """The one-call sums and gathers give the very bits of their per-element forms."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_per_twin_sum_matches_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        num_dts, cols = int(rng.integers(2, 16)), int(rng.integers(1, 6))
+        # twin 0 owns exactly one device; the others share the rest, all shuffled
+        extra = rng.integers(1, num_dts, size=int(rng.integers(0, 120)))
+        own = rng.permutation(np.concatenate([np.arange(num_dts), extra]))
+        assert np.count_nonzero(own == 0) == 1 and not np.all(np.diff(own) >= 0)
+        # magnitudes spread over 16 decades, so the order of the additions shows in the bits
+        rows = rng.standard_normal((own.size, cols)) * 10.0 ** rng.integers(-8, 8, size=(own.size, cols))
+        got = _per_twin_sum(own, num_dts, rows)
+        assert got.shape == (num_dts, cols)
+        assert got.tobytes() == add_at_sums(own, num_dts, rows).tobytes()
+        assert got[0].tobytes() == rows[own == 0][0].tobytes()
+
+    def test_per_twin_sum_leaves_an_ownerless_twin_at_zero(self):
+        own = np.array([2, 0, 2])
+        rows = np.arange(6, dtype=float).reshape(3, 2)
+        assert _per_twin_sum(own, 4, rows).tolist() == [[2.0, 3.0], [0.0, 0.0], [4.0, 6.0], [0.0, 0.0]]
+
+    # "singles": six twins over seven devices, so five own a single device
+    @pytest.mark.parametrize("config", [*SHAPES.values(), GeneratorConfig(num_devices=7, num_dts=6)],
+                             ids=[*SHAPES, "singles"])
+    def test_pricing_matches_add_at(self, config):
+        for i in range(6):
+            s = generate_random(700 + i, config)
+            dt_time, dt_energy, device_energy = _pricing(s)
+            want_time, want_energy = add_at_pricing(s)
+            assert dt_time.tobytes() == want_time.tobytes()
+            assert dt_energy.tobytes() == want_energy.tobytes()
+            assert device_energy.tobytes() == _device_matrices(s)[2].tobytes()
+            assert (dt_time.dtype, dt_energy.dtype) == (np.float64, np.float64)
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_evaluate_matches_fancy_index_gather(self, shape):
+        for i in range(6):
+            s0 = generate_random(800 + i, SHAPES[shape])
+            for alpha in ALPHA_GRID:
+                s = dataclasses.replace(s0, params=dataclasses.replace(s0.params, alpha=alpha))
+                for j in range(4):
+                    d = random_decision(s, 10 * i + j)
+                    as_numpy = Decision(tuple(np.int64(a) for a in d.assignment))
+                    mixed = Decision(tuple(np.int64(a) if k % 2 else a for k, a in enumerate(d.assignment)))
+                    want = fancy_index_evaluate(s, d)
+                    for decision in (d, as_numpy, mixed):
+                        assert evaluate(s, decision) == want
 
 
 class TestInvariances:

@@ -170,7 +170,50 @@ class TestSchemeCloudOnly:
         assert all_edge.total_energy == pytest.approx(expected, rel=1e-12)
 
 
+def argmin_average_distribution(s):
+    """The greedy on numpy arrays: ``np.add.at`` twin loads, ``np.argmin`` server choice."""
+    dev = s.devices.arrays
+    dt_load = np.zeros(s.num_dts)
+    np.add.at(dt_load, dev.owner, dev.workload)
+    order = sorted(range(s.num_dts), key=lambda m: (-dt_load[m], m))
+    server_load = np.zeros(s.num_servers_total)
+    assignment = [0] * s.num_dts
+    for m in order:
+        target = int(np.argmin(server_load))
+        assignment[m] = target
+        server_load[target] += dt_load[m]
+    return tuple(assignment)
+
+
+def with_workloads(s, choices, seed):
+    """``s`` with every device workload redrawn from ``choices``, so loads tie; ``None`` keeps them."""
+    if choices is None:
+        return s
+    rng = np.random.default_rng(seed)
+    workloads = tuple(float(w) for w in rng.choice(choices, size=s.devices.num_devices))
+    return dataclasses.replace(s, devices=dataclasses.replace(s.devices, workloads=workloads))
+
+
 class TestSchemeAverageDistribution:
+    @pytest.mark.parametrize(
+        "choices", [None, (80.0,), (80.0, 160.0), (0.1, 0.2, 0.3)], ids=["drawn", "one", "two", "thirds"]
+    )
+    def test_matches_argmin_greedy(self, choices):
+        # the redrawn loads tie twins with twins and servers with servers at many steps
+        for i, config in enumerate([DESK, GeneratorConfig(), GeneratorConfig(num_devices=9, num_dts=9)]):
+            for j in range(10):
+                s = with_workloads(generate_random(100 * i + j, config), choices, j)
+                want = argmin_average_distribution(s)
+                result = scheme_average_distribution(s)
+                assert result.decision.assignment == want
+                assert all(type(a) is int for a in result.decision.assignment)
+                assert result.cost == evaluate(s, Decision(want))
+
+    def test_equal_twins_fill_servers_in_index_order(self):
+        s = with_workloads(generate_random(3, GeneratorConfig(num_devices=9, num_dts=9)), (80.0,), 0)
+        # nine twins of one device and equal load, four servers: round robin from server 0
+        assert scheme_average_distribution(s).decision.assignment == (0, 1, 2, 3, 0, 1, 2, 3, 0)
+
     def test_single_dt_takes_server_zero(self):
         s = generate_random(5, dataclasses.replace(DESK, num_devices=4, num_dts=1))
         assert scheme_average_distribution(s).decision.assignment == (0,)

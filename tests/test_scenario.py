@@ -62,6 +62,12 @@ class TestGenerate:
         with pytest.raises(InvalidConfigError):
             generate_random(0, GeneratorConfig(num_devices=5, num_dts=6))
 
+    def test_negative_server_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="server_seed must not be negative"):
+            generate_random(0, dataclasses.replace(DESK, server_seed=-1))
+        zero = dataclasses.replace(DESK, server_seed=0)
+        assert generate_random(0, zero).servers == generate_random(1, zero).servers
+
     def test_workload_megabyte_ingest(self):
         mb = generate_random(5, DESK)
         assert all(80.0 <= w <= 320.0 for w in mb.devices.workloads)

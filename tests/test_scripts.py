@@ -47,7 +47,8 @@ def test_bench_writes_one_alternating_pair(tmp_path):
     assert done.returncode == 0, done.stderr
     bench = json.loads((out / "BENCH_check.json").read_text())
     assert list(bench) == [
-        "workload", "command", "machine", "sides", "order", "env", "units", "summary", "runs",
+        "workload", "command", "machine", "sides", "order", "env", "units", "summary",
+        "per_layer", "runs",
     ]
     assert bench["workload"] == "reference-desk"
     assert bench["env"].startswith("env: {")
@@ -60,6 +61,17 @@ def test_bench_writes_one_alternating_pair(tmp_path):
         assert set(run["metrics"]) == names
     assert set(bench["summary"]) == names
     assert all(row["pairs"] == 1 for row in bench["summary"].values())
+    # one traced pass per side on the first seed: every layer's calls and self time
+    traced = bench["per_layer"]
+    assert list(traced) == ["command", "parent", "change"]
+    assert traced["command"].endswith("--seed 3 --seconds 1 --trace 1")
+    layers = set(traced["parent"])
+    assert layers == set(traced["change"]) and "exact.baselines.self_s" in layers
+    assert all(name.endswith((".calls", ".self_s")) for name in layers)
+    for side in ("parent", "change"):
+        assert traced[side]["cost_model.evaluate.calls"] > 0
+        assert traced[side]["exact.solve_exact.calls"] > 0
+        assert traced[side]["neural.adam_step.calls"] == 0
 
 
 def load_bench():
