@@ -15,8 +15,12 @@ machine, the environment line ``run.py`` prints, the metric units, a
 per-metric summary (medians, the parent's interquartile range, the pairs
 the change wins, its worsening against the metric's bound, each side's
 share of failed operations and whether it shows a gain), each side's
-per-layer calls and self seconds from its traced pass, and every run's
-side, seed and metrics.  Uses the standard library and subprocesses only.
+per-layer block from its traced pass, and every run's side, seed and
+metrics.  The traced pass replays as many ops as its untraced pass
+finished, so a faster side traces more ops; the per-layer block therefore
+gives the traced op count ``ops`` and each layer's calls and self
+microseconds per op, which compare across sides.  Uses the standard library
+and subprocesses only.
 """
 
 from __future__ import annotations
@@ -117,6 +121,22 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def per_op(result: dict) -> dict:
+    """A traced run's op count and each layer's ``calls_per_op`` and ``self_us_per_op``.
+
+    The traced pass replays the ops its untraced pass finished, so half the
+    attempted ops are traced ones.
+    """
+    ops = result["attempted"] // 2
+    out = {"ops": ops}
+    for key, metric in result["metrics"].items():
+        if key.endswith(".calls"):
+            out[f"{key.removesuffix('.calls')}.calls_per_op"] = metric["value"] / ops
+        elif key.endswith(".self_s"):
+            out[f"{key.removesuffix('.self_s')}.self_us_per_op"] = 1e6 * metric["value"] / ops
+    return out
+
+
 def dump(bench: dict) -> str:
     """Indented JSON with one line per run."""
     head = json.dumps({k: v for k, v in bench.items() if k != "runs"}, indent=1)
@@ -170,8 +190,7 @@ def main(argv=None) -> int:
                                 f"--seed {args.seeds[0]} --seconds {args.seconds:g} --trace 1"}
         for side in ("parent", "change"):
             _, result = run_once(trees[side], args.workload, args.seeds[0], args.seconds, trace=1)
-            per_layer[side] = {k: m["value"] for k, m in result["metrics"].items()
-                               if k.endswith((".calls", ".self_s"))}
+            per_layer[side] = per_op(result)
 
     bench = {
         "workload": args.workload,

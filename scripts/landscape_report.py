@@ -12,18 +12,20 @@ import argparse
 
 import numpy as np
 
+from dtplace.cli import _nonnegative, _positive
+from dtplace.errors import InvalidConfigError
 from dtplace.harness import make_probe, scheme_means
 from dtplace.scenario import GeneratorConfig
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument("--probe", type=int, default=64, help="probe scenario count")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--probe", type=_positive, default=64, help="probe scenario count")
+    parser.add_argument("--seed", type=_nonnegative, default=0, help="master seed")
     parser.add_argument("--alpha", type=float, default=0.5, help="latency weight")
-    parser.add_argument("--devices", type=int, default=24)
-    parser.add_argument("--dts", type=int, default=6)
-    parser.add_argument("--edges", type=int, default=3)
+    parser.add_argument("--devices", type=_positive, default=24)
+    parser.add_argument("--dts", type=_positive, default=6)
+    parser.add_argument("--edges", type=_positive, default=3)
     args = parser.parse_args()
     config = GeneratorConfig(
         num_devices=args.devices,
@@ -32,7 +34,10 @@ def main() -> int:
         alpha=args.alpha,
         server_seed=args.seed,
     )
-    probe = make_probe(args.seed + 1, args.probe, config)
+    try:
+        probe = make_probe(args.seed + 1, args.probe, config)
+    except InvalidConfigError as e:
+        parser.error(str(e))
     means = scheme_means(probe)
     print(f"probe: {len(probe)} scenarios, alpha {args.alpha:g}, pool seed {args.seed}")
     exact = means["exact"]

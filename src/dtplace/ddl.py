@@ -15,19 +15,22 @@ The networks and the replay database hold float32, which halves the bytes
 each replay update moves; those updates take most of a training run.  The
 cost model, the cost tables and every reported cost stay float64.
 
-The K decision networks share one architecture and one Adam setting.  An
-ensemble is built from their stack: three ``(K, P)`` arrays that hold the
-networks' flat parameters and Adam moments, one network per row.  It
-keeps the arrays it is given and makes ``dnns[k]`` an ordinary
-:class:`MlpModel` on row ``k``, so a proposal runs all K networks in one
-batched forward (one ``matmul`` per layer over ``(K, in, out)`` weight
-views), while the replay update still runs every network's backward pass
-and Adam step on its own; those were measured slower when stacked.
-``build_ensemble`` draws each network straight into its row.  A
-checkpoint stores the stack as it is, three ``(K, P)`` arrays plus one
-step, beside one flat record for the extractor, and ``load_ensemble``
-keeps the arrays it reads as the stack.  An ensemble copies and pickles
-as its checkpoint, so a copy gets a stack of its own.
+Every architecture is fixed: the extractor's is ``EXTRACTOR_ARCH``, and
+the K decision networks share the one ``dnn_arch(num_dts, num_servers)``
+builds from ``HIDDEN_SIZES``.  The ensemble owns the one learning rate and
+the one update count that every Adam step takes.  An ensemble is built from
+the networks' stack: three ``(K, P)`` arrays that hold their flat
+parameters and Adam moments, one network per row.  It keeps the arrays it
+is given and makes ``dnns[k]`` an ordinary :class:`MlpModel` on row ``k``,
+so a proposal runs all K networks in one batched forward (one ``matmul``
+per layer over ``(K, in, out)`` weight views), while the replay update
+still runs every network's backward pass and Adam step on its own; those
+were measured slower when stacked.  ``build_ensemble`` draws each network
+straight into its row.  A checkpoint is a header of the shape, the update
+count and the learning rate, beside the extractor's three flat vectors and
+the stack as it is; ``load_ensemble`` keeps the arrays it reads as the
+stack.  An ensemble copies and pickles as its checkpoint, so a copy gets a
+stack of its own.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
@@ -47,23 +50,12 @@ import numpy as np
 from .cost_model import CostBreakdown, Decision, evaluate, per_dt_cost_table
 from .errors import ContractError, InvalidConfigError, SlotCapacityError
 from .exact import SchemeResult
-from .neural import (
-    Activation,
-    AdamHyper,
-    MlpArch,
-    MlpModel,
-    init_random,
-    layer_views,
-    load_state,
-    model_meta,
-    model_state,
-    read_meta,
-)
+from .neural import Activation, MlpArch, MlpModel, init_random, layer_views
 from .scenario import BANDWIDTH, FIELD_SIZE, MEGABITS_PER_MEGABYTE, WORKLOAD_RANGE
 from .scenario import GeneratorConfig, Scenario, generate_random
 
 ENSEMBLE_FORMAT = "dtplace-ensemble"
-ENSEMBLE_VERSION = 4
+ENSEMBLE_VERSION = 5
 NETWORK_DTYPE = np.float32
 
 # Each twin is flattened into SLOTS rows of (workload, x, y, bandwidth),
@@ -86,6 +78,12 @@ INPUT_WIDTH = SLOTS * _FEATURES_PER_DEVICE
 # initialization, where a squashed head could saturate and leave the
 # decision networks blind to the scenario.
 EMBEDDING_SIZES = (32, 8)
+EXTRACTOR_ARCH = MlpArch(
+    sizes=(INPUT_WIDTH, *EMBEDDING_SIZES),
+    activations=(Activation.RELU,) * (len(EMBEDDING_SIZES) - 1) + (Activation.IDENTITY,),
+)
+# Hidden layer widths of every decision network.
+HIDDEN_SIZES = (128, 64)
 
 
 def raw_group_input(s: Scenario) -> np.ndarray:
@@ -115,6 +113,14 @@ def bits_per_dt(num_servers: int) -> int:
     if num_servers < 1:
         raise ContractError("num_servers must be at least 1")
     return max(1, ceil(log2(num_servers)))
+
+
+def dnn_arch(num_dts: int, num_servers: int) -> MlpArch:
+    """The decision networks' architecture: ``num_dts`` embeddings in, every twin's code bits out."""
+    return MlpArch(
+        sizes=(num_dts * EMBEDDING_SIZES[-1], *HIDDEN_SIZES, num_dts * bits_per_dt(num_servers)),
+        activations=(Activation.RELU,) * len(HIDDEN_SIZES) + (Activation.SIGMOID,),
+    )
 
 
 def decode_codes(outputs: np.ndarray, num_dts: int, num_servers: int) -> np.ndarray:
@@ -193,21 +199,21 @@ class DdlEnsemble:
 
     ``stack`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays, K >= 1,
     whose row ``k`` holds network ``k``'s flat parameters and Adam moments
-    (see the module docstring); every network has architecture
-    ``dnn_arch`` and Adam setting ``dnn_hyper``.  ``dnns[k]`` is the model
-    on row ``k``.  ``step`` counts the replay updates, each one Adam step
-    of every network and of the extractor.  A stack that is not three
-    ``(K, P)`` arrays of one shape with K >= 1, or whose rows
-    :class:`MlpModel` refuses, raises ``ContractError``.
+    (see the module docstring); every network has the architecture
+    ``dnn_arch``, derived from ``num_dts`` and ``num_servers``.  ``dnns[k]``
+    is the model on row ``k``.  ``step`` counts the replay updates, each one
+    Adam step at ``learning_rate`` of every network and of the extractor.  A
+    stack that is not three ``(K, P)`` arrays of one shape with K >= 1, or
+    whose rows :class:`MlpModel` refuses, raises ``ContractError``.
     """
 
     num_dts: int
     num_servers: int
+    learning_rate: float
     extractor: MlpModel
-    dnn_arch: MlpArch
-    dnn_hyper: AdamHyper
     stack: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     step: int = 0
+    dnn_arch: MlpArch = field(init=False, repr=False)
     dnns: tuple[MlpModel, ...] = field(init=False, repr=False)
     _layers: tuple = field(init=False, repr=False)
 
@@ -216,9 +222,9 @@ class DdlEnsemble:
         shape = np.shape(params)
         if len(shape) != 2 or shape[0] < 1 or np.shape(m) != shape or np.shape(v) != shape:
             raise ContractError("an ensemble's stack must be three (K, P) arrays with K >= 1")
+        self.dnn_arch = dnn_arch(self.num_dts, self.num_servers)
         self.dnns = tuple(
-            MlpModel(self.dnn_arch, row, self.dnn_hyper, m_row, v_row)
-            for row, m_row, v_row in zip(params, m, v)
+            MlpModel(self.dnn_arch, row, m_row, v_row) for row, m_row, v_row in zip(params, m, v)
         )
         weights, biases = layer_views(self.dnn_arch, params)
         self._layers = tuple(
@@ -261,7 +267,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     db_capacity: int = 1024
     batch_size: int = 128
-    hidden_sizes: tuple[int, ...] = (128, 64)
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 0
 
@@ -273,8 +278,6 @@ def _check_config(c: TrainConfig) -> None:
         raise InvalidConfigError("num_dnns must be at least 1")
     if not (c.learning_rate > 0 and isfinite(c.learning_rate)):
         raise InvalidConfigError("learning_rate must be positive and finite")
-    if any(n < 1 for n in c.hidden_sizes):
-        raise InvalidConfigError("hidden_sizes must be positive")
     if c.db_capacity < 1 or c.batch_size < 1:
         raise InvalidConfigError("db_capacity and batch_size must be at least 1")
     if c.batch_size > c.db_capacity:
@@ -290,30 +293,21 @@ def build_ensemble(config: TrainConfig) -> DdlEnsemble:
     """
     _check_config(config)
     gen = config.generator
-    m = gen.num_dts
     num_servers = gen.num_edge_servers + 1
-    hyper = AdamHyper(learning_rate=config.learning_rate)
-
-    ext_arch = MlpArch(
-        sizes=(INPUT_WIDTH, *EMBEDDING_SIZES),
-        activations=(Activation.RELU,) * (len(EMBEDDING_SIZES) - 1) + (Activation.IDENTITY,),
-    )
-    dnn_arch = MlpArch(
-        sizes=(m * EMBEDDING_SIZES[-1], *config.hidden_sizes, m * bits_per_dt(num_servers)),
-        activations=(Activation.RELU,) * len(config.hidden_sizes) + (Activation.SIGMOID,),
-    )
-
+    dnn = dnn_arch(gen.num_dts, num_servers)
     seeds = np.random.default_rng(config.seed)
 
     def draw(arch: MlpArch) -> np.ndarray:
         return init_random(arch, seed=int(seeds.integers(2 ** 63))).params
 
-    extractor = MlpModel(ext_arch, draw(ext_arch).astype(NETWORK_DTYPE), hyper)
-    params = np.empty((config.num_dnns, dnn_arch.num_params), NETWORK_DTYPE)
+    extractor = MlpModel(EXTRACTOR_ARCH, draw(EXTRACTOR_ARCH).astype(NETWORK_DTYPE))
+    params = np.empty((config.num_dnns, dnn.num_params), NETWORK_DTYPE)
     for row in params:
-        row[...] = draw(dnn_arch)
+        row[...] = draw(dnn)
     stack = (params, np.zeros_like(params), np.zeros_like(params))
-    return DdlEnsemble(m, num_servers, extractor, dnn_arch, hyper, stack)
+    # a Python float: a NumPy scalar would promote the float32 Adam arithmetic to float64
+    learning_rate = float(config.learning_rate)
+    return DdlEnsemble(gen.num_dts, num_servers, learning_rate, extractor, stack)
 
 
 def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
@@ -455,7 +449,7 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
         flat = states.reshape(batch_size * m, width)
         emb, activations = ext.forward(flat, keep=True)
         result = dnn.backward(emb.reshape(batch_size, -1), targets)
-        dnn.adam_step(result.gradients, ensemble.step)
+        dnn.adam_step(result.gradients, ensemble.step, ensemble.learning_rate)
         upstream = result.input_gradient.reshape(batch_size * m, -1)
         back = ext.backward_from_output(upstream, activations)
         if ext_grads is None:
@@ -466,15 +460,16 @@ def _update(ensemble, db, rng, batch_size) -> list[float]:
                 ab += gb
         losses.append(result.loss)
     k = ensemble.num_dnns
-    ext.adam_step([(gw / k, gb / k) for gw, gb in ext_grads], ensemble.step)
+    ext.adam_step([(gw / k, gb / k) for gw, gb in ext_grads], ensemble.step, ensemble.learning_rate)
     return losses
 
 
 def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
-    """``ensemble`` as a JSON-ready header and named arrays that view its stack.
+    """``ensemble`` as a JSON-ready header and named arrays that view its vectors.
 
-    The header holds the update count ``step``, a ``model_meta`` record for the extractor and
-    one, ``dnn``, for all K networks; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are the stack.
+    The header holds the shape, the update count ``step`` and the ``learning_rate``;
+    ``ext.params``, ``ext.m`` and ``ext.v`` are the extractor's vectors, and
+    ``dnn.params``, ``dnn.m`` and ``dnn.v`` the stack.
     """
     header = {
         "format": ENSEMBLE_FORMAT,
@@ -482,10 +477,10 @@ def _checkpoint(ensemble: DdlEnsemble) -> tuple[dict, dict[str, np.ndarray]]:
         "num_dts": ensemble.num_dts,
         "num_servers": ensemble.num_servers,
         "step": ensemble.step,
-        "extractor": model_meta(ensemble.extractor),
-        "dnn": model_meta(ensemble.dnns[0]),
+        "learning_rate": ensemble.learning_rate,
     }
-    arrays = model_state(ensemble.extractor, prefix="ext.")
+    ext = ensemble.extractor
+    arrays = {f"ext.{name}": getattr(ext, name) for name in _FLAT}
     arrays.update({f"dnn.{name}": a for name, a in zip(_FLAT, ensemble.stack)})
     return header, arrays
 
@@ -503,24 +498,27 @@ def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
     """The ensemble ``_checkpoint`` described; ``dnn.params``, ``dnn.m`` and ``dnn.v`` are its stack.
 
     The arrays are kept, not copied: ``arrays`` may be an open ``np.load``
-    archive, whose every read is a fresh array.  Decision networks whose input
-    or output width does not fit ``num_dts`` twins on ``num_servers`` servers
-    raise ``ContractError``.
+    archive, whose every read is a fresh array.  A ``learning_rate`` that is
+    not a positive finite float, and decision networks whose length does not
+    fit ``num_dts`` twins on ``num_servers`` servers, raise ``ContractError``;
+    so do extractor vectors that do not fit ``EXTRACTOR_ARCH``.
     """
     num_dts = _header_count(header, "num_dts", 1)
     num_servers = _header_count(header, "num_servers", 1)
     step = _header_count(header, "step", 0)
-    dnn_arch, dnn_hyper = read_meta(header["dnn"])
-    widths = (num_dts * EMBEDDING_SIZES[-1], num_dts * bits_per_dt(num_servers))
-    if (dnn_arch.sizes[0], dnn_arch.sizes[-1]) != widths:
-        raise ContractError(f"not an ensemble checkpoint: the decision networks do not place "
-                            f"{num_dts} twins on {num_servers} servers")
-    extractor = load_state(header["extractor"], arrays, prefix="ext.")
+    learning_rate = header.get("learning_rate")
+    if type(learning_rate) is not float or not (learning_rate > 0 and isfinite(learning_rate)):
+        raise ContractError(f"not an ensemble checkpoint: learning_rate {learning_rate!r} is not "
+                            "a positive finite float")
+    num_params = dnn_arch(num_dts, num_servers).num_params
     params, m, v = (np.asarray(arrays[f"dnn.{name}"]) for name in _FLAT)
-    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape):
-        raise ContractError("not an ensemble checkpoint: dnn.params, m and v are not "
-                            "(K, P) with K >= 1")
-    return DdlEnsemble(num_dts, num_servers, extractor, dnn_arch, dnn_hyper, (params, m, v), step)
+    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape
+            and params.shape[1] == num_params):
+        raise ContractError(f"not an ensemble checkpoint: dnn.params, m and v are not (K, P) with "
+                            f"K >= 1 and P = {num_params}, the networks that place {num_dts} twins "
+                            f"on {num_servers} servers")
+    extractor = MlpModel(EXTRACTOR_ARCH, *(np.asarray(arrays[f"ext.{name}"]) for name in _FLAT))
+    return DdlEnsemble(num_dts, num_servers, learning_rate, extractor, (params, m, v), step)
 
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:

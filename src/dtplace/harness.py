@@ -349,5 +349,5 @@ def write_config_sidecar(path, config: TrainConfig, extra: dict | None = None) -
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

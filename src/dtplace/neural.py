@@ -12,17 +12,18 @@ A model computes in the floating dtype of its parameters: inputs, targets
 and upstream gradients are cast to it, and gradients and Adam moments come
 out in it.  Losses are Python floats whatever the dtype.
 
-A model is its flat parameter vector ``params`` and its Adam moments ``m``
-and ``v``, and it keeps the vectors it is given: it neither copies them nor
-writes them on construction, so the rows of one matrix that stacks several
-models of one architecture can each be a model.  ``weights`` and ``biases``
-are per-layer views into ``params`` (in the order w0, b0, w1, b1, ...;
-``layer_views`` cuts a moment vector or a whole stack the same way), so an
-Adam step is one pass over three vectors and writes through every view.
-Write into the views; do not rebind them.  A model keeps no step count:
-its owner passes the count to ``adam_step``.  A model copies and pickles as
-its checkpoint (``model_meta`` and ``model_state``), and ``load_state``
-hands the model copies of the stored vectors, so a copy owns fresh ones.
+A model is its architecture, its flat parameter vector ``params`` and its
+Adam moments ``m`` and ``v``, and it keeps the vectors it is given: it
+neither copies them nor writes them on construction, so the rows of one
+matrix that stacks several models of one architecture can each be a model.
+``weights`` and ``biases`` are per-layer views into ``params`` (in the order
+w0, b0, w1, b1, ...; ``layer_views`` cuts a moment vector or a whole stack
+the same way), so an Adam step is one pass over three vectors and writes
+through every view.  Write into the views; do not rebind them.  Adam's
+betas and epsilon are the module constants ``BETA1``, ``BETA2`` and
+``EPS``; a model keeps neither a step count nor a learning rate, its owner
+passes both to ``adam_step``.  A model copies and pickles as its
+architecture and copies of its three vectors, so a copy owns fresh ones.
 
 ``backward`` returns the gradient on its input, which is what chains a
 decision network to the extractor.  ``backward_from_output`` serves the
@@ -33,8 +34,7 @@ layer's weight gradient.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,6 +42,11 @@ import numpy as np
 from .errors import ContractError
 
 LOSS_CLAMP = 1e-7
+# Adam's constants.  Python floats, so that the moment arithmetic stays in
+# the model's dtype under NumPy's promotion rules.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Activation(str, Enum):
@@ -89,14 +94,6 @@ class MlpArch:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs)
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 @dataclass
 class BackwardResult:
     """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss."""
@@ -132,9 +129,8 @@ class MlpModel:
     The model keeps the three vectors as they are.
     """
 
-    def __init__(self, arch: MlpArch, params, hyper: AdamHyper = AdamHyper(), m=None, v=None):
+    def __init__(self, arch: MlpArch, params, m=None, v=None):
         self.arch = arch
-        self.hyper = hyper
         m = np.zeros_like(params) if m is None else m
         v = np.zeros_like(params) if v is None else v
         for a in (params, m, v):
@@ -152,8 +148,8 @@ class MlpModel:
         self.weights, self.biases = layer_views(self.arch, self.params)
 
     def __reduce__(self):
-        # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint, into fresh vectors
-        return load_state, (model_meta(self), model_state(self))
+        # copies (pickle, copy.copy, copy.deepcopy) get fresh vectors
+        return type(self), (self.arch, self.params.copy(), self.m.copy(), self.v.copy())
 
     @property
     def num_layers(self) -> int:
@@ -240,7 +236,7 @@ class MlpModel:
             raise ContractError("output gradient shape does not match the forward batch")
         return self._backprop(pre, post, g)[0]
 
-    def adam_step(self, gradients, step: int) -> None:
+    def adam_step(self, gradients, step: int, learning_rate: float) -> None:
         """Adam update number ``step`` (counted from 1), with bias correction; mutates the model.
 
         The gradients are concatenated in the layout of ``params``, so the
@@ -254,54 +250,20 @@ class MlpModel:
             if d_w.shape != self.weights[i].shape or d_b.shape != self.biases[i].shape:
                 raise ContractError(f"gradient shape mismatch at layer {i}")
         g = np.concatenate([a.ravel() for pair in gradients for a in pair])
-        h = self.hyper
-        correct1 = 1.0 - h.beta1 ** step
-        correct2 = 1.0 - h.beta2 ** step
+        correct1 = 1.0 - BETA1 ** step
+        correct2 = 1.0 - BETA2 ** step
         m, v = self.m, self.v
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * g * g
-        self.params -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        self.params -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + EPS)
 
 
-def init_random(arch: MlpArch, seed: int, hyper: AdamHyper = AdamHyper()) -> MlpModel:
+def init_random(arch: MlpArch, seed: int) -> MlpModel:
     """Fresh model with N(0, 1/fan_in) weights and zero biases."""
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.num_params)
     for w in layer_views(arch, params)[0]:
         w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
-    return MlpModel(arch, params, hyper)
-
-
-def model_state(model: MlpModel, prefix: str = "") -> dict[str, np.ndarray]:
-    """The model's flat ``params``, ``m`` and ``v``; ``load_state`` inverts it."""
-    return {f"{prefix}{name}": getattr(model, name) for name in ("params", "m", "v")}
-
-
-def model_meta(model: MlpModel) -> dict:
-    return {
-        "sizes": list(model.arch.sizes),
-        "activations": [a.value for a in model.arch.activations],
-        "hyper": asdict(model.hyper),
-    }
-
-
-def read_meta(meta: dict) -> tuple[MlpArch, AdamHyper]:
-    """The architecture and Adam setting of a ``model_meta`` record."""
-    arch = MlpArch(
-        sizes=tuple(int(n) for n in meta["sizes"]),
-        activations=tuple(Activation(a) for a in meta["activations"]),
-    )
-    return arch, AdamHyper(**meta["hyper"])
-
-
-def load_state(meta: dict, state: Mapping[str, np.ndarray], prefix: str = "") -> MlpModel:
-    """The model ``model_meta`` and ``model_state`` saved; ``state`` may be an ``np.load`` archive.
-
-    The model gets copies of the stored vectors.  A ``params`` of the wrong
-    length, or an ``m`` or ``v`` of another shape or dtype, raises ``ContractError``.
-    """
-    arch, hyper = read_meta(meta)
-    params, m, v = (np.array(state[f"{prefix}{name}"]) for name in ("params", "m", "v"))
-    return MlpModel(arch, params, hyper, m, v)
+    return MlpModel(arch, params)

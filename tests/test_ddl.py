@@ -31,7 +31,7 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import LOSS_CLAMP, MlpModel, model_meta
+from dtplace.neural import BETA1, BETA2, EPS, LOSS_CLAMP, Activation, MlpArch, MlpModel
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
@@ -534,9 +534,9 @@ class ReferenceNet:
     computes the gradient on its input.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, learning_rate):
         self.acts = model.arch.activations
-        self.hyper = model.hyper
+        self.learning_rate = learning_rate
         self.w = [w.copy() for w in model.weights]
         self.b = [b.copy() for b in model.biases]
         self.mw, self.vw = [np.zeros_like(w) for w in self.w], [np.zeros_like(w) for w in self.w]
@@ -571,18 +571,17 @@ class ReferenceNet:
         return gradients, input_gradient, loss
 
     def adam_step(self, gradients):
-        h = self.hyper
         self.step += 1
-        correct1 = 1.0 - h.beta1 ** self.step
-        correct2 = 1.0 - h.beta2 ** self.step
+        correct1 = 1.0 - BETA1 ** self.step
+        correct2 = 1.0 - BETA2 ** self.step
         for i, (d_w, d_b) in enumerate(gradients):
             for p, g, m, v in ((self.w[i], d_w, self.mw[i], self.vw[i]),
                                (self.b[i], d_b, self.mb[i], self.vb[i])):
-                m *= h.beta1
-                m += (1.0 - h.beta1) * g
-                v *= h.beta2
-                v += (1.0 - h.beta2) * g * g
-                p -= h.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + h.eps)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
+                p -= self.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + EPS)
 
     def matches(self, model, step) -> bool:
         """Whether ``model``, owned by an ensemble at update count ``step``, holds this state."""
@@ -619,7 +618,8 @@ class TestReplayUpdate:
     def test_bit_identical_to_the_per_array_update(self):
         cfg = desk_config(num_dnns=3, seed=12)
         ensemble = build_ensemble(cfg)
-        ext, dnns = ReferenceNet(ensemble.extractor), [ReferenceNet(d) for d in ensemble.dnns]
+        rate = ensemble.learning_rate
+        ext, dnns = ReferenceNet(ensemble.extractor, rate), [ReferenceNet(d, rate) for d in ensemble.dnns]
         width = ensemble.dnns[0].arch.sizes[-1]
         db = ReplayDatabase(64, (DESK.num_dts, ddl.INPUT_WIDTH), width)
         fill = np.random.default_rng(13)
@@ -638,11 +638,10 @@ class TestReplayUpdate:
 def restacked(ensemble, dtype):
     """``ensemble``'s weights as ``dtype`` with zero moments, its networks on a fresh stack."""
     ext = ensemble.extractor
-    extractor = from_layers(ext.arch, ext.weights, ext.biases, ext.hyper, dtype)
+    extractor = from_layers(ext.arch, ext.weights, ext.biases, dtype)
     params = ensemble.stack[0].astype(dtype)
     stack = (params, np.zeros_like(params), np.zeros_like(params))
-    return DdlEnsemble(ensemble.num_dts, ensemble.num_servers, extractor,
-                       ensemble.dnn_arch, ensemble.dnn_hyper, stack)
+    return DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.learning_rate, extractor, stack)
 
 
 class TestNetworkDtype:
@@ -692,7 +691,6 @@ class TestCheckpoint:
         for got, want in models:
             assert isinstance(got, MlpModel)
             assert got.arch == want.arch
-            assert got.hyper == want.hyper
             for got_views, want_views in zip(named_layers(got).values(), named_layers(want).values()):
                 for got_a, want_a in zip(got_views, want_views, strict=True):
                     # np.array_equal ignores dtype, so the dtype is compared on its own.
@@ -719,9 +717,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("kind", [
         "other-format", "list-header", "no-header", "text", "empty", "truncated-zip", "npy",
-        "header-without-dnns", "missing-array", "short-moment-stack", "no-networks",
+        "missing-array", "short-moment-stack", "no-networks",
         "no-step", "negative-step", "bool-step", "float-step",
         "float-num_dts", "bool-num_dts", "other-num_dts", "other-num_servers",
+        "no-learning_rate", "bool-learning_rate", "string-learning_rate", "nan-learning_rate",
+        "zero-learning_rate", "negative-learning_rate",
     ])
     def test_wrong_format_rejected(self, tmp_path, kind):
         path = tmp_path / "junk.npz"
@@ -745,14 +745,17 @@ class TestCheckpoint:
                 arrays, header = {"header": None}, [ddl.ENSEMBLE_FORMAT]
             elif kind == "no-header":
                 del arrays["header"]
-            elif kind == "header-without-dnns":
-                del header["dnn"]
             elif kind == "missing-array":
                 del arrays["dnn.v"]
             elif kind == "short-moment-stack":
                 arrays["dnn.m"] = arrays["dnn.m"][:1]
             elif kind == "no-step":
                 del header["step"]
+            elif kind == "no-learning_rate":
+                del header["learning_rate"]
+            elif kind.endswith("-learning_rate"):
+                header["learning_rate"] = {"bool": True, "string": "0.001", "nan": float("nan"),
+                                           "zero": 0, "negative": -1e-3}[kind.split("-")[0]]
             elif kind.endswith("-step"):
                 header["step"] = {"negative": -3, "bool": True, "float": 2.0}[kind[:-5]]
             elif kind.startswith(("float-", "bool-", "other-")):
@@ -784,7 +787,10 @@ class TestCheckpoint:
             assert np.array_equal(arrays[f"dnn.{name}"], buffer)
         header = json.loads(bytes(arrays["header"]).decode())
         assert header["step"] == ensemble.step > 0
-        assert header["dnn"] == model_meta(ensemble.dnns[0]) and "dnns" not in header
+        assert header == {
+            "format": ddl.ENSEMBLE_FORMAT, "version": 5, "num_dts": 6, "num_servers": 4,
+            "step": ensemble.step, "learning_rate": 1e-3,
+        }
 
     def test_a_checkpoint_loads_into_its_own_arrays(self, tmp_path):
         # The archive's (K, P) arrays become the stack, so loading holds them once, not twice.
@@ -835,8 +841,8 @@ class TestCheckpoint:
         assert np.array_equal(emb_a, emb_b)
         ga = result.ensemble.dnns[0].backward(np.repeat(emb_a, 4, axis=0), targets)
         gb = loaded.dnns[0].backward(np.repeat(emb_b, 4, axis=0), targets)
-        result.ensemble.dnns[0].adam_step(ga.gradients, result.ensemble.step + 1)
-        loaded.dnns[0].adam_step(gb.gradients, loaded.step + 1)
+        result.ensemble.dnns[0].adam_step(ga.gradients, result.ensemble.step + 1, 1e-3)
+        loaded.dnns[0].adam_step(gb.gradients, loaded.step + 1, loaded.learning_rate)
         assert np.array_equal(result.ensemble.dnns[0].weights[0], loaded.dnns[0].weights[0])
 
 
@@ -867,7 +873,7 @@ def step_toward_other_codes(ensemble, k, raw):
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
     dnn = ensemble.dnns[k]
     targets = (dnn.forward(emb) <= 0.5).astype(float)
-    dnn.adam_step(dnn.backward(emb, targets).gradients, ensemble.step + 1)
+    dnn.adam_step(dnn.backward(emb, targets).gradients, ensemble.step + 1, ensemble.learning_rate)
 
 
 class TestStackedNetworks:
@@ -945,9 +951,10 @@ class TestStackedNetworks:
         assert clone.step == original.step
 
     @staticmethod
-    def trained_and_its_labels():
+    def trained_and_its_labels(learning_rate=1e-3):
         """A desk ensemble trained for a few updates, and a full database of its own labels."""
-        cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24)
+        cfg = desk_config(iterations=10, db_capacity=6, batch_size=4, num_dnns=3, seed=24,
+                          learning_rate=learning_rate)
         ensemble = train(cfg).ensemble
         servers = ensemble.num_servers
         db = ReplayDatabase(6, (DESK.num_dts, ddl.INPUT_WIDTH), DESK.num_dts * bits_per_dt(servers))
@@ -985,27 +992,49 @@ class TestStackedNetworks:
             ddl._update(ensemble, db, np.random.default_rng(32), 4)
         self.assert_same_training_state(clone, same_stack)
 
+    def test_every_copy_keeps_the_learning_rate(self, tmp_path):
+        original, db = self.trained_and_its_labels(learning_rate=0.01)
+        path = tmp_path / "ensemble.npz"
+        save_ensemble(path, original)
+        copies = {
+            "load_ensemble": load_ensemble(path),
+            "copy.deepcopy": copy.deepcopy(original),
+            "pickle": pickle.loads(pickle.dumps(original)),
+            "dataclasses.replace": dataclasses.replace(copy.deepcopy(original)),
+        }
+        assert type(original.learning_rate) is float and original.learning_rate == 0.01
+        for how, clone in copies.items():
+            assert type(clone.learning_rate) is float and clone.learning_rate == 0.01, how
+        # one more update at that rate keeps every copy on the original's bits
+        for ensemble in (original, *copies.values()):
+            ddl._update(ensemble, db, np.random.default_rng(33), 4)
+        for clone in copies.values():
+            self.assert_same_training_state(clone, original)
+
     UNFIT = "writable contiguous vectors of"
 
     def test_networks_of_different_architecture_or_dtype_are_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=25))
-        narrow = build_ensemble(desk_config(num_dnns=3, seed=25, hidden_sizes=(16,)))
+        servers = ensemble.num_servers
+        sizes = ensemble.dnn_arch.sizes
+        narrow = MlpArch((sizes[0], 16, sizes[-1]), (Activation.RELU, Activation.SIGMOID))
+        narrow_stack = tuple(np.zeros((3, narrow.num_params), np.float32) for _ in range(3))
         params, m, v = ensemble.stack
         read_only = v.copy()
         read_only.flags.writeable = False
-        for arch, stack in [
-            (narrow.dnn_arch, ensemble.stack),  # rows of another architecture's length
-            (ensemble.dnn_arch, narrow.stack),
-            (ensemble.dnn_arch, (params, m.astype(np.float64), v)),  # moments of another dtype
-            (ensemble.dnn_arch, (params, m, v.astype(np.float64))),
-            (ensemble.dnn_arch, (params.astype(np.float64), m, v)),
-            (ensemble.dnn_arch, tuple(a.astype(np.int32) for a in ensemble.stack)),
-            (ensemble.dnn_arch, (np.asfortranarray(params), m, v)),  # rows that are not contiguous
-            (ensemble.dnn_arch, (params, m, read_only)),
+        for num_servers, stack in [
+            (servers, narrow_stack),  # rows of another architecture's length
+            (servers + 1, ensemble.stack),  # 3 code bits a twin where 4 servers need 2
+            (servers, (params, m.astype(np.float64), v)),  # moments of another dtype
+            (servers, (params, m, v.astype(np.float64))),
+            (servers, (params.astype(np.float64), m, v)),
+            (servers, tuple(a.astype(np.int32) for a in ensemble.stack)),
+            (servers, (np.asfortranarray(params), m, v)),  # rows that are not contiguous
+            (servers, (params, m, read_only)),
         ]:
             with pytest.raises(ContractError, match=self.UNFIT):
-                DdlEnsemble(ensemble.num_dts, ensemble.num_servers, ensemble.extractor,
-                            arch, ensemble.dnn_hyper, stack)
+                DdlEnsemble(ensemble.num_dts, num_servers, ensemble.learning_rate,
+                            ensemble.extractor, stack)
 
     def test_a_stack_that_is_not_k_by_p_is_refused(self):
         ensemble = build_ensemble(desk_config(num_dnns=3, seed=26))

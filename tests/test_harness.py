@@ -66,7 +66,6 @@ def mini_train(iterations=40, **kw):
     kw.setdefault("num_dnns", 3)
     kw.setdefault("db_capacity", 16)
     kw.setdefault("batch_size", 8)
-    kw.setdefault("hidden_sizes", (8,))
     kw.setdefault("generator", MINI)
     kw.setdefault("seed", 1)
     return TrainConfig(iterations=iterations, **kw)

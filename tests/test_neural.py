@@ -7,17 +7,7 @@ import pytest
 from _models import from_layers, named_layers
 
 from dtplace.errors import ContractError
-from dtplace.neural import (
-    Activation,
-    AdamHyper,
-    MlpArch,
-    MlpModel,
-    init_random,
-    layer_views,
-    load_state,
-    model_meta,
-    model_state,
-)
+from dtplace.neural import Activation, MlpArch, MlpModel, init_random, layer_views
 
 SIG = Activation.SIGMOID
 RELU = Activation.RELU
@@ -57,7 +47,7 @@ def finite_difference_grads(model, x, t, h=1e-6):
 
 def cast(model, dtype):
     """The same network with its weights and biases converted to ``dtype``."""
-    return from_layers(model.arch, model.weights, model.biases, model.hyper, dtype)
+    return from_layers(model.arch, model.weights, model.biases, dtype)
 
 
 def max_relative_error(analytic, numeric):
@@ -232,7 +222,7 @@ class TestDtype:
         _, activations = extractor.forward(x, keep=True)
         upstream = extractor.backward_from_output(np.ones((6, 3), dtype=other), activations)
         assert all(a.dtype == dtype for pair in upstream for a in pair)
-        model.adam_step(result.gradients, 1)
+        model.adam_step(result.gradients, 1, 1e-3)
         for views in named_layers(model).values():
             assert all(a.dtype == dtype for a in views)
 
@@ -261,16 +251,15 @@ class TestDtype:
         narrow = model.params.astype(np.float32)
         for m, v in ((model.m, None), (None, model.v), (model.m, model.v)):
             with pytest.raises(ContractError):
-                MlpModel(self.ARCH, narrow, model.hyper, m, v)
+                MlpModel(self.ARCH, narrow, m, v)
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
         arch = MlpArch((1, 1), (SIG,))
-        model = from_layers(arch, [np.array([[2.0]])], [np.array([1.0])],
-                            AdamHyper(learning_rate=0.01))
+        model = from_layers(arch, [np.array([[2.0]])], [np.array([1.0])])
         g = np.array([[0.5]])
-        model.adam_step([(g, np.array([0.25]))], 1)
+        model.adam_step([(g, np.array([0.25]))], 1, 0.01)
         # First bias-corrected step is lr * g / (|g| + eps), i.e. nearly lr.
         expected_w = 2.0 - 0.01 * 0.5 / (0.5 + 1e-8)
         expected_b = 1.0 - 0.01 * 0.25 / (0.25 + 1e-8)
@@ -281,36 +270,36 @@ class TestAdam:
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         w_before = model.weights[0].copy()
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero, 1)
+        model.adam_step(zero, 1, 1e-3)
         assert np.array_equal(model.weights[0], w_before)
 
     def test_moments_decay_after_real_step(self):
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         g = [(np.ones_like(model.weights[0]), np.ones_like(model.biases[0]))]
-        model.adam_step(g, 1)
+        model.adam_step(g, 1, 1e-3)
         m_w, _ = layer_views(model.arch, model.m)
         m_after_first = m_w[0].copy()
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero, 2)
+        model.adam_step(zero, 2, 1e-3)
         assert np.allclose(m_w[0], 0.9 * m_after_first)
 
     def test_identical_models_stay_identical(self):
         a = init_random(MlpArch((4, 3), (SIG,)), seed=6)
         b = copy.deepcopy(a)
         g = [(np.full_like(a.weights[0], 0.1), np.full_like(a.biases[0], -0.2))]
-        a.adam_step(g, 1)
-        b.adam_step(g, 1)
+        a.adam_step(g, 1, 1e-3)
+        b.adam_step(g, 1, 1e-3)
         assert np.array_equal(a.weights[0], b.weights[0])
         assert np.array_equal(a.biases[0], b.biases[0])
 
     def test_gradient_shape_mismatch_rejected(self):
         model = init_random(MlpArch((4, 3), (SIG,)), seed=6)
         with pytest.raises(ContractError):
-            model.adam_step([(np.zeros((2, 2)), np.zeros(3))], 1)
+            model.adam_step([(np.zeros((2, 2)), np.zeros(3))], 1, 1e-3)
         # steps count from 1: step 0 would divide the moments by a zero bias correction
         zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
         with pytest.raises(ContractError, match="counted from 1"):
-            model.adam_step(zero, 0)
+            model.adam_step(zero, 0, 1e-3)
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(30)
@@ -319,7 +308,7 @@ class TestAdam:
         t = (rng.random((64, 4)) < 0.5).astype(float)
         first = model.backward(x, t).loss
         for step in range(1, 201):
-            model.adam_step(model.backward(x, t).gradients, step)
+            model.adam_step(model.backward(x, t).gradients, step, 1e-3)
         last = model.backward(x, t).loss
         assert last < first
 
@@ -340,18 +329,17 @@ class TestFlatBuffers:
         for step in range(1, 4):
             x = rng.normal(size=(6, 5))
             t = rng.integers(0, 2, size=(6, 3)).astype(float)
-            model.adam_step(model.backward(x, t).gradients, step)
+            model.adam_step(model.backward(x, t).gradients, step, 1e-3)
         return model
 
     def test_views_share_the_flat_buffers(self):
         self.assert_views_share_flat_buffers(init_random(self.ARCH, seed=4))
         model = self.trained()
         self.assert_views_share_flat_buffers(model)
-        loaded = load_state(model_meta(model), model_state(model))
-        self.assert_views_share_flat_buffers(loaded)
+        clone = copy.deepcopy(model)
+        self.assert_views_share_flat_buffers(clone)
         for flat in ("params", "m", "v"):
-            assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
-        self.assert_views_share_flat_buffers(copy.deepcopy(model))
+            assert np.array_equal(getattr(clone, flat), getattr(model, flat))
 
     def test_adam_step_writes_through_the_views(self):
         model = self.trained()
@@ -359,7 +347,7 @@ class TestFlatBuffers:
         views = model.weights
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 5))
-        model.adam_step(model.backward(x, np.ones((6, 3))).gradients, 4)
+        model.adam_step(model.backward(x, np.ones((6, 3))).gradients, 4, 1e-3)
         assert model.weights is views
         assert all(not np.array_equal(w, b) for w, b in zip(model.weights, before))
 
@@ -380,8 +368,9 @@ class TestFlatBuffers:
         # also a moment of another dtype, and parameters of another length
         for key, bad in (("m", model.m[:-1]), ("v", model.v.astype(np.float32)),
                          ("params", model.params[:-1])):
+            vectors = {"params": model.params, "m": model.m, "v": model.v, key: bad}
             with pytest.raises(ContractError):
-                load_state(model_meta(model), {**model_state(model), key: bad})
+                MlpModel(model.arch, **vectors)
 
     def stack(self, count=3, dtype=np.float64):
         return tuple(np.zeros((count, self.ARCH.num_params), dtype) for _ in range(3))
@@ -392,7 +381,7 @@ class TestFlatBuffers:
         for buf, flat in zip(stack, (model.params, model.m, model.v)):
             buf[1] = flat
         params, m, v = (buf[1] for buf in stack)
-        held = MlpModel(self.ARCH, params, model.hyper, m, v)
+        held = MlpModel(self.ARCH, params, m, v)
         assert all(a is b for a, b in zip((held.params, held.m, held.v), (params, m, v)))
         self.assert_views_share_flat_buffers(held)
         # construction writes nothing: the moments given stay as they were
@@ -405,11 +394,6 @@ class TestFlatBuffers:
         fresh = MlpModel(self.ARCH, stack[0][0])
         assert not (fresh.m.any() or fresh.v.any() or np.shares_memory(fresh.m, fresh.v))
         assert fresh.m.dtype == fresh.v.dtype == np.float64
-        # loading copies the stored vectors
-        state = model_state(model)
-        loaded = load_state(model_meta(model), state)
-        for flat in ("params", "m", "v"):
-            assert not np.shares_memory(getattr(loaded, flat), state[flat])
 
     @pytest.mark.parametrize(
         "copier", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
@@ -417,14 +401,14 @@ class TestFlatBuffers:
     )
     def test_copies_of_a_row_own_fresh_vectors_with_the_whole_state(self, copier):
         trained = cast(self.trained(), np.float32)
-        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients, 1)
+        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients, 1, 1e-3)
         stack = self.stack(dtype=np.float32)
         for buf, flat in zip(stack, (trained.params, trained.m, trained.v)):
             buf[1] = flat
-        model = MlpModel(self.ARCH, stack[0][1], trained.hyper, stack[1][1], stack[2][1])
+        model = MlpModel(self.ARCH, stack[0][1], stack[1][1], stack[2][1])
         clone = copier(model)
         self.assert_views_share_flat_buffers(clone)
-        assert (clone.arch, clone.hyper) == (model.arch, model.hyper)
+        assert clone.arch == model.arch
         for flat in ("params", "m", "v"):
             got, want = getattr(clone, flat), getattr(model, flat)
             assert not np.shares_memory(got, stack[0]) and not np.shares_memory(got, want)
@@ -454,7 +438,7 @@ class TestFlatBuffers:
             vectors[k] = unfit()
             params, m, v = vectors
             with pytest.raises(ContractError):
-                MlpModel(self.ARCH, params, AdamHyper(), m, v)
+                MlpModel(self.ARCH, params, m, v)
         if bad != "dtype":
             with pytest.raises(ContractError):
                 MlpModel(self.ARCH, unfit())
@@ -464,7 +448,7 @@ class TestFlatBuffers:
         models = []
         for k in range(3):
             stack[0][k] = init_random(self.ARCH, seed=k).params
-            models.append(MlpModel(self.ARCH, stack[0][k], AdamHyper(), stack[1][k], stack[2][k]))
+            models.append(MlpModel(self.ARCH, stack[0][k], stack[1][k], stack[2][k]))
         weights, biases = layer_views(self.ARCH, stack[0])
         for i in range(models[0].num_layers):
             assert weights[i].shape == (3, *models[0].weights[i].shape)
@@ -499,21 +483,18 @@ class TestInit:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self):
+        # A pickle holds the architecture and the three vectors, so training resumes exactly.
         # np.array_equal ignores dtype, so the dtype is compared on its own.
         for dtype in (np.float64, np.float32):
-            model = cast(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9,
-                                     hyper=AdamHyper(learning_rate=0.005)), dtype)
+            model = cast(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=9), dtype)
             rng = np.random.default_rng(10)
             for step in range(1, 4):
                 x = rng.normal(size=(4, 6))
                 t = rng.integers(0, 2, size=(4, 3)).astype(float)
-                model.adam_step(model.backward(x, t).gradients, step)
+                model.adam_step(model.backward(x, t).gradients, step, 0.005)
 
-            state = model_state(model, prefix="net.")
-            assert sorted(state) == ["net.m", "net.params", "net.v"]
-            loaded = load_state(model_meta(model), state, prefix="net.")
+            loaded = pickle.loads(pickle.dumps(model))
             assert loaded.arch == model.arch
-            assert loaded.hyper == model.hyper
             for got_views, want_views in zip(named_layers(loaded).values(), named_layers(model).values()):
                 for got, want in zip(got_views, want_views, strict=True):
                     assert got.dtype == want.dtype == dtype
@@ -523,11 +504,8 @@ class TestCheckpoint:
             out = loaded.forward(x)
             assert out.dtype == dtype
             assert np.array_equal(out, model.forward(x))
-
-    def test_wrong_file_rejected(self, tmp_path):
-        # A state file written for another architecture does not load under this header.
-        path = tmp_path / "other.npz"
-        np.savez(path, **model_state(init_random(MlpArch((6, 4, 3), (RELU, SIG)), seed=1)))
-        meta = model_meta(init_random(MlpArch((6, 5, 3), (RELU, SIG)), seed=1))
-        with np.load(path) as state, pytest.raises(ContractError):
-            load_state(meta, dict(state))
+            t = rng.integers(0, 2, size=(2, 3)).astype(float)
+            for net in (model, loaded):
+                net.adam_step(net.backward(x, t).gradients, 4, 0.005)
+            for flat in ("params", "m", "v"):
+                assert np.array_equal(getattr(loaded, flat), getattr(model, flat))

@@ -36,6 +36,17 @@ def test_landscape_report_prints_exact_row(args, share):
     assert lines[-1] == f"optimal cloud share: {share} of twins"
 
 
+@pytest.mark.parametrize(
+    "args", [["--probe", "0"], ["--seed", "-1"], ["--dts", "0"], ["--alpha", "2"]],
+    ids=["probe", "seed", "dts", "alpha"],
+)
+def test_landscape_report_refuses_bad_arguments_without_a_traceback(args):
+    done = run_script("landscape_report.py", *args)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("landscape_report.py: error: ")
+
+
 def test_bench_writes_one_alternating_pair(tmp_path):
     # The checkout's own src stands in for the parent, so no git is needed.
     # The output directory does not exist yet.
@@ -61,17 +72,21 @@ def test_bench_writes_one_alternating_pair(tmp_path):
         assert set(run["metrics"]) == names
     assert set(bench["summary"]) == names
     assert all(row["pairs"] == 1 for row in bench["summary"].values())
-    # one traced pass per side on the first seed: every layer's calls and self time
+    # one traced pass per side on the first seed: its op count, every layer's calls and
+    # self time per op
     traced = bench["per_layer"]
     assert list(traced) == ["command", "parent", "change"]
     assert traced["command"].endswith("--seed 3 --seconds 1 --trace 1")
     layers = set(traced["parent"])
-    assert layers == set(traced["change"]) and "exact.baselines.self_s" in layers
-    assert all(name.endswith((".calls", ".self_s")) for name in layers)
+    assert layers == set(traced["change"]) and "exact.baselines.self_us_per_op" in layers
+    assert all(name == "ops" or name.endswith((".calls_per_op", ".self_us_per_op"))
+               for name in layers)
+    per_op = {"exact.solve_exact": 1, "exact.baselines": 3, "cost_model.evaluate": 4,
+              "cost_model.per_dt_cost_table": 1, "neural.adam_step": 0}
     for side in ("parent", "change"):
-        assert traced[side]["cost_model.evaluate.calls"] > 0
-        assert traced[side]["exact.solve_exact.calls"] > 0
-        assert traced[side]["neural.adam_step.calls"] == 0
+        assert traced[side]["ops"] > 0
+        for layer, calls in per_op.items():
+            assert traced[side][f"{layer}.calls_per_op"] == calls, (side, layer)
 
 
 def load_bench():
