@@ -155,9 +155,11 @@ def machine() -> str:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("train-desk", "place-full", "reference-desk"))
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
     parser.add_argument("--seconds", type=float, default=25.0, help="run.py --seconds")
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
@@ -167,8 +169,7 @@ def main(argv=None) -> int:
     side.add_argument("--baseline-src", help="parent src/ directory, copied")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     os.makedirs(args.out, exist_ok=True)  # before the runs, so a bad --out fails at once
     runs, units, env_line = [], {}, None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:

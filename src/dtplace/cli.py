@@ -23,7 +23,6 @@ from . import ddl, harness
 from .ddl import TrainConfig
 from .errors import (
     ContractError,
-    DomainError,
     InvalidConfigError,
     ParseError,
     SlotCapacityError,
@@ -39,13 +38,11 @@ from .scenario import GeneratorConfig, from_document, generate_random, to_docume
 
 _RUNTIME_ERRORS = (
     ContractError,
-    DomainError,
     InvalidConfigError,
     ParseError,
     SlotCapacityError,
     ValidationError,
     OSError,
-    json.JSONDecodeError,
 )
 
 EXPERIMENT_NAMES = ("lr-sweep", "dnn-sweep", "dbsize-sweep", "alpha-compare")

@@ -20,17 +20,19 @@ the K decision networks share the one ``dnn_arch(num_dts, num_servers)``
 builds from ``HIDDEN_SIZES``.  The ensemble owns the one learning rate and
 the one update count that every Adam step takes.  An ensemble is built from
 the networks' stack: three ``(K, P)`` arrays that hold their flat
-parameters and Adam moments, one network per row.  It keeps the arrays it
-is given and makes ``dnns[k]`` an ordinary :class:`MlpModel` on row ``k``,
-so a proposal runs all K networks in one batched forward (one ``matmul``
-per layer over ``(K, in, out)`` weight views), while the replay update
-still runs every network's backward pass and Adam step on its own; those
-were measured slower when stacked.  ``build_ensemble`` draws each network
-straight into its row.  A checkpoint is a header of the shape, the update
-count and the learning rate, beside the extractor's three flat vectors and
-the stack as it is; ``load_ensemble`` keeps the arrays it reads as the
-stack.  An ensemble copies and pickles as its checkpoint, so a copy gets a
-stack of its own.
+parameters and Adam moments, one network per row.  Its constructor is the
+one place that checks the stack's shape against ``dnn_arch``.  It keeps
+the arrays it is given and makes ``dnns[k]`` an ordinary
+:class:`MlpModel` on row ``k``.  A proposal runs all K networks at once
+through ``neural.feed_forward``, the layer loop every network runs, over
+the stack's layer views, while the replay update still runs every
+network's backward pass and Adam step on its own; those were measured
+slower when stacked.  ``build_ensemble`` draws each network straight into
+its row.  A checkpoint is a header of the shape, the update count and the
+learning rate, beside the extractor's three flat vectors and the stack as
+it is; ``load_ensemble`` keeps the arrays it reads as the stack.  An
+ensemble copies and pickles as its checkpoint, so a copy gets a stack of
+its own.
 
 Placements are emitted as bits: each DT gets ``ceil(log2(R))`` sigmoid
 outputs, thresholded at 0.5 and read as a big-endian code modulo the server
@@ -50,7 +52,7 @@ import numpy as np
 from .cost_model import CostBreakdown, Decision, evaluate, per_dt_cost_table
 from .errors import ContractError, InvalidConfigError, SlotCapacityError
 from .exact import SchemeResult
-from .neural import Activation, MlpArch, MlpModel, init_random, layer_views
+from .neural import Activation, MlpArch, MlpModel, feed_forward, init_random, layer_views
 from .scenario import BANDWIDTH, FIELD_SIZE, MEGABITS_PER_MEGABYTE, WORKLOAD_RANGE
 from .scenario import GeneratorConfig, Scenario, generate_random
 
@@ -200,11 +202,13 @@ class DdlEnsemble:
     ``stack`` is the ``(params, m, v)`` triple of ``(K, P)`` arrays, K >= 1,
     whose row ``k`` holds network ``k``'s flat parameters and Adam moments
     (see the module docstring); every network has the architecture
-    ``dnn_arch``, derived from ``num_dts`` and ``num_servers``.  ``dnns[k]``
-    is the model on row ``k``.  ``step`` counts the replay updates, each one
-    Adam step at ``learning_rate`` of every network and of the extractor.  A
-    stack that is not three ``(K, P)`` arrays of one shape with K >= 1, or
-    whose rows :class:`MlpModel` refuses, raises ``ContractError``.
+    ``dnn_arch``, derived from ``num_dts`` and ``num_servers``, and P is its
+    ``num_params``.  ``dnns[k]`` is the model on row ``k``, and
+    ``stack_views`` the stack's ``layer_views``, which ``propose_batch``
+    runs.  ``step`` counts the replay updates, each one Adam step at
+    ``learning_rate`` of every network and of the extractor.  A stack that
+    is not three such ``(K, P)`` arrays with K >= 1, or whose rows
+    :class:`MlpModel` refuses, raises ``ContractError``.
     """
 
     num_dts: int
@@ -215,22 +219,23 @@ class DdlEnsemble:
     step: int = 0
     dnn_arch: MlpArch = field(init=False, repr=False)
     dnns: tuple[MlpModel, ...] = field(init=False, repr=False)
-    _layers: tuple = field(init=False, repr=False)
+    stack_views: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.dnn_arch = dnn_arch(self.num_dts, self.num_servers)
         params, m, v = self.stack
         shape = np.shape(params)
-        if len(shape) != 2 or shape[0] < 1 or np.shape(m) != shape or np.shape(v) != shape:
-            raise ContractError("an ensemble's stack must be three (K, P) arrays with K >= 1")
-        self.dnn_arch = dnn_arch(self.num_dts, self.num_servers)
+        num_params = self.dnn_arch.num_params
+        if not (len(shape) == 2 and shape[0] >= 1 and shape[1] == num_params
+                and np.shape(m) == shape == np.shape(v)):
+            raise ContractError(
+                f"an ensemble's stack must be three (K, P) arrays with K >= 1 and P = {num_params}, "
+                f"the networks that place {self.num_dts} twins on {self.num_servers} servers"
+            )
         self.dnns = tuple(
             MlpModel(self.dnn_arch, row, m_row, v_row) for row, m_row, v_row in zip(params, m, v)
         )
-        weights, biases = layer_views(self.dnn_arch, params)
-        self._layers = tuple(
-            (w.transpose(0, 2, 1), b[:, None, :], act)
-            for w, b, act in zip(weights, biases, self.dnn_arch.activations)
-        )
+        self.stack_views = layer_views(self.dnn_arch, params)
 
     def __reduce__(self):
         # copies (pickle, copy.copy, copy.deepcopy) go through the checkpoint; the arrays are
@@ -241,21 +246,6 @@ class DdlEnsemble:
     @property
     def num_dnns(self) -> int:
         return len(self.dnns)
-
-    def dnn_outputs(self, embeddings) -> np.ndarray:
-        """Every decision network's output for a batch, shape ``(K, batch, out)``.
-
-        ``embeddings`` is ``(batch, in)``.  Each layer is one batched
-        ``matmul``; the values equal each network's own ``forward``.
-        """
-        a = np.asarray(embeddings, dtype=self.stack[0].dtype)
-        if a.ndim != 2 or a.shape[1] != self.dnn_arch.sizes[0]:
-            raise ContractError("embedding batch does not match the decision networks' input")
-        for w, b, act in self._layers:
-            z = np.matmul(a, w)
-            z += b
-            a = np.maximum(z, 0.0, out=z) if act is Activation.RELU else act.apply(z)
-        return a
 
 
 @dataclass(frozen=True)
@@ -321,7 +311,7 @@ def propose_batch(ensemble: DdlEnsemble, raw_batch: np.ndarray) -> np.ndarray:
         raise ContractError("raw input shape does not match the ensemble")
     b, m, width = raw.shape
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
-    out = ensemble.dnn_outputs(emb)
+    out = feed_forward(emb, *ensemble.stack_views, ensemble.dnn_arch.activations)
     k = out.shape[0]
     return decode_codes(out.reshape(k * b, -1), m, ensemble.num_servers).reshape(k, b, m)
 
@@ -499,9 +489,9 @@ def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
 
     The arrays are kept, not copied: ``arrays`` may be an open ``np.load``
     archive, whose every read is a fresh array.  A ``learning_rate`` that is
-    not a positive finite float, and decision networks whose length does not
-    fit ``num_dts`` twins on ``num_servers`` servers, raise ``ContractError``;
-    so do extractor vectors that do not fit ``EXTRACTOR_ARCH``.
+    not a positive finite float raises ``ContractError``, and so does any
+    refusal of the extractor's vectors by :class:`MlpModel` or of the stack
+    by :class:`DdlEnsemble`, each as "not an ensemble checkpoint".
     """
     num_dts = _header_count(header, "num_dts", 1)
     num_servers = _header_count(header, "num_servers", 1)
@@ -510,15 +500,12 @@ def _from_checkpoint(header: dict, arrays) -> DdlEnsemble:
     if type(learning_rate) is not float or not (learning_rate > 0 and isfinite(learning_rate)):
         raise ContractError(f"not an ensemble checkpoint: learning_rate {learning_rate!r} is not "
                             "a positive finite float")
-    num_params = dnn_arch(num_dts, num_servers).num_params
-    params, m, v = (np.asarray(arrays[f"dnn.{name}"]) for name in _FLAT)
-    if not (params.ndim == 2 and len(params) and m.shape == v.shape == params.shape
-            and params.shape[1] == num_params):
-        raise ContractError(f"not an ensemble checkpoint: dnn.params, m and v are not (K, P) with "
-                            f"K >= 1 and P = {num_params}, the networks that place {num_dts} twins "
-                            f"on {num_servers} servers")
-    extractor = MlpModel(EXTRACTOR_ARCH, *(np.asarray(arrays[f"ext.{name}"]) for name in _FLAT))
-    return DdlEnsemble(num_dts, num_servers, learning_rate, extractor, (params, m, v), step)
+    ext, stack = ([np.asarray(arrays[f"{net}.{name}"]) for name in _FLAT] for net in ("ext", "dnn"))
+    try:
+        extractor = MlpModel(EXTRACTOR_ARCH, *ext)
+        return DdlEnsemble(num_dts, num_servers, learning_rate, extractor, tuple(stack), step)
+    except ContractError as e:
+        raise ContractError(f"not an ensemble checkpoint: {e}") from e
 
 
 def save_ensemble(path, ensemble: DdlEnsemble) -> None:

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """An input lies outside a formula's domain (non-positive quantity, etc.)."""
-
-
 class ContractError(ValueError):
     """A call violates an interface contract (shape or dimension mismatch)."""
 

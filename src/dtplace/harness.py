@@ -31,7 +31,7 @@ import numpy as np
 
 from . import ddl
 from .ddl import DdlEnsemble, TrainConfig
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .exact import (
     scheme_average_distribution,
     scheme_cloud_only,
@@ -137,11 +137,11 @@ def convergence_rate(old_costs, new_costs) -> float:
     old = np.asarray(old_costs, dtype=float)
     new = np.asarray(new_costs, dtype=float)
     if old.ndim != 1 or old.shape != new.shape:
-        raise DomainError("cost vectors must be 1-D and equally long")
+        raise ContractError("cost vectors must be 1-D and equally long")
     if old.size == 0:
-        raise DomainError("cost vectors must be nonempty")
+        raise ContractError("cost vectors must be nonempty")
     if np.any(old <= 0) or np.any(new <= 0):
-        raise DomainError("costs must be positive")
+        raise ContractError("costs must be positive")
     return float(np.mean(np.minimum(old, new) / np.maximum(old, new)))
 
 

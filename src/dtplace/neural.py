@@ -25,6 +25,13 @@ betas and epsilon are the module constants ``BETA1``, ``BETA2`` and
 passes both to ``adam_step``.  A model copies and pickles as its
 architecture and copies of its three vectors, so a copy owns fresh ones.
 
+``feed_forward`` is the one layer loop: ``a·Wᵀ + b``, then the
+activation, over ``layer_views`` of one model or of a ``(K, P)`` stack of
+K models, which it runs as one batched product per layer.  It alone casts
+and checks the input batch.  ``forward``, ``backward`` and the ensemble's
+proposals all run it.  Backprop reads only the layer outputs it keeps: each
+activation's derivative is a function of its output.
+
 ``backward`` returns the gradient on its input, which is what chains a
 decision network to the extractor.  ``backward_from_output`` serves the
 extractor, a network with an identity head whose input is data: it takes
@@ -55,21 +62,25 @@ class Activation(str, Enum):
     IDENTITY = "identity"
 
     def apply(self, z: np.ndarray) -> np.ndarray:
+        """The activation of the pre-activation array ``z``, which ReLU overwrites."""
         if self is Activation.RELU:
-            return np.maximum(z, 0.0)
+            return np.maximum(z, 0.0, out=z)
         if self is Activation.SIGMOID:
             # exp(-z) overflows to inf below z ≈ -88 in float32, giving the limit 0.
             with np.errstate(over="ignore"):
                 return 1.0 / (1.0 + np.exp(-z))
         return z
 
-    def derivative(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Derivative at pre-activation ``z`` whose activation came out ``a``."""
+    def derivative(self, a: np.ndarray) -> np.ndarray:
+        """Derivative at the pre-activation whose activation came out ``a``.
+
+        ReLU's ``a > 0`` holds exactly where its pre-activation is ``> 0``, NaN included.
+        """
         if self is Activation.RELU:
-            return (z > 0.0).astype(z.dtype)
+            return (a > 0.0).astype(a.dtype)
         if self is Activation.SIGMOID:
             return a * (1.0 - a)
-        return np.ones_like(z)
+        return np.ones_like(a)
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,27 @@ def layer_views(arch: MlpArch, flat: np.ndarray):
     return ws, bs
 
 
+def feed_forward(x, weights, biases, activations, keep: bool = False):
+    """Every layer's ``a·Wᵀ + b`` and activation, for a ``(batch, in)`` batch ``x``.
+
+    ``weights`` and ``biases`` are ``layer_views`` of one model, which gives
+    a ``(batch, out)`` output, or of a stack of K models, which gives
+    ``(K, batch, out)``.  ``x`` is cast to the parameters' dtype.  With
+    ``keep`` the result is the list of ``x`` and every layer's output.
+    """
+    a = np.asarray(x, dtype=weights[0].dtype)
+    width = weights[0].shape[-1]
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ContractError(f"input of shape {a.shape} is not a batch of width {width}")
+    kept = [a]
+    for w, b, act in zip(weights, biases, activations):
+        z = a @ np.swapaxes(w, -1, -2)
+        z += b[..., None, :]
+        a = act.apply(z)
+        kept.append(a)
+    return kept if keep else a
+
+
 class MlpModel:
     """Mutable network state; one instance is owned by one trainer.
 
@@ -140,8 +172,8 @@ class MlpModel:
                 and a.flags.c_contiguous and a.flags.writeable
             ):
                 raise ContractError(
-                    f"params, m and v must be writable contiguous vectors of {arch.num_params} "
-                    "values of one floating dtype"
+                    f"params, m and v of a {arch.sizes} network must be writable contiguous "
+                    f"vectors of {arch.num_params} values of one floating dtype"
                 )
         self.params, self.m, self.v = params, m, v
         # per-layer views into the flat parameters, in the order w0, b0, w1, b1, ...
@@ -159,42 +191,23 @@ class MlpModel:
     def dtype(self) -> np.dtype:
         return self.params.dtype
 
-    def _forward_cached(self, x: np.ndarray):
-        pre, post = [], [x]
-        a = x
-        for w, b, act in zip(self.weights, self.biases, self.arch.activations):
-            z = a @ w.T + b
-            a = act.apply(z)
-            pre.append(z)
-            post.append(a)
-        return pre, post
-
-    def _batch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 2 or x.shape[1] != self.arch.sizes[0]:
-            raise ContractError(
-                f"input of shape {x.shape} is not a batch of width {self.arch.sizes[0]}"
-            )
-        return x
-
     def forward(self, x, keep: bool = False):
         """Output for a ``(batch, in)`` batch.
 
         With ``keep`` the result is ``(output, activations)``, where the
         activations are what ``backward_from_output`` needs for this batch.
         """
-        activations = self._forward_cached(self._batch(x))
-        out = activations[1][-1]
-        return (out, activations) if keep else out
+        kept = feed_forward(x, self.weights, self.biases, self.arch.activations, keep)
+        return (kept[-1], kept) if keep else kept
 
-    def _backprop(self, pre, post, delta):
+    def _backprop(self, post, delta):
         """Per-layer gradients for the output residual ``delta``, and the first layer's residual."""
         gradients = []
         for i in range(self.num_layers - 1, -1, -1):
             gradients.append((delta.T @ post[i], delta.sum(axis=0)))
             if i > 0:
                 act = self.arch.activations[i - 1]
-                delta = (delta @ self.weights[i]) * act.derivative(pre[i - 1], post[i])
+                delta = (delta @ self.weights[i]) * act.derivative(post[i])
         gradients.reverse()
         return gradients, delta
 
@@ -206,19 +219,18 @@ class MlpModel:
         """
         if self.arch.activations[-1] is not Activation.SIGMOID:
             raise ContractError("cross-entropy backward requires a sigmoid output layer")
-        x = self._batch(x)
+        post = feed_forward(x, self.weights, self.biases, self.arch.activations, keep=True)
+        f = post[-1]
         t = np.asarray(targets, dtype=self.dtype)
         if not ((t == 0.0) | (t == 1.0)).all():
             raise ContractError("targets must be 0 or 1")
-        if t.shape != (x.shape[0], self.arch.sizes[-1]):
+        if t.shape != f.shape:
             raise ContractError("target shape does not match input batch and output width")
 
-        pre, post = self._forward_cached(x)
-        f = post[-1]
-        u = x.shape[0]
+        u = f.shape[0]
         clamped = np.clip(f, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
         loss = float(-(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).sum() / u)
-        gradients, delta = self._backprop(pre, post, (f - t) / u)
+        gradients, delta = self._backprop(post, (f - t) / u)
         return BackwardResult(gradients, delta @ self.weights[0], loss)
 
     def backward_from_output(self, output_gradient, activations) -> list:
@@ -230,11 +242,10 @@ class MlpModel:
         """
         if self.arch.activations[-1] is not Activation.IDENTITY:
             raise ContractError("backward_from_output requires an identity output layer")
-        pre, post = activations
         g = np.asarray(output_gradient, dtype=self.dtype)
-        if g.shape != (post[0].shape[0], self.arch.sizes[-1]):
+        if g.shape != activations[-1].shape:
             raise ContractError("output gradient shape does not match the forward batch")
-        return self._backprop(pre, post, g)[0]
+        return self._backprop(activations, g)[0]
 
     def adam_step(self, gradients, step: int, learning_rate: float) -> None:
         """Adam update number ``step`` (counted from 1), with bias correction; mutates the model.

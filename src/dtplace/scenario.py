@@ -343,9 +343,13 @@ def validate(s: Scenario) -> list[str]:
         if not isinstance(g, (int, np.integer)) or not 0 <= g < s.num_dts:
             out.append(f"ownership out of range at device {i}")
     present = set(owners)
-    for dt in range(s.num_dts):
-        if dt not in present:
-            out.append(f"empty DT {dt}")
+    # n devices fill at most n twins, so past the first n the empty twins are
+    # counted in one line: the report stays O(devices) for any num_dts
+    listed = min(s.num_dts, len(dev.ownership))
+    out.extend(f"empty DT {dt}" for dt in range(listed) if dt not in present)
+    surplus = s.num_dts - listed - sum(listed <= g < s.num_dts for g in present)
+    if surplus > 0:
+        out.append(f"empty DTs: {surplus} of DT {listed} to DT {s.num_dts - 1}")
 
     if s.num_dts < 1:
         out.append("num_dts out of range")

@@ -18,6 +18,7 @@ stay faithful instead of being inverted or re-tuned to pass.
 """
 
 import dataclasses
+import hashlib
 import math
 import statistics
 import time
@@ -266,6 +267,34 @@ def test_criterion_6_convergence_tail(reference_run):
     values = [p.convergence for p in tail]
     print(f"criterion 6: final-10 convergence min {min(values):.4f} (bar 0.99)")
     assert all(v > 0.99 for v in values)
+
+
+# The reference run's labels through the replay fill, and its probe-Q series
+# every 100 iterations.  Byte parity holds only within one BLAS kernel family:
+# run under the OpenBLAS core types SkylakeX (the default on a 2-vCPU AVX-512
+# Xeon guest), Haswell and Sandybridge, the run picks the same labels for its
+# first 1063 iterations, then drifts, and every probe Q stays within 0.24 % of
+# the SkylakeX series pinned here.  The tolerance is about twice that.
+FILL_LABELS_SHA256 = "25b2baa5598e049c2ee58b7dc96f2381b1ca83af1cd156e6b14c3138bd906e2f"
+PROBE_Q_EVERY_100 = (
+    *(1392.8820319093438,) * 11,
+    1427.2941177378286, 1409.1414460460453, 1394.7695711166634, 1391.8811967833394,
+    1390.1951442044844, 1389.2376164046782, 1387.7033247580841, 1386.8664344986278,
+    1385.3399376257303, 1385.8218606497574, 1384.9768267492548, 1384.6718881186766,
+    1381.6918579138164, 1382.5655403312878, 1381.4798709337065, 1380.2216167867232,
+    1379.4988979012564, 1379.7165348973363, 1380.02614693331, 1378.3466814405524,
+)
+
+
+def test_reference_run_is_pinned(reference_run):
+    fill = reference_run.traces[:reference_run.config.db_capacity]
+    chosen_q = np.array([t.chosen_q for t in fill])
+    chosen_dnn = np.array([t.chosen_dnn for t in fill], dtype=np.int64)
+    digest = hashlib.sha256(chosen_q.tobytes() + chosen_dnn.tobytes()).hexdigest()
+    assert digest == FILL_LABELS_SHA256
+    points = reference_run.eval_points[::10]
+    assert [p.iteration for p in points] == list(range(0, 3001, 100))
+    np.testing.assert_allclose([p.mean_probe_q for p in points], PROBE_Q_EVERY_100, rtol=5e-3)
 
 
 def _first_reach(report, threshold=0.99):

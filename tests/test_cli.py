@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dtplace.cli import main
-from dtplace.ddl import load_ensemble
+from dtplace.ddl import TrainConfig, build_ensemble, load_ensemble, save_ensemble
+from dtplace.errors import ContractError
 from dtplace.scenario import from_document
 
 TINY = ["--devices", "8", "--dts", "3", "--edges", "2"]
@@ -166,6 +168,28 @@ class TestSolve:
         code = run("solve", scenario_path, "--scheme", "ddl", "--checkpoint", str(checkpoint))
         assert code == 1
         assert "error: not an ensemble checkpoint" in capsys.readouterr().err
+
+    def test_ddl_with_a_short_extractor_fails_cleanly(self, tmp_path, capsys):
+        # a full-shape checkpoint whose ext.params is one value short
+        assert run("generate", "--seed", "1", "--out", str(tmp_path)) == 0
+        checkpoint = tmp_path / "ensemble.npz"
+        save_ensemble(checkpoint, build_ensemble(TrainConfig(iterations=0)))
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["ext.params"] = arrays["ext.params"][:-1]
+        with open(checkpoint, "wb") as f:
+            np.savez(f, **arrays)
+        refusal = r"^not an ensemble checkpoint: .*of a \(96, 32, 8\) network"
+        with pytest.raises(ContractError, match=refusal):
+            load_ensemble(checkpoint)
+        capsys.readouterr()
+        scenario = str(tmp_path / "scenario_1.json")
+        code = run("solve", scenario, "--scheme", "ddl", "--checkpoint", str(checkpoint))
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("error: not an ensemble checkpoint: ")
+        assert "Traceback" not in err
 
     def test_negative_seed_is_usage_error(self, scenario_path, capsys):
         capsys.readouterr()

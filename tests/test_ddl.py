@@ -31,7 +31,16 @@ from dtplace.ddl import (
     train,
 )
 from dtplace.errors import ContractError, InvalidConfigError, SlotCapacityError
-from dtplace.neural import BETA1, BETA2, EPS, LOSS_CLAMP, Activation, MlpArch, MlpModel
+from dtplace.neural import (
+    BETA1,
+    BETA2,
+    EPS,
+    LOSS_CLAMP,
+    Activation,
+    MlpArch,
+    MlpModel,
+    feed_forward,
+)
 from dtplace.scenario import DeviceSet, GeneratorConfig, generate_random
 
 DESK = GeneratorConfig(num_devices=24, num_dts=6)
@@ -530,8 +539,10 @@ class ReferenceNet:
     """Per-array network state and arithmetic, as kept before the flat buffers.
 
     One parameter and two moment arrays per weight and per bias, stepped
-    one array at a time; every backward pass runs its own forward pass and
-    computes the gradient on its input.
+    one array at a time; every backward pass runs its own forward pass,
+    keeps its pre-activations and computes the gradient on its input.  The
+    activations and their derivatives are spelled out here, so the oracle
+    shares no arithmetic with ``neural``.
     """
 
     def __init__(self, model, learning_rate):
@@ -543,11 +554,29 @@ class ReferenceNet:
         self.mb, self.vb = [np.zeros_like(b) for b in self.b], [np.zeros_like(b) for b in self.b]
         self.step = 0
 
+    @staticmethod
+    def apply(act, z):
+        if act is Activation.RELU:
+            return np.maximum(z, 0.0)
+        if act is Activation.SIGMOID:
+            with np.errstate(over="ignore"):
+                return 1.0 / (1.0 + np.exp(-z))
+        return z
+
+    @staticmethod
+    def derivative(act, z, a):
+        """The slope of ``act`` at pre-activation ``z``, whose activation is ``a``."""
+        if act is Activation.RELU:
+            return (z > 0.0).astype(z.dtype)
+        if act is Activation.SIGMOID:
+            return a * (1.0 - a)
+        return np.ones_like(z)
+
     def forward_cached(self, x):
         pre, post = [], [x]
         for w, b, act in zip(self.w, self.b, self.acts):
             pre.append(post[-1] @ w.T + b)
-            post.append(act.apply(pre[-1]))
+            post.append(self.apply(act, pre[-1]))
         return pre, post
 
     def backprop(self, x, delta_of_output):
@@ -557,7 +586,7 @@ class ReferenceNet:
         for i in range(len(self.w) - 1, -1, -1):
             gradients.append((delta.T @ post[i], delta.sum(axis=0)))
             if i > 0:
-                delta = (delta @ self.w[i]) * self.acts[i - 1].derivative(pre[i - 1], post[i])
+                delta = (delta @ self.w[i]) * self.derivative(self.acts[i - 1], pre[i - 1], post[i])
             else:
                 delta = delta @ self.w[0]
         return gradients[::-1], delta
@@ -602,7 +631,7 @@ def reference_update(ext, dnns, db, rng, batch_size, m) -> list[float]:
         gradients, input_gradient, loss = dnn.backward(emb, targets)
         dnn.adam_step(gradients)
         upstream = input_gradient.reshape(batch_size * m, -1)
-        back, _ = ext.backprop(flat, lambda z, a: upstream * ext.acts[-1].derivative(z, a))
+        back, _ = ext.backprop(flat, lambda z, a: upstream * ext.derivative(ext.acts[-1], z, a))
         if ext_grads is None:
             ext_grads = [(gw.copy(), gb.copy()) for gw, gb in back]
         else:
@@ -858,6 +887,11 @@ def per_network_proposals(ensemble, raw):
     return codes, outputs, emb
 
 
+def stacked_outputs(ensemble, emb):
+    """Every network's output at once, as ``propose_batch`` computes it: ``(K, batch, out)``."""
+    return feed_forward(emb, *ensemble.stack_views, ensemble.dnn_arch.activations)
+
+
 def assert_rows_of_buffers(ensemble):
     params, m, v = ensemble.stack
     assert params.shape == m.shape == v.shape == (ensemble.num_dnns, ensemble.dnn_arch.num_params)
@@ -886,7 +920,7 @@ class TestStackedNetworks:
             ensemble = restacked(ensemble, dtype)
         raw = np.stack([raw_group_input(generate_random(300 + i, gen)) for i in range(batch)])
         codes, outputs, emb = per_network_proposals(ensemble, raw)
-        batched = ensemble.dnn_outputs(emb)
+        batched = stacked_outputs(ensemble, emb)
         assert batched.dtype == outputs.dtype == dtype
         assert np.array_equal(batched, outputs)
         assert np.array_equal(propose_batch(ensemble, raw), codes)
@@ -896,7 +930,7 @@ class TestStackedNetworks:
         ensemble = train(cfg).ensemble
         raw = np.stack([raw_group_input(generate_random(400 + i, DESK)) for i in range(70)])
         codes, outputs, emb = per_network_proposals(ensemble, raw)
-        assert np.array_equal(ensemble.dnn_outputs(emb), outputs)
+        assert np.array_equal(stacked_outputs(ensemble, emb), outputs)
         assert np.array_equal(propose_batch(ensemble, raw), codes)
 
     @staticmethod
@@ -1011,6 +1045,8 @@ class TestStackedNetworks:
         for clone in copies.values():
             self.assert_same_training_state(clone, original)
 
+    # the ensemble's one shape check, and MlpModel's check of each row
+    NOT_K_BY_P = r"three \(K, P\) arrays with K >= 1 and P = "
     UNFIT = "writable contiguous vectors of"
 
     def test_networks_of_different_architecture_or_dtype_are_refused(self):
@@ -1022,17 +1058,18 @@ class TestStackedNetworks:
         params, m, v = ensemble.stack
         read_only = v.copy()
         read_only.flags.writeable = False
-        for num_servers, stack in [
-            (servers, narrow_stack),  # rows of another architecture's length
-            (servers + 1, ensemble.stack),  # 3 code bits a twin where 4 servers need 2
-            (servers, (params, m.astype(np.float64), v)),  # moments of another dtype
-            (servers, (params, m, v.astype(np.float64))),
-            (servers, (params.astype(np.float64), m, v)),
-            (servers, tuple(a.astype(np.int32) for a in ensemble.stack)),
-            (servers, (np.asfortranarray(params), m, v)),  # rows that are not contiguous
-            (servers, (params, m, read_only)),
+        for num_servers, stack, match in [
+            (servers, narrow_stack, self.NOT_K_BY_P),  # rows of another architecture's length
+            # 3 code bits a twin where 4 servers need 2
+            (servers + 1, ensemble.stack, self.NOT_K_BY_P),
+            (servers, (params, m.astype(np.float64), v), self.UNFIT),  # moments of another dtype
+            (servers, (params, m, v.astype(np.float64)), self.UNFIT),
+            (servers, (params.astype(np.float64), m, v), self.UNFIT),
+            (servers, tuple(a.astype(np.int32) for a in ensemble.stack), self.UNFIT),
+            (servers, (np.asfortranarray(params), m, v), self.UNFIT),  # rows not contiguous
+            (servers, (params, m, read_only), self.UNFIT),
         ]:
-            with pytest.raises(ContractError, match=self.UNFIT):
+            with pytest.raises(ContractError, match=match):
                 DdlEnsemble(ensemble.num_dts, num_servers, ensemble.learning_rate,
                             ensemble.extractor, stack)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dtplace import cost_model, ddl, harness
 from dtplace.cli import ALPHA_GRID
 from dtplace.ddl import TrainConfig, build_ensemble
-from dtplace.errors import ContractError, DomainError, InvalidConfigError
+from dtplace.errors import ContractError, InvalidConfigError
 from dtplace.exact import (
     scheme_average_distribution,
     scheme_cloud_only,
@@ -84,17 +84,17 @@ class TestConvergenceRate:
         assert convergence_rate(old, new) == convergence_rate(new, old)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             convergence_rate([1.0, 2.0], [1.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             convergence_rate([], [])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             convergence_rate([1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             convergence_rate([1.0], [-2.0])
 
     @given(

@@ -142,6 +142,25 @@ class TestValidate:
         bad = dataclasses.replace(s, devices=dataclasses.replace(s.devices, ownership=ownership))
         assert any("empty DT 3" in v for v in validate(bad))
 
+    def test_a_huge_num_dts_is_reported_in_lines_proportional_to_the_devices(self):
+        s = generate_random(1, DESK)
+        n = len(s.devices.workloads)
+        doc = json.loads(to_document(s))
+        # up to the device count, every empty twin has its own line
+        doc["num_dts"] = n
+        with pytest.raises(ValidationError) as err:
+            from_document(json.dumps(doc))
+        assert err.value.violations == [
+            *(f"empty DT {dt}" for dt in range(DESK.num_dts, n)),
+            "num_dts differs from max ownership + 1",
+        ]
+        # past it, the surplus is one line
+        doc["num_dts"] = 10**6
+        with pytest.raises(ValidationError) as err:
+            from_document(json.dumps(doc))
+        assert len(err.value.violations) < 2 * n + 10
+        assert f"empty DTs: {10**6 - n} of DT {n} to DT {10**6 - 1}" in err.value.violations
+
     def test_alpha_out_of_range_reported(self):
         s = generate_random(1, DESK)
         bad = dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=1.5))

@@ -89,6 +89,22 @@ def test_bench_writes_one_alternating_pair(tmp_path):
             assert traced[side][f"{layer}.calls_per_op"] == calls, (side, layer)
 
 
+def test_bench_takes_its_workloads_from_the_benchmark_spec(tmp_path, monkeypatch, capsys):
+    bench = load_bench()
+    spec = {"workloads": [{"name": "only-here"}], "end_to_end": []}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    args = ["--seeds", "1", "--label", "check", "--out", str(tmp_path / "out"),
+            "--baseline-src", str(tmp_path / "no-src")]
+    with pytest.raises(SystemExit) as refused:
+        bench.main(["--workload", "train-desk", *args])
+    assert refused.value.code == 2
+    assert "only-here" in capsys.readouterr().err
+    # a listed name is accepted: the run goes on to copy the missing parent
+    with pytest.raises(FileNotFoundError):
+        bench.main(["--workload", "only-here", *args])
+
+
 def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     module = importlib.util.module_from_spec(spec)
