@@ -64,9 +64,9 @@ def _device_matrices(s: Scenario):
     energy formulas are written; :func:`_pricing` builds every table that
     :func:`evaluate` and :func:`per_dt_cost_table` read from it.
     """
-    pool, par = s.servers, s.params
-    w, loc, b, _ = s.devices.arrays
-    clocks, eloc = pool.arrays
+    pool, dev, par = s.servers, s.devices, s.params
+    w, loc, b, eloc = dev.workloads, dev.locations, dev.bandwidths, pool.edge_locations
+    clocks = np.append(pool.edge_clock_speeds, pool.cloud_clock_speed)
 
     dist = np.hypot(loc[:, None, 0] - eloc[None, :, 0], loc[:, None, 1] - eloc[None, :, 1])
     dist = np.maximum(dist, 1.0)
@@ -113,7 +113,7 @@ def _pricing(s: Scenario):
     kept = vars(s.devices).get("_pricing")
     if kept is not None and kept[0] is s.servers and kept[1] == constants:
         return kept[2]
-    own = s.devices.arrays.owner
+    own = s.devices.ownership
     tx, ex, en = _device_matrices(s)
     dt_time = _per_dt_time(own, s.num_dts, tx, ex)
     dt_energy = _per_twin_sum(own, s.num_dts, en)
@@ -144,7 +144,7 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
         raise ContractError(f"server indices must be integers in 0..{n - 1}")
     assign = np.asarray(d.assignment, dtype=int)
     dt_time, _, device_energy = _pricing(s)
-    own = s.devices.arrays.owner
+    own = s.devices.ownership
     cols = dt_time.shape[1]
     # Sequential sums, energy per device: per-twin sums would move traced bits.
     total_time = float(sum(dt_time.take(_row_offsets(m, cols) + assign).tolist()))

@@ -94,20 +94,20 @@ def raw_group_input(s: Scenario) -> np.ndarray:
     Members are sorted by (workload, x, y), ties kept in device order, so the
     encoding does not depend on device enumeration order.
     """
-    dev = s.devices.arrays
-    counts = np.bincount(dev.owner, minlength=s.num_dts)
+    dev = s.devices
+    counts = np.bincount(dev.ownership, minlength=s.num_dts)
     over = np.flatnonzero(counts > SLOTS)
     if over.size:
         raise SlotCapacityError(
             f"DT {over[0]} owns {counts[over[0]]} devices but the encoding has {SLOTS} slots"
         )
-    order = np.lexsort((dev.xy[:, 1], dev.xy[:, 0], dev.workload, dev.owner))
-    owner = dev.owner[order]
+    order = np.lexsort((dev.locations[:, 1], dev.locations[:, 0], dev.workloads, dev.ownership))
+    owner = dev.ownership[order]
     # members of one twin are contiguous in ``order``; a member's slot is its
     # offset from the twin's first position
     slot = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
     out = np.zeros((s.num_dts, SLOTS, _FEATURES_PER_DEVICE))
-    out[owner, slot] = np.column_stack((dev.workload, dev.xy, dev.bandwidth))[order] / _SCALES
+    out[owner, slot] = np.column_stack((dev.workloads, dev.locations, dev.bandwidths))[order] / _SCALES
     return out.reshape(s.num_dts, INPUT_WIDTH)
 
 

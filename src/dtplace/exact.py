@@ -62,8 +62,8 @@ def scheme_average_distribution(s: Scenario) -> SchemeResult:
     workload.
     """
     start = time.perf_counter()
-    dev = s.devices.arrays
-    dt_load = np.bincount(dev.owner, weights=dev.workload, minlength=s.num_dts).tolist()
+    dev = s.devices
+    dt_load = np.bincount(dev.ownership, weights=dev.workloads, minlength=s.num_dts).tolist()
 
     # a stable sort, so equal loads keep index order even reversed
     order = sorted(range(s.num_dts), key=dt_load.__getitem__, reverse=True)

@@ -39,7 +39,7 @@ from .exact import (
     solve_exact,
 )
 from .cost_model import Decision, evaluate, per_dt_cost_table
-from .scenario import GeneratorConfig, field_state, generate_random
+from .scenario import GeneratorConfig, generate_random
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +48,10 @@ class ProbeSet:
 
     scenarios: tuple
     seed: int
-    __getstate__ = field_state  # copies and pickles rebuild the caches below on first use
     _base = None  # the probe an alpha re-weight was made from; copies leave it behind too
+
+    def __getstate__(self):  # copies and pickles rebuild the caches below on first use
+        return {"scenarios": self.scenarios, "seed": self.seed}
 
     def __len__(self) -> int:
         return len(self.scenarios)

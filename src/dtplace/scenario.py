@@ -8,8 +8,10 @@ A scenario couples three ingredient groups:
 * physical constants governing transmission, execution, and the latency/energy
   weighting.
 
-Scenario values are immutable and compare by content.  Generation is a pure
-function of ``(seed, config)``; serialization round-trips exactly.
+The pool and the device set hold their per-server and per-device values as
+read-only NumPy arrays, built once by their constructors; they have no other
+view.  Scenario values are immutable and compare by content.  Generation is
+a pure function of ``(seed, config)``; serialization round-trips exactly.
 
 Units: workloads are data units (generated ones are megabits), bandwidths
 Mbps, clock speeds GHz, coordinates meters, energies millijoules.
@@ -22,115 +24,110 @@ import json
 from dataclasses import dataclass, fields
 from itertools import chain
 from math import isfinite
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, InvalidConfigError, ParseError, ValidationError
 
-Coord = tuple[float, float]
-
 DOCUMENT_FORMAT = "dt-placement-scenario"
 DOCUMENT_VERSION = 1
 
+# The array fields' annotations, which key the constructor, the reader and the writer.
+Floats = np.ndarray  # (n,) float64
+Ints = np.ndarray  # (n,) int64
+Pairs = np.ndarray  # (n, 2) float64
+# annotation: (dtype, the dtype kinds converted to it, row shape, what a value must be)
+_ARRAY_KINDS = {
+    "Floats": (np.float64, "iuf", (), "a sequence of numbers"),
+    "Ints": (np.int64, "i", (), "a sequence of integers"),  # unsigned ones could wrap
+    "Pairs": (np.float64, "iuf", (2,), "a sequence of (x, y) pairs of numbers"),
+}
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+
+def _frozen(values, kind: str, where: str) -> np.ndarray:
+    """``values`` copied into a fresh read-only array of the field kind's dtype and shape.
+
+    Raises :class:`ContractError` for what is no such array: ragged or
+    non-pair rows, non-numbers, and non-integers where integers belong.
+    """
+    dtype, kinds, row, what = _ARRAY_KINDS[kind]
+    try:
+        out = np.array(values)
+    except ValueError:  # ragged rows
+        raise ContractError(f"{where} must be {what}") from None
+    if out.shape == (0,):
+        out = out.reshape(0, *row)
+    if out.ndim != 1 + len(row) or out.shape[1:] != row or (out.size and out.dtype.kind not in kinds):
+        raise ContractError(f"{where} must be {what}")
+    out = out.astype(dtype, copy=False)
     out.flags.writeable = False
     return out
 
 
-def field_state(obj) -> dict:
-    """A dataclass's fields alone: the state its copies and pickles carry.
+class _Group:
+    """A group of scenario values, some held as read-only arrays.
 
-    Caches kept beside the fields in ``__dict__`` stay out, and a copy
-    rebuilds them on first use.
+    Its constructor normalises each array field through :func:`_frozen`.  It
+    compares and hashes by content: arrays by their values as Python numbers,
+    so ``0.0 == -0.0`` hash alike.  Copies and pickles rebuild through the
+    constructor and leave the caches kept beside the fields behind.
     """
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in _ARRAY_KINDS:
+                value = _frozen(getattr(self, f.name), f.type, f"{type(self).__name__}.{f.name}")
+                object.__setattr__(self, f.name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def _content(self) -> tuple:
+        return tuple(tuple(v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in self._values())
+
+    def __eq__(self, other):
+        return self._content() == other._content() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._content())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-class PoolArrays(NamedTuple):
-    """Read-only array view of a :class:`ServerPool`."""
-
-    clock: np.ndarray  # (S+1,) clock speeds, the cloud last
-    edge_xy: np.ndarray  # (S, 2) edge server positions
-
-
-class DeviceArrays(NamedTuple):
-    """Read-only array view of a :class:`DeviceSet`."""
-
-    workload: np.ndarray  # (N,) float
-    xy: np.ndarray  # (N, 2) float
-    bandwidth: np.ndarray  # (N,) float
-    owner: np.ndarray  # (N,) int, the twin each device feeds
-
-
-@dataclass(frozen=True)
-class ServerPool:
+@dataclass(frozen=True, eq=False)
+class ServerPool(_Group):
     """Edge servers plus one cloud server.
 
     ``edge_exec_energy``/``cloud_exec_energy`` are mJ per instruction,
     ``edge_tx_energy``/``cloud_tx_energy`` mJ per data unit.
     """
 
-    edge_clock_speeds: tuple[float, ...]
+    edge_clock_speeds: Floats
     cloud_clock_speed: float
-    edge_locations: tuple[Coord, ...]
+    edge_locations: Pairs
     edge_exec_energy: float
     cloud_exec_energy: float
     edge_tx_energy: float
     cloud_tx_energy: float
 
-    __getstate__ = field_state
-
     @property
     def num_edge(self) -> int:
         return len(self.edge_clock_speeds)
 
-    # The views are cached on the groups, not on Scenario, because scenarios
-    # re-weighted to another alpha share their groups.
-    @functools.cached_property
-    def arrays(self) -> PoolArrays:
-        """The pool as read-only arrays, built on first use."""
-        return PoolArrays(
-            clock=_frozen(self.edge_clock_speeds + (self.cloud_clock_speed,)),
-            edge_xy=_frozen(self.edge_locations).reshape(-1, 2),
-        )
 
-
-@dataclass(frozen=True)
-class DeviceSet:
+@dataclass(frozen=True, eq=False)
+class DeviceSet(_Group):
     """Per-device workloads, positions, uplink bandwidths, and DT ownership."""
 
-    workloads: tuple[float, ...]
-    locations: tuple[Coord, ...]
-    bandwidths: tuple[float, ...]
-    ownership: tuple[int, ...]
-
-    __getstate__ = field_state
+    workloads: Floats
+    locations: Pairs
+    bandwidths: Floats
+    ownership: Ints
 
     @property
     def num_devices(self) -> int:
         return len(self.workloads)
-
-    @functools.cached_property
-    def arrays(self) -> DeviceArrays:
-        """The devices as read-only arrays, built on first use.
-
-        Raises :class:`ContractError` if a location is not an (x, y) pair.
-        """
-        # Flattening the pairs is twice as fast as np.array on the nested
-        # tuples, but would silently shift values past a ragged pair.
-        if not set(map(len, self.locations)) <= {2}:
-            raise ContractError("device locations must be (x, y) pairs")
-        xy = np.fromiter(chain.from_iterable(self.locations), float, 2 * len(self.locations))
-        xy.flags.writeable = False
-        return DeviceArrays(
-            workload=_frozen(self.workloads),
-            xy=xy.reshape(-1, 2),
-            bandwidth=_frozen(self.bandwidths),
-            owner=_frozen(self.ownership, int),
-        )
 
 
 @dataclass(frozen=True)
@@ -215,13 +212,12 @@ def _check_config(config: GeneratorConfig) -> None:
 _LOCATION_REDRAWS = 1000
 
 
-def _draw_locations(rng, count, edge_locations):
-    """Uniform positions, kept MIN_EDGE_DISTANCE away from edge servers.
+def _draw_locations(rng, count, edges):
+    """Uniform positions, kept MIN_EDGE_DISTANCE away from the ``(S, 2)`` edge servers.
 
     Devices too close to an edge server are redrawn; if some still are after
     ``_LOCATION_REDRAWS`` rounds, the distance cannot be met and this raises.
     """
-    edges = np.asarray(edge_locations, dtype=float)
 
     def draw(n):
         return rng.uniform((0.0, 0.0), FIELD_SIZE, size=(n, 2))
@@ -246,14 +242,10 @@ def _draw_locations(rng, count, edge_locations):
 
 
 def _draw_pool(rng, num_edge_servers: int) -> ServerPool:
-    clocks = rng.uniform(*EDGE_CLOCK_RANGE, size=num_edge_servers)
-    edge_locations = rng.uniform((0.0, 0.0), FIELD_SIZE, size=(num_edge_servers, 2))
-    # tolist hands out Python floats and ints, the values float() and int()
-    # would make of each element, without a Python-level loop.
     return ServerPool(
-        edge_clock_speeds=tuple(clocks.tolist()),
+        edge_clock_speeds=rng.uniform(*EDGE_CLOCK_RANGE, size=num_edge_servers),
         cloud_clock_speed=CLOUD_CLOCK_SPEED,
-        edge_locations=tuple(map(tuple, edge_locations.tolist())),
+        edge_locations=rng.uniform((0.0, 0.0), FIELD_SIZE, size=(num_edge_servers, 2)),
         edge_exec_energy=EDGE_EXEC_ENERGY,
         cloud_exec_energy=CLOUD_EXEC_ENERGY,
         edge_tx_energy=EDGE_TX_ENERGY,
@@ -294,23 +286,26 @@ def generate_random(seed: int, config: GeneratorConfig = GeneratorConfig()) -> S
             ownership[moved] = dt
             counts[dt] += 1
 
-    locations = _draw_locations(rng, n, servers.arrays.edge_xy)
+    locations = _draw_locations(rng, n, servers.edge_locations)
     workloads = rng.uniform(*WORKLOAD_RANGE, size=n) * MEGABITS_PER_MEGABYTE
 
     devices = DeviceSet(
-        workloads=tuple(workloads.tolist()),
-        locations=tuple(map(tuple, locations.tolist())),
-        bandwidths=(BANDWIDTH,) * n,
-        ownership=tuple(ownership.tolist()),
+        workloads=workloads, locations=locations, bandwidths=np.full(n, BANDWIDTH), ownership=ownership
     )
     params = PhysicalParams(gamma=GAMMA, lambda_=LAMBDA, delta=DELTA, alpha=float(config.alpha))
     return Scenario(servers, devices, params, num_dts=m, num_servers_total=config.num_edge_servers + 1)
 
 
+def _not_positive(values: np.ndarray) -> list[int]:
+    """Indices of the values that are not above zero, NaN included."""
+    return np.flatnonzero(~(values > 0)).tolist()
+
+
 def validate(s: Scenario) -> list[str]:
     """Report every invariant violation; an empty list means well-formed.
 
-    Never raises: a malformed scenario yields messages, not exceptions.
+    Never raises: a malformed scenario yields messages, not exceptions.  Its
+    work is proportional to the device and server counts, whatever ``num_dts``.
     """
     out: list[str] = []
     pool, dev, par = s.servers, s.devices, s.params
@@ -318,9 +313,7 @@ def validate(s: Scenario) -> list[str]:
     n_edge = len(pool.edge_clock_speeds)
     if len(pool.edge_locations) != n_edge:
         out.append("edge_locations length differs from edge_clock_speeds")
-    for i, f in enumerate(pool.edge_clock_speeds):
-        if not f > 0:
-            out.append(f"non-positive edge clock speed at server {i}")
+    out.extend(f"non-positive edge clock speed at server {i}" for i in _not_positive(pool.edge_clock_speeds))
     if not pool.cloud_clock_speed > 0:
         out.append("non-positive cloud clock speed")
     for name in ("edge_exec_energy", "cloud_exec_energy", "edge_tx_energy", "cloud_tx_energy"):
@@ -331,29 +324,25 @@ def validate(s: Scenario) -> list[str]:
     for name in ("locations", "bandwidths", "ownership"):
         if len(getattr(dev, name)) != n:
             out.append(f"{name} length differs from workloads")
-    for i, w in enumerate(dev.workloads):
-        if not w > 0:
-            out.append(f"non-positive workload at device {i}")
-    for i, b in enumerate(dev.bandwidths):
-        if not b > 0:
-            out.append(f"non-positive bandwidth at device {i}")
+    out.extend(f"non-positive workload at device {i}" for i in _not_positive(dev.workloads))
+    out.extend(f"non-positive bandwidth at device {i}" for i in _not_positive(dev.bandwidths))
 
-    owners = [int(g) for g in dev.ownership if isinstance(g, (int, np.integer))]
-    for i, g in enumerate(dev.ownership):
-        if not isinstance(g, (int, np.integer)) or not 0 <= g < s.num_dts:
-            out.append(f"ownership out of range at device {i}")
-    present = set(owners)
+    own = dev.ownership
+    inside = (own >= 0) & (own < s.num_dts)
+    out.extend(f"ownership out of range at device {i}" for i in np.flatnonzero(~inside).tolist())
     # n devices fill at most n twins, so past the first n the empty twins are
     # counted in one line: the report stays O(devices) for any num_dts
-    listed = min(s.num_dts, len(dev.ownership))
-    out.extend(f"empty DT {dt}" for dt in range(listed) if dt not in present)
-    surplus = s.num_dts - listed - sum(listed <= g < s.num_dts for g in present)
+    listed = max(min(s.num_dts, own.size), 0)
+    filled = np.zeros(listed, bool)
+    filled[own[inside & (own < listed)]] = True
+    out.extend(f"empty DT {dt}" for dt in np.flatnonzero(~filled).tolist())
+    surplus = s.num_dts - listed - np.unique(own[inside & (own >= listed)]).size
     if surplus > 0:
         out.append(f"empty DTs: {surplus} of DT {listed} to DT {s.num_dts - 1}")
 
     if s.num_dts < 1:
         out.append("num_dts out of range")
-    elif owners and s.num_dts != max(present) + 1:
+    elif own.size and s.num_dts != int(own.max()) + 1:
         out.append("num_dts differs from max ownership + 1")
     if s.num_servers_total != n_edge + 1:
         out.append("num_servers_total differs from edge server count + 1")
@@ -378,40 +367,33 @@ _COORD = ",\n        "
 _PAIR = "\n      ],\n      [\n        "
 
 
-def _write_list(values, path):
-    return "[\n      " + _ITEMS(values)[1:-1] + "\n    ]" if values else "[]"
+def _write_list(values: np.ndarray) -> str:
+    return "[\n      " + _ITEMS(values.tolist())[1:-1] + "\n    ]" if values.size else "[]"
 
 
-def _write_pairs(pairs, path):
+def _write_pairs(pairs: np.ndarray) -> str:
     """Coordinate pairs, encoded as one flat list and regrouped."""
-    if not set(map(len, pairs)) <= {2}:
-        raise ContractError(f"{path} must be (x, y) pairs")
-    if not pairs:
+    if not pairs.size:
         return "[]"
-    numbers = iter(json.dumps(list(chain.from_iterable(pairs)))[1:-1].split(", "))
+    numbers = iter(json.dumps(pairs.ravel().tolist())[1:-1].split(", "))
     return "[\n      [\n        " + _PAIR.join(map(_COORD.join, zip(numbers, numbers))) + "\n      ]\n    ]"
-
-
-def _write_scalar(value, path):
-    return json.dumps(value)
 
 
 # Keyed like _CONVERTERS, by each field's annotation as written.
 _WRITERS = {
-    "float": _write_scalar,
-    "int": _write_scalar,
-    "tuple[float, ...]": _write_list,
-    "tuple[int, ...]": _write_list,
-    "tuple[Coord, ...]": _write_pairs,
+    "float": json.dumps,
+    "int": json.dumps,
+    "Floats": _write_list,
+    "Ints": _write_list,
+    "Pairs": _write_pairs,
 }
 
 
 def to_document(s: Scenario) -> bytes:
     """Serialize to a stable JSON document (UTF-8 bytes).
 
-    Each group lists its fields in declaration order; tuples become lists.
-    The bytes are those of ``json.dumps(doc, indent=2) + "\\n"``.  Raises
-    :class:`ContractError` if a location is not an (x, y) pair.
+    Each group lists its fields in declaration order; arrays become lists.
+    The bytes are those of ``json.dumps(doc, indent=2) + "\\n"``.
     """
     head = {
         "format": DOCUMENT_FORMAT,
@@ -423,8 +405,7 @@ def to_document(s: Scenario) -> bytes:
     for name in ("servers", "devices", "params"):
         group = getattr(s, name)
         body = ",\n    ".join(
-            f'"{f.name}": {_WRITERS[f.type](getattr(group, f.name), f"{name}.{f.name}")}'
-            for f in fields(group)
+            f'"{f.name}": {_WRITERS[f.type](getattr(group, f.name))}' for f in fields(group)
         )
         members.append(f'"{name}": {{\n    {body}\n  }}')
     return ("{\n  " + ",\n  ".join(members) + "\n}\n").encode("utf-8")
@@ -442,27 +423,30 @@ _NUMBERS = {int, float}
 
 
 def _numbers(values, path, what):
-    """A JSON list of finite numbers as a tuple of floats."""
+    """A JSON list of finite numbers as a float64 array."""
     try:
         if type(values) is list and set(map(type, values)) <= _NUMBERS and all(map(isfinite, values)):
-            return tuple(map(float, values))
+            return np.array(values, dtype=np.float64)
     except OverflowError:  # an integer too large for a float
         pass
     raise ParseError(f"field {path} must be {what}")
 
 
 def _integers(values, path, what):
-    if type(values) is list and set(map(type, values)) <= {int}:
-        return tuple(values)
+    """A JSON list of integers as an int64 array."""
+    try:
+        if type(values) is list and set(map(type, values)) <= {int}:
+            return np.array(values, dtype=np.int64)
+    except OverflowError:  # an integer outside int64
+        pass
     raise ParseError(f"field {path} must be {what}")
 
 
-def _coords(values, path):
+def _pairs(values, path):
     what = "a list of [x, y] pairs"
     if type(values) is not list or not set(map(type, values)) <= {list} or not set(map(len, values)) <= {2}:
         raise ParseError(f"field {path} must be {what}")
-    flat = _numbers(list(chain.from_iterable(values)), path, what)
-    return tuple(zip(flat[::2], flat[1::2]))
+    return _numbers(list(chain.from_iterable(values)), path, what).reshape(-1, 2)
 
 
 def _parse(cls, raw, prefix):
@@ -476,16 +460,18 @@ def _parse(cls, raw, prefix):
 # Keyed by each field's annotation as written: under postponed evaluation of
 # annotations, ``dataclasses.Field.type`` is that string.
 _CONVERTERS = {
-    "float":lambda v, path: _numbers([v], path, "a number")[0],
-    "int": lambda v, path: _integers([v], path, "an integer")[0],
-    "tuple[float, ...]": lambda v, path: _numbers(v, path, "a list of numbers"),
-    "tuple[int, ...]": lambda v, path: _integers(v, path, "a list of integers"),
-    "tuple[Coord, ...]": _coords,
+    "float": lambda v, path: _numbers([v], path, "a number")[0].item(),
+    "int": lambda v, path: _integers([v], path, "an integer")[0].item(),
+    "Floats": lambda v, path: _numbers(v, path, "a list of numbers"),
+    "Ints": lambda v, path: _integers(v, path, "a list of integers"),
+    "Pairs": _pairs,
 }
 _CONVERTERS.update(
     (cls.__name__, lambda raw, path, cls=cls: _parse(cls, raw, path + "."))
     for cls in (ServerPool, DeviceSet, PhysicalParams)
 )
+# NaN and Infinity arrive as strings, which no number field accepts.
+_DECODER = json.JSONDecoder(parse_constant=str)
 
 
 def from_document(data: bytes | str) -> Scenario:
@@ -493,14 +479,18 @@ def from_document(data: bytes | str) -> Scenario:
 
     Raises :class:`ParseError` for malformed input, with a location where the
     JSON parser provides one and the field's name where a value has the
-    wrong type: numbers must be finite, integers take no fraction, and
-    booleans are neither.  Raises :class:`ValidationError`, listing every
-    violation, when the parsed scenario breaks invariants.
+    wrong type: bytes must be UTF-8, numbers must be finite, integers take
+    no fraction and fit 64 bits, and booleans are neither.  Raises
+    :class:`ValidationError`, listing every violation, when the parsed
+    scenario breaks invariants.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        # NaN and Infinity arrive as strings, which no number field accepts.
-        doc = json.loads(text, parse_constant=str)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid document at byte {e.start}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid document at line {e.lineno} column {e.colno}: {e.msg}") from None
 

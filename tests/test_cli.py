@@ -217,6 +217,14 @@ class TestSolve:
         assert run("solve", str(tmp_path / "nope.json"), "--scheme", "co") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_document_that_is_not_utf8_fails_cleanly(self, scenario_path, capsys):
+        path = Path(scenario_path)
+        path.write_bytes(path.read_text().encode("utf-16"))  # starts with bytes ff fe
+        assert run("solve", str(path), "--scheme", "co") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid document at byte 0: not UTF-8 (invalid start byte)"
+        ]
+
     def test_full_scale_exact_not_above_cloud_only(self, tmp_path, capsys):
         assert run("generate", "--seed", "2", "--out", str(tmp_path)) == 0
         path = str(tmp_path / "scenario_2.json")

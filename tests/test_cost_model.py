@@ -62,7 +62,7 @@ def reference_parts(s, d):
     twin, the reverse of pricing every server first, so ``evaluate`` can
     be held to it bit for bit.
     """
-    own = s.devices.arrays.owner
+    own = s.devices.ownership
     tx, ex, en = _device_matrices(s)
     rows, chosen = np.arange(own.size), np.asarray(d.assignment)[own]
     counts = np.bincount(own, minlength=s.num_dts).astype(float)
@@ -90,7 +90,7 @@ def add_at_sums(own, num_dts, rows):
 
 def add_at_pricing(s):
     """Per-twin time and energy tables built with ``np.add.at``, the formula :func:`_pricing` keeps."""
-    own = s.devices.arrays.owner
+    own = s.devices.ownership
     tx, ex, en = _device_matrices(s)
     counts = np.bincount(own, minlength=s.num_dts).astype(float)
     sync = np.zeros((s.num_dts, tx.shape[1]))
@@ -102,7 +102,7 @@ def fancy_index_evaluate(s, d):
     """``evaluate`` gathering with two 2-D fancy indexes over ``np.arange`` rows."""
     assign = np.asarray(d.assignment, dtype=int)
     dt_time, _, device_energy = _pricing(s)
-    own = s.devices.arrays.owner
+    own = s.devices.ownership
     total_time = float(sum(dt_time[np.arange(s.num_dts), assign].tolist()))
     total_energy = float(sum(device_energy[np.arange(own.size), assign[own]].tolist()))
     alpha = s.params.alpha
@@ -352,7 +352,7 @@ class TestEvaluate:
         s = generate_random(8, DESK)
         tx, _, _ = _device_matrices(s)
         # without execution time a twin's time is its member count times its slowest upload
-        dt_time = _per_dt_time(s.devices.arrays.owner, s.num_dts, tx, np.zeros_like(tx))
+        dt_time = _per_dt_time(s.devices.ownership, s.num_dts, tx, np.zeros_like(tx))
         for m in range(s.num_dts):
             members = [i for i, g in enumerate(s.devices.ownership) if g == m]
             for j in range(s.num_servers_total):
@@ -467,7 +467,10 @@ class TestPricing:
             assert set(vars(group)) == {f.name for f in dataclasses.fields(group)}
         assert np.array_equal(per_dt_cost_table(copied), table)
         assert evaluate(copied, d) == cost
-        for array in (*cost_model._pricing(copied), *copied.devices.arrays, *copied.servers.arrays):
+        pool, dev = copied.servers, copied.devices
+        arrays = (pool.edge_clock_speeds, pool.edge_locations, dev.workloads, dev.locations,
+                  dev.bandwidths, dev.ownership)
+        for array in (*cost_model._pricing(copied), *arrays):
             assert not array.flags.writeable
 
     def test_pricing_dies_with_its_group(self):

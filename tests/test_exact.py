@@ -172,9 +172,8 @@ class TestSchemeCloudOnly:
 
 def argmin_average_distribution(s):
     """The greedy on numpy arrays: ``np.add.at`` twin loads, ``np.argmin`` server choice."""
-    dev = s.devices.arrays
     dt_load = np.zeros(s.num_dts)
-    np.add.at(dt_load, dev.owner, dev.workload)
+    np.add.at(dt_load, s.devices.ownership, s.devices.workloads)
     order = sorted(range(s.num_dts), key=lambda m: (-dt_load[m], m))
     server_load = np.zeros(s.num_servers_total)
     assignment = [0] * s.num_dts

@@ -1,10 +1,12 @@
 import ast
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import math
 import operator
+import pickle
 import re
 from pathlib import Path
 
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dtplace
-from _oracle import reference_document
+from _oracle import reference_document, reference_validate
 from dtplace.errors import ContractError, InvalidConfigError, ParseError, ValidationError
-from dtplace import scenario
+from dtplace import cost_model, scenario
 from dtplace.scenario import (
     DOCUMENT_VERSION,
     EDGE_CLOCK_RANGE,
@@ -37,6 +39,18 @@ SHAPES = {
     "full": GeneratorConfig(),
     "one-of-each": GeneratorConfig(num_devices=1, num_dts=1, num_edge_servers=1),
 }
+
+
+def with_first(values, value):
+    """A writable copy of ``values`` whose first element (both coordinates of a pair) is ``value``."""
+    out = np.array(values)
+    out[0] = value
+    return out
+
+
+def replaced(s, part, **changes):
+    """``s`` with fields of its group ``part`` replaced."""
+    return dataclasses.replace(s, **{part: dataclasses.replace(getattr(s, part), **changes)})
 
 
 class TestGenerate:
@@ -117,7 +131,7 @@ class TestGenerate:
         # the pool is the first draw of the scenario's own generator
         rng = np.random.default_rng(1)
         lo, hi = EDGE_CLOCK_RANGE
-        assert a.servers.edge_clock_speeds == tuple(rng.uniform(lo, hi, size=DESK.num_edge_servers).tolist())
+        assert np.array_equal(a.servers.edge_clock_speeds, rng.uniform(lo, hi, size=DESK.num_edge_servers))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 8))
     def test_generated_scenarios_validate_clean(self, seed, n, m):
@@ -130,6 +144,58 @@ class TestGenerate:
     def test_no_dt_left_empty(self, seed):
         s = generate_random(seed, GeneratorConfig(num_devices=8, num_dts=6))
         assert set(s.devices.ownership) == set(range(6))
+
+
+def reowned(s, owners):
+    return replaced(s, "devices", ownership=owners)
+
+
+# Each but "clean" breaks the invariants its name says, on any generated scenario.
+MUTATIONS = {
+    "clean": lambda s: s,
+    "nan-workload": lambda s: replaced(s, "devices", workloads=with_first(s.devices.workloads, math.nan)),
+    "zero-workload": lambda s: replaced(s, "devices", workloads=with_first(s.devices.workloads, 0.0)),
+    "negative-workloads": lambda s: replaced(s, "devices", workloads=-s.devices.workloads),
+    "nan-bandwidth": lambda s: replaced(s, "devices", bandwidths=with_first(s.devices.bandwidths, math.nan)),
+    "zero-bandwidth": lambda s: replaced(s, "devices", bandwidths=with_first(s.devices.bandwidths, 0.0)),
+    "negative-bandwidths": lambda s: replaced(s, "devices", bandwidths=-s.devices.bandwidths),
+    "zero-edge-clocks": lambda s: replaced(s, "servers", edge_clock_speeds=0 * s.servers.edge_clock_speeds),
+    "nan-edge-clock": lambda s: replaced(
+        s, "servers", edge_clock_speeds=with_first(s.servers.edge_clock_speeds, math.nan)
+    ),
+    "negative-cloud-clock": lambda s: replaced(s, "servers", cloud_clock_speed=-3.5),
+    "nan-cloud-clock": lambda s: replaced(s, "servers", cloud_clock_speed=math.nan),
+    "zero-energies": lambda s: replaced(
+        s, "servers",
+        edge_exec_energy=0.0, cloud_exec_energy=-1.0, edge_tx_energy=math.nan, cloud_tx_energy=0.0,
+    ),
+    "negative-owner": lambda s: reowned(s, with_first(s.devices.ownership, -1)),
+    "owner-past-num_dts": lambda s: reowned(s, with_first(s.devices.ownership, s.num_dts)),
+    "empty-twin": lambda s: reowned(s, np.where(s.devices.ownership == 2, 0, s.devices.ownership)),
+    "num_dts-past-the-devices": lambda s: dataclasses.replace(s, num_dts=s.devices.num_devices + 3),
+    "num_dts-huge": lambda s: dataclasses.replace(s, num_dts=10**9),
+    "num_dts-zero": lambda s: dataclasses.replace(s, num_dts=0),
+    "num_dts-negative": lambda s: dataclasses.replace(s, num_dts=-2),
+    "short-locations": lambda s: replaced(s, "devices", locations=s.devices.locations[:-1]),
+    "short-bandwidths": lambda s: replaced(s, "devices", bandwidths=s.devices.bandwidths[:-2]),
+    "short-ownership": lambda s: reowned(s, s.devices.ownership[:-1]),
+    "short-edge-locations": lambda s: replaced(s, "servers", edge_locations=s.servers.edge_locations[:-1]),
+    "no-devices": lambda s: replaced(s, "devices", workloads=(), locations=(), bandwidths=(), ownership=()),
+    "num_servers_total": lambda s: dataclasses.replace(s, num_servers_total=s.num_servers_total + 1),
+    "gamma-zero": lambda s: replaced(s, "params", gamma=0.0),
+    "gamma-above-one": lambda s: replaced(s, "params", gamma=1.5),
+    "gamma-nan": lambda s: replaced(s, "params", gamma=math.nan),
+    "lambda_": lambda s: replaced(s, "params", lambda_=-1.0),
+    "delta": lambda s: replaced(s, "params", delta=0.0),
+    "alpha-below-zero": lambda s: replaced(s, "params", alpha=-0.1),
+    "alpha-above-one": lambda s: replaced(s, "params", alpha=1.1),
+    "several": lambda s: dataclasses.replace(
+        reowned(s, with_first(s.devices.ownership, 99)),
+        servers=dataclasses.replace(s.servers, edge_clock_speeds=-s.servers.edge_clock_speeds),
+        params=dataclasses.replace(s.params, alpha=2.0, delta=math.nan),
+        num_dts=s.num_dts + 40,
+    ),
+}
 
 
 class TestValidate:
@@ -186,23 +252,29 @@ class TestValidate:
     def test_cost_model_domain_reported(self, part, field, value, message):
         # The cost model assumes these domains; validate is where they are enforced.
         s = generate_random(1, DESK)
-        group = getattr(s, part)
-        old = getattr(group, field)
-        new = (value,) + old[1:] if isinstance(old, tuple) else value
-        bad = dataclasses.replace(s, **{part: dataclasses.replace(group, **{field: new})})
-        assert any(message in v for v in validate(bad))
+        old = getattr(getattr(s, part), field)
+        new = with_first(old, value) if isinstance(old, np.ndarray) else value
+        # one value changes, so the named invariant is the only one broken
+        [violation] = validate(replaced(s, part, **{field: new}))
+        assert message in violation
 
     def test_multiple_violations_collected(self):
         s = generate_random(1, DESK)
         bad = dataclasses.replace(
             s,
             params=dataclasses.replace(s.params, alpha=-0.5, gamma=2.0),
-            devices=dataclasses.replace(
-                s.devices, workloads=(-1.0,) + s.devices.workloads[1:]
-            ),
+            devices=dataclasses.replace(s.devices, workloads=with_first(s.devices.workloads, -1.0)),
         )
-        messages = validate(bad)
-        assert len(messages) >= 3
+        assert validate(bad) == [
+            "non-positive workload at device 0", "gamma out of range", "alpha out of range",
+        ]
+
+    @pytest.mark.parametrize("shape", ["desk", "full"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_equals_the_reference_loop(self, shape, mutation):
+        s = MUTATIONS[mutation](generate_random(5, SHAPES[shape]))
+        assert validate(s) == reference_validate(s)
+        assert (validate(s) == []) == (mutation == "clean")
 
     def test_never_raises_on_garbage_shapes(self):
         s = generate_random(1, DESK)
@@ -248,12 +320,17 @@ class TestDocuments:
 
     def test_negative_workload_is_validation_error(self):
         s = generate_random(1, DESK)
-        bad = dataclasses.replace(
-            s, devices=dataclasses.replace(s.devices, workloads=(-5.0,) + s.devices.workloads[1:])
-        )
+        bad = replaced(s, "devices", workloads=with_first(s.devices.workloads, -5.0))
         with pytest.raises(ValidationError) as err:
             from_document(to_document(bad))
-        assert any("workload" in v for v in err.value.violations)
+        assert err.value.violations == ["non-positive workload at device 0"]
+
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self):
+        utf16 = to_document(generate_random(1, DESK)).decode().encode("utf-16")
+        assert utf16[:2] == b"\xff\xfe"
+        message = "invalid document at byte 0: not UTF-8 (invalid start byte)"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            from_document(utf16)
 
     def test_document_bytes_are_stable(self):
         s = generate_random(9, DESK)
@@ -321,8 +398,8 @@ def _fill_floats(s, value):
     """``s`` with ``value`` in every float field, scalar, list element and coordinate."""
     fill = {
         "float": lambda v: value,
-        "tuple[float, ...]": lambda v: (value,) + v[1:],
-        "tuple[Coord, ...]": lambda v: ((value, value),) + v[1:],
+        "Floats": lambda v: with_first(v, value),
+        "Pairs": lambda v: with_first(v, value),
     }
     groups = {}
     for name in ("servers", "devices", "params"):
@@ -349,7 +426,8 @@ class TestDocumentLayout:
     )
     def test_every_float_field_is_written_as_the_reference_writes_it(self, value):
         s = _fill_floats(from_document(GOLDEN.read_bytes()), value)
-        assert s.params.gamma is value and s.devices.locations[0] == (value, value)
+        assert s.params.gamma is value
+        assert np.array_equal(s.devices.locations[0], [value, value], equal_nan=True)
         assert to_document(s) == reference_document(s)
 
     def test_empty_lists_are_written_as_the_reference_writes_them(self):
@@ -368,9 +446,10 @@ class TestDocumentLayout:
         # the ragged pair keeps the flattened length at twice the pair count
         other = (2.0, 3.0, 4.0) if len(pair) == 1 else (2.0,)
         part = getattr(s, group)
-        part = dataclasses.replace(part, **{field: (pair, other) + getattr(part, field)[2:]})
-        with pytest.raises(ContractError, match=re.escape(f"{group}.{field} must be (x, y) pairs")):
-            to_document(dataclasses.replace(s, **{group: part}))
+        locations = (pair, other, *map(tuple, getattr(part, field)[2:].tolist()))
+        where = f"{type(part).__name__}.{field}"
+        with pytest.raises(ContractError, match=re.escape(f"{where} must be a sequence of (x, y) pairs")):
+            dataclasses.replace(part, **{field: locations})
 
 
 # SHA-256 of to_document(generate_random(seed, shape)), recorded before the
@@ -394,85 +473,162 @@ PINNED = {
 def test_generated_documents_are_pinned(shape, seed):
     s = generate_random(seed, PINNED_SHAPES[shape])
     assert hashlib.sha256(to_document(s)).hexdigest() == PINNED[shape, seed]
-    # no numpy scalar leaks into the tuples
+    # no numpy scalar leaks into the scalar fields, and the arrays hold float64 and int64
     pool, dev, par = s.servers, s.devices, s.params
-    floats = [
-        *pool.edge_clock_speeds, *dev.workloads, *dev.bandwidths,
-        *(v for xy in pool.edge_locations + dev.locations for v in xy),
-        *(getattr(group, f.name) for group in (pool, par)
-          for f in dataclasses.fields(group) if f.type == "float"),
-    ]
-    assert {type(v) for v in floats} == {float}
-    assert {type(v) for v in dev.ownership} == {int}
-    assert {type(v) for v in pool.edge_locations + dev.locations} == {tuple}
+    scalars = [getattr(group, f.name) for group in (pool, par)
+               for f in dataclasses.fields(group) if f.type == "float"]
+    assert {type(v) for v in scalars} == {float}
+    floats = (pool.edge_clock_speeds, pool.edge_locations, dev.workloads, dev.locations, dev.bandwidths)
+    assert {a.dtype for a in floats} == {np.dtype(np.float64)}
+    assert dev.ownership.dtype == np.int64
 
 
 LAYOUT_FIELDS = {
     "workloads", "locations", "bandwidths", "ownership", "edge_locations", "edge_clock_speeds",
 }
+CONVERTERS = {"array", "asarray", "fromiter", "tuple", "list", "tolist"}
 
 
-def test_only_scenario_reads_the_tuple_layout():
-    """Every other module reads a scenario through its array views."""
+def test_only_scenario_converts_a_groups_fields():
+    """Every other module reads a group's arrays as they are, and no module keeps another view."""
+    assert not hasattr(scenario, "PoolArrays") and not hasattr(scenario, "DeviceArrays")
     package = Path(dtplace.__file__).parent
-    reads = [
-        f"{path.name}:{node.lineno} .{node.attr}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "scenario.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_FIELDS
-    ]
-    assert reads == []
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "arrays":
+                found.append(f"{path.name}:{node.lineno} .arrays")
+            if path.name == "scenario.py" or not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            operands = [*node.args, getattr(node.func, "value", None)]  # the arguments, a method's receiver
+            read = {n.attr for n in operands if isinstance(n, ast.Attribute)} & LAYOUT_FIELDS
+            if name in CONVERTERS and read:
+                found.append(f"{path.name}:{node.lineno} {name} of .{min(read)}")
+    assert found == []
+
+
+ARRAY_FIELDS = {
+    "servers": {"edge_clock_speeds": ((2,), np.float64), "edge_locations": ((2, 2), np.float64)},
+    "devices": {
+        "workloads": ((4,), np.float64),
+        "locations": ((4, 2), np.float64),
+        "bandwidths": ((4,), np.float64),
+        "ownership": ((4,), np.int64),
+    },
+}
+
+
+def arrays_of(s):
+    return [getattr(getattr(s, part), name) for part, names in ARRAY_FIELDS.items() for name in names]
 
 
 class TestArrayViews:
+    """A group's fields are its array views: read-only arrays its constructor builds once."""
+
     def test_views_hold_the_fields(self):
-        s = generate_random(3, DESK)
-        dev, pool = s.devices.arrays, s.servers.arrays
-        assert np.array_equal(dev.workload, s.devices.workloads)
-        assert np.array_equal(dev.xy, s.devices.locations)
-        assert np.array_equal(dev.bandwidth, s.devices.bandwidths)
-        assert np.array_equal(dev.owner, s.devices.ownership)
-        assert dev.owner.dtype.kind == "i" and dev.workload.dtype == np.float64
-        assert np.array_equal(pool.clock, s.servers.edge_clock_speeds + (s.servers.cloud_clock_speed,))
-        assert np.array_equal(pool.edge_xy, s.servers.edge_locations)
+        # built from tuples, from lists and from arrays, each field is one read-only array
+        doc = json.loads(GOLDEN.read_bytes())
+        for given in (tuple, list, np.array):
+            groups = {}
+            for part, cls in (("servers", ServerPool), ("devices", DeviceSet)):
+                values = {}
+                for key, value in doc[part].items():
+                    if type(value) is list:  # nested pairs too
+                        value = given([given(v) if type(v) is list else v for v in value])
+                    values[key] = value
+                groups[part] = cls(**values)
+            for part, names in ARRAY_FIELDS.items():
+                for name, (shape, dtype) in names.items():
+                    array = getattr(groups[part], name)
+                    assert type(array) is np.ndarray and array.shape == shape and array.dtype == dtype
+                    assert not array.flags.writeable
+                    assert array.tolist() == doc[part][name]
 
     def test_writing_into_a_view_raises(self):
-        s = generate_random(3, DESK)
-        for array in (*s.devices.arrays, *s.servers.arrays):
+        for array in arrays_of(generate_random(3, DESK)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    def test_a_writable_input_array_is_copied(self):
+        workloads, locations, owners = np.array([80.0, 90.0]), np.zeros((2, 2)), np.array([0, 0])
+        devices = DeviceSet(workloads, locations, workloads, owners)
+        for given in (workloads, locations, owners):
+            given[0] = 7
+        assert devices == DeviceSet((80.0, 90.0), ((0.0, 0.0), (0.0, 0.0)), (80.0, 90.0), (0, 0))
+        assert not any(np.shares_memory(a, b) for a in (workloads, locations, owners)
+                       for b in (devices.workloads, devices.locations, devices.bandwidths, devices.ownership))
 
     def test_reading_the_view_leaves_equality_hash_and_bytes_alone(self):
         s, twin = generate_random(3, DESK), generate_random(3, DESK)
         before = to_document(s)
-        s.devices.arrays, s.servers.arrays
+        assert s.devices.workloads is not twin.devices.workloads
         assert s == twin and hash(s) == hash(twin)
         assert to_document(s) == before
+        # content decides: 0.0 == -0.0, so the two hash alike, and a moved device is unequal
+        zero, negative_zero = (
+            replaced(s, "devices", locations=with_first(s.devices.locations, v)) for v in (0.0, -0.0)
+        )
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert zero != s and zero.devices != s.devices and s.devices != s.servers
+
+    @pytest.mark.parametrize(
+        "copier", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "pickle"],
+    )
+    def test_copies_rebuild_through_the_constructor(self, copier):
+        s = generate_random(3, DESK)
+        cost_model.per_dt_cost_table(s)  # keeps the pricing on the device set
+        copied = copier(s)
+        assert copied == s and hash(copied) == hash(s)
+        assert "_pricing" in vars(s.devices) and "_pricing" not in vars(copied.devices)
+        assert not any(a.flags.writeable for a in arrays_of(copied))
 
     def test_reweighted_scenarios_share_one_view(self):
         s = generate_random(3, DESK)
         other = dataclasses.replace(s, params=dataclasses.replace(s.params, alpha=0.9))
-        assert other.devices.arrays is s.devices.arrays
-        assert other.servers.arrays is s.servers.arrays
+        assert other.devices is s.devices and other.servers is s.servers
 
     def test_views_equal_the_nested_array_build_on_the_golden_scenario(self):
         s = from_document(GOLDEN.read_bytes())
-        dev = s.devices.arrays
-        want = np.array(s.devices.locations)
-        assert dev.xy.shape == want.shape == (4, 2)
-        assert dev.xy.dtype == want.dtype == np.float64
-        assert np.array_equal(dev.xy, want)
-        assert np.array_equal(dev.workload, np.array(s.devices.workloads))
-        assert np.array_equal(dev.bandwidth, np.array(s.devices.bandwidths))
-        assert np.array_equal(dev.owner, np.array(s.devices.ownership))
+        doc = json.loads(GOLDEN.read_bytes())
+        for part, names in ARRAY_FIELDS.items():
+            for name in names:
+                want = np.array(doc[part][name])
+                got = getattr(getattr(s, part), name)
+                assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("pair", [(5.0,), (5.0, 6.0, 7.0)], ids=["1-element", "3-element"])
     def test_a_ragged_location_pair_raises(self, pair):
         s = from_document(GOLDEN.read_bytes())
         # the ragged pair keeps the flattened length at twice the device count
         other = (2.0, 3.0, 4.0) if len(pair) == 1 else (2.0,)
-        locations = (pair, other) + s.devices.locations[2:]
-        devices = dataclasses.replace(s.devices, locations=locations)
-        with pytest.raises(ContractError, match="pairs"):
-            devices.arrays
+        with pytest.raises(ContractError, match="DeviceSet.locations must be a sequence of"):
+            DeviceSet(s.devices.workloads, (pair, other, (1.0, 1.0), (2.0, 2.0)),
+                      s.devices.bandwidths, s.devices.ownership)
+
+    @pytest.mark.parametrize(
+        "part, field, value, what",
+        [
+            pytest.param("devices", "locations", np.zeros((4, 3)), "(x, y) pairs", id="triples"),
+            pytest.param("devices", "locations", (1.0, 2.0, 3.0, 4.0), "(x, y) pairs", id="flat-locations"),
+            pytest.param("servers", "edge_locations", ((1.0, "2"), (3.0, 4.0)), "(x, y) pairs",
+                         id="string-coordinate"),
+            pytest.param("devices", "ownership", (0.0, 1.0, 1.0, 0.0), "integers", id="float-owners"),
+            pytest.param("devices", "ownership", (0, 1.7, 1, 0), "integers", id="fractional-owner"),
+            pytest.param("devices", "ownership", (True, False, True, False), "integers", id="bool-owners"),
+            pytest.param("devices", "ownership", (2**70, 0, 1, 0), "integers", id="huge-owner"),
+            pytest.param("devices", "ownership", (2**63, 0, 1, 0), "integers", id="uint64-owner"),
+            pytest.param("devices", "workloads", ("80", "90", "100", "110"), "numbers",
+                         id="string-workloads"),
+            pytest.param("devices", "workloads", (80.0, None, 1.0, 2.0), "numbers", id="none-workload"),
+            pytest.param("devices", "bandwidths", (True,) * 4, "numbers", id="bool-bandwidths"),
+            pytest.param("devices", "workloads", 80.0, "numbers", id="scalar-workloads"),
+            pytest.param("devices", "workloads", ((80.0,),) * 4, "numbers", id="nested-workloads"),
+            pytest.param("servers", "edge_clock_speeds", (2.0 + 1j, 2.5), "numbers", id="complex-clock"),
+        ],
+    )
+    def test_each_refusal_raises_contract_error(self, part, field, value, what):
+        group = getattr(from_document(GOLDEN.read_bytes()), part)
+        message = f"{type(group).__name__}.{field} must be a sequence of {what}"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            dataclasses.replace(group, **{field: value})

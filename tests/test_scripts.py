@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -166,3 +167,26 @@ def test_summary_refuses_a_gain_that_fails_more_operations():
     # an equal share on both sides does not stand in the way
     row = summarize(synthetic_runs(parent, change, "p50_ms", failed=(1, 1)), lower)["p50_ms"]
     assert row["parent_failed_share"] == row["change_failed_share"] == 0.01 and row["gain_shown"]
+
+
+def test_parity_quick_passes_a_copy_of_src_and_fails_a_perturbed_constant(tmp_path):
+    copied = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copied, ignore=shutil.ignore_patterns("__pycache__"))
+    done = run_script("parity.py", "--baseline-src", str(copied), "--quick")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("blas core type: ") and lines[0].endswith("OPENBLAS_NUM_THREADS=1")
+    verdicts = [line for line in lines if line.startswith(("same  ", "DIFF  "))]
+    assert len(verdicts) == 30 and all(line.startswith("same  ") for line in verdicts)
+    assert "same  train-desk/ensemble.npz" in verdicts and "same  solve-full-ddl.out" in verdicts
+    assert lines[-1] == "parity: 30 artifacts, 0 differ"
+
+    module = copied / "dtplace" / "scenario.py"
+    text = module.read_text()
+    assert "\nDELTA = 1.5\n" in text
+    module.write_text(text.replace("\nDELTA = 1.5\n", "\nDELTA = 1.5000001\n"))
+    done = run_script("parity.py", "--baseline-src", str(copied), "--quick")
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("DIFF  desk/scenario_100.json: bytes differ") for line in lines)
+    assert lines[-1].startswith("parity: 30 artifacts, ")
