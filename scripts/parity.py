@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Byte parity of this checkout's ``src/`` against a parent's.
 
-    python3 scripts/parity.py <sha>
-    python3 scripts/parity.py --baseline-src DIR [--quick]
+    python3 scripts/parity.py <sha> [--costs-rel TOL]
+    python3 scripts/parity.py --baseline-src DIR [--quick] [--costs-rel TOL]
 
 Lays out the parent's ``src/`` with ``bench.export_tree`` (``git archive``
 of ``<sha>``, or a copy of ``DIR``) and runs one fixed set of ``dtplace``
@@ -22,6 +22,12 @@ any ``elapsed`` column set aside, ``.npz`` archives array by array
 set aside.  Prints the BLAS core type, one verdict per artifact and a count,
 and exits 1 on any difference.  ``--quick`` runs the same commands on two
 documents per shape and tiny training runs, in a few seconds.
+
+``--costs-rel TOL`` lets the evaluated costs move by rounding: the
+``chosen_q`` column of ``training_trace.csv`` and the ``total_energy:`` and
+``weighted_cost:`` lines of ``solve`` output then compare as numbers within
+relative ``TOL``, and a file that differs only there gets the verdict
+``close``.  Everything else still compares byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +47,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench  # noqa: E402  (a sibling script: export_tree and ROOT)
 
 SCHEMES = ("exact", "ro", "co", "ad", "ddl")
+
+# What --costs-rel compares as numbers: a column of the training traces, and
+# the lines of solve output that start so.
+COST_TRACE, COST_COLUMN = "training_trace.csv", "chosen_q"
+COST_LINES = ("total_energy:", "weighted_cost:")
 
 # Solves run in one process per side; each run's output goes to its own file.
 SOLVE_DRIVER = """
@@ -125,30 +137,69 @@ def _csv_without_elapsed(path: str) -> list:
     return [[row[i] for i in keep if i < len(row)] for row in rows]
 
 
-def difference(parent: str, change: str) -> str | None:
-    """How the change's file differs from the parent's, or None when they match."""
+def _trace_costs(rows: list) -> tuple[list, list]:
+    """Training-trace rows without their ``chosen_q`` column, and that column's cells."""
+    if not rows or COST_COLUMN not in rows[0]:
+        return rows, []
+    i = rows[0].index(COST_COLUMN)
+    return [row[:i] + row[i + 1:] for row in rows], [row[i] for row in rows[1:] if i < len(row)]
+
+
+def _solve_costs(lines: list) -> tuple[list, list]:
+    """Solve output with the numbers cut off its cost lines, and those numbers."""
+    kept, costs = [], []
+    for line in lines:
+        key = next((k for k in COST_LINES if line.startswith(k)), None)
+        kept.append(key or line)
+        if key:
+            costs.append(line[len(key):])
+    return kept, costs
+
+
+def _relative(a: str, b: str) -> float:
+    """How far apart two numbers written as text are, relative to the larger; inf if not numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def difference(parent: str, change: str, costs_rel: float | None = None) -> tuple[str, str | None]:
+    """The verdict on the change's file against the parent's, ``same``, ``close`` or ``DIFF``, and why."""
     if not os.path.exists(parent) or not os.path.exists(change):
-        return "present on one side only"
+        return "DIFF", "present on one side only"
+    costs_apart = None
     if parent.endswith(".npz"):
         with np.load(parent) as a, np.load(change) as b:
             if sorted(a.files) != sorted(b.files):
-                return f"entries {sorted(a.files)} vs {sorted(b.files)}"
+                return "DIFF", f"entries {sorted(a.files)} vs {sorted(b.files)}"
             bad = [k for k in a.files if a[k].dtype != b[k].dtype or not np.array_equal(a[k], b[k])]
-        return f"arrays differ: {', '.join(bad)}" if bad else None
+        return ("DIFF", f"arrays differ: {', '.join(bad)}") if bad else ("same", None)
     if parent.endswith(".csv"):
         a, b = _csv_without_elapsed(parent), _csv_without_elapsed(change)
+        if os.path.basename(parent) == COST_TRACE:
+            costs_apart = _trace_costs
     elif os.path.basename(parent).startswith("solve-"):
         with open(parent) as fa, open(change) as fb:
             a, b = ([line for line in f if not line.startswith("elapsed_s:")] for f in (fa, fb))
+        costs_apart = _solve_costs
     else:
         with open(parent, "rb") as fa, open(change, "rb") as fb:
             a, b = fa.read(), fb.read()
     if a == b:
-        return None
+        return "same", None
+    if costs_rel is not None and costs_apart is not None:
+        (rest_a, costs_a), (rest_b, costs_b) = costs_apart(a), costs_apart(b)
+        worst = max(map(_relative, costs_a, costs_b), default=0.0)
+        if rest_a == rest_b and len(costs_a) == len(costs_b) and worst <= costs_rel:
+            return "close", f"costs within relative {worst:.3g}"
     if isinstance(a, list):
         first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        return f"first difference at line {first + 1} ({len(a)} vs {len(b)} lines)"
-    return f"bytes differ ({len(a)} vs {len(b)})"
+        return "DIFF", f"first difference at line {first + 1} ({len(a)} vs {len(b)} lines)"
+    return "DIFF", f"bytes differ ({len(a)} vs {len(b)})"
 
 
 def artifacts(work: str) -> set[str]:
@@ -164,7 +215,11 @@ def main(argv=None) -> int:
     side.add_argument("baseline", nargs="?", help="parent commit whose src/ is exported with git archive")
     side.add_argument("--baseline-src", help="parent src/ directory, copied")
     parser.add_argument("--quick", action="store_true", help="two documents per shape, tiny training runs")
+    parser.add_argument("--costs-rel", type=float, metavar="TOL",
+                        help="compare chosen_q, total_energy and weighted_cost within relative TOL")
     args = parser.parse_args(argv)
+    if args.costs_rel is not None and not args.costs_rel >= 0:
+        parser.error("--costs-rel must be a number >= 0")
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -179,12 +234,15 @@ def main(argv=None) -> int:
         run_side(os.path.join(tree, "src"), work["parent"], env, runs, solves)
         run_side(os.path.join(bench.ROOT, "src"), work["change"], env, runs, solves)
         names = sorted(artifacts(work["parent"]) | artifacts(work["change"]))
-        differ = 0
+        verdicts = []
         for name in names:
-            why = difference(os.path.join(work["parent"], name), os.path.join(work["change"], name))
-            differ += why is not None
-            print(f"same  {name}" if why is None else f"DIFF  {name}: {why}")
-    print(f"parity: {len(names)} artifacts, {differ} differ")
+            verdict, why = difference(os.path.join(work["parent"], name), os.path.join(work["change"], name),
+                                      args.costs_rel)
+            verdicts.append(verdict)
+            print(f"{verdict:<5} {name}" + (f": {why}" if why else ""))
+    close = f"{verdicts.count('close')} close, " if args.costs_rel is not None else ""
+    differ = verdicts.count("DIFF")
+    print(f"parity: {len(names)} artifacts, {close}{differ} differ")
     return 1 if differ else 0
 
 

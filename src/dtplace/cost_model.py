@@ -20,16 +20,18 @@ energy with weight ``alpha``.
 A deployment is priced once: per-twin time and energy on every server, built
 from one pass over the device matrices and kept on the scenario's device set.
 Each per-twin sum is one ``bincount`` over flat ``(owner, server)`` cells,
-which adds the devices in device order, as a per-device loop would.
-No price depends on ``alpha``, and a scenario re-weighted to another alpha
-shares its device set, so the cost table and ``evaluate`` of every cost mix
-share one build.
+which adds the devices in device order, as a per-device loop would.  Only
+the two ``(num_dts, S+1)`` tables are kept; ``evaluate`` reads one cell of
+each per twin and adds the twins in order, so its work grows with the twins,
+not the devices.  No price depends on ``alpha``, and a scenario re-weighted
+to another alpha shares its device set, so the cost table and ``evaluate``
+of every cost mix share one build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add, index
 
 import numpy as np
 
@@ -98,15 +100,17 @@ def _per_dt_time(own: np.ndarray, num_dts: int, tx: np.ndarray, ex: np.ndarray):
 
 
 def _pricing(s: Scenario):
-    """Per-DT time and energy ``(num_dts, S+1)`` and per-device energy ``(N, S+1)``, read-only.
+    """Per-DT time and energy ``(num_dts, S+1)``, read-only, and a flat view of each.
 
-    Kept on ``s.devices``, which every alpha re-weight of ``s`` shares, and
-    tagged with the other inputs it was built from: the pool by identity,
-    ``gamma``, ``lambda_``, ``delta`` and ``num_dts``.  A scenario that
-    differs in any of them is priced again and its pricing replaces the
-    kept one; the pricing dies with its device set.  It is stored as one
-    tuple, so a concurrent caller can at worst build it twice.  Each per-twin
-    sum, of execution time and of energy, is one ``bincount`` in device order.
+    Returns ``(dt_time, dt_energy, times, energies)``: ``times[m * (S+1) + j]``
+    is ``dt_time[m, j]`` as a Python float, and likewise for energy.  Kept on
+    ``s.devices``, which every alpha re-weight of ``s`` shares, and tagged
+    with the other inputs it was built from: the pool by identity, ``gamma``,
+    ``lambda_``, ``delta`` and ``num_dts``.  A scenario that differs in any of
+    them is priced again and its pricing replaces the kept one; the pricing
+    dies with its device set.  It is stored as one tuple, so a concurrent
+    caller can at worst build it twice.  Each per-twin sum, of execution time
+    and of energy, is one ``bincount`` in device order.
     """
     par = s.params
     constants = (par.gamma, par.lambda_, par.delta, s.num_dts)
@@ -115,20 +119,12 @@ def _pricing(s: Scenario):
         return kept[2]
     own = s.devices.ownership
     tx, ex, en = _device_matrices(s)
-    dt_time = _per_dt_time(own, s.num_dts, tx, ex)
-    dt_energy = _per_twin_sum(own, s.num_dts, en)
-    for table in (dt_time, dt_energy, en):
+    tables = _per_dt_time(own, s.num_dts, tx, ex), _per_twin_sum(own, s.num_dts, en)
+    for table in tables:
         table.flags.writeable = False
-    vars(s.devices)["_pricing"] = (s.servers, constants, (dt_time, dt_energy, en))
-    return dt_time, dt_energy, en
-
-
-@lru_cache(maxsize=16)
-def _row_offsets(rows: int, cols: int) -> np.ndarray:
-    """Flat offset of each row's first cell in a C-ordered ``(rows, cols)`` table."""
-    offsets = np.arange(rows) * cols
-    offsets.flags.writeable = False
-    return offsets
+    pricing = (*tables, *(memoryview(table.reshape(-1)) for table in tables))
+    vars(s.devices)["_pricing"] = (s.servers, constants, pricing)
+    return pricing
 
 
 def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
@@ -142,13 +138,12 @@ def evaluate(s: Scenario, d: Decision) -> CostBreakdown:
         raise ContractError(f"decision length {len(d.assignment)} differs from num_dts {m}")
     if not all((type(j) is int or isinstance(j, np.integer)) and 0 <= j < n for j in d.assignment):
         raise ContractError(f"server indices must be integers in 0..{n - 1}")
-    assign = np.asarray(d.assignment, dtype=int)
-    dt_time, _, device_energy = _pricing(s)
-    own = s.devices.ownership
-    cols = dt_time.shape[1]
-    # Sequential sums, energy per device: per-twin sums would move traced bits.
-    total_time = float(sum(dt_time.take(_row_offsets(m, cols) + assign).tolist()))
-    total_energy = float(sum(device_energy.take(_row_offsets(own.size, cols) + assign[own]).tolist()))
+    _, _, times, energies = _pricing(s)
+    # Each twin's cell, as a Python int: a narrow NumPy server plus its row offset could wrap.
+    cells = list(map(add, range(0, m * n, n), map(index, d.assignment)))
+    # Sequential sums of the chosen per-twin cells, in twin order.
+    total_time = sum(map(times.__getitem__, cells))
+    total_energy = sum(map(energies.__getitem__, cells))
     alpha = s.params.alpha
     weighted = float(alpha * total_time + (1.0 - alpha) * total_energy)
     return CostBreakdown(total_time, total_energy, weighted)
@@ -162,6 +157,6 @@ def per_dt_cost_table(s: Scenario) -> np.ndarray:
     Shaped ``(num_dts, num_servers_total)``; used for the exact optimum and
     for pricing best-of-K proposals.
     """
-    dt_time, dt_energy, _ = _pricing(s)
+    dt_time, dt_energy, _, _ = _pricing(s)
     alpha = s.params.alpha
     return alpha * dt_time + (1.0 - alpha) * dt_energy

@@ -67,11 +67,10 @@ def scheme_average_distribution(s: Scenario) -> SchemeResult:
 
     # a stable sort, so equal loads keep index order even reversed
     order = sorted(range(s.num_dts), key=dt_load.__getitem__, reverse=True)
-    servers = range(s.num_servers_total)
     server_load = [0.0] * s.num_servers_total
     assignment = [0] * s.num_dts
     for m in order:
-        target = min(servers, key=server_load.__getitem__)
+        target = server_load.index(min(server_load))
         assignment[m] = target
         server_load[target] += dt_load[m]
     decision = Decision(tuple(assignment))

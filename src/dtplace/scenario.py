@@ -64,6 +64,12 @@ def _frozen(values, kind: str, where: str) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _array_fields(cls) -> tuple:
+    """``(name, kind, location)`` of each array field of the group class ``cls``."""
+    return tuple((f.name, f.type, f"{cls.__name__}.{f.name}") for f in fields(cls) if f.type in _ARRAY_KINDS)
+
+
 class _Group:
     """A group of scenario values, some held as read-only arrays.
 
@@ -74,10 +80,8 @@ class _Group:
     """
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type in _ARRAY_KINDS:
-                value = _frozen(getattr(self, f.name), f.type, f"{type(self).__name__}.{f.name}")
-                object.__setattr__(self, f.name, value)
+        for name, kind, where in _array_fields(type(self)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), kind, where))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -442,6 +446,23 @@ def _integers(values, path, what):
     raise ParseError(f"field {path} must be {what}")
 
 
+def _number(value, path):
+    """A JSON number, finite, as a float."""
+    try:
+        if type(value) in _NUMBERS and isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ParseError(f"field {path} must be a number")
+
+
+def _integer(value, path):
+    """A JSON integer that fits int64."""
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
+    raise ParseError(f"field {path} must be an integer")
+
+
 def _pairs(values, path):
     what = "a list of [x, y] pairs"
     if type(values) is not list or not set(map(type, values)) <= {list} or not set(map(len, values)) <= {2}:
@@ -460,8 +481,8 @@ def _parse(cls, raw, prefix):
 # Keyed by each field's annotation as written: under postponed evaluation of
 # annotations, ``dataclasses.Field.type`` is that string.
 _CONVERTERS = {
-    "float": lambda v, path: _numbers([v], path, "a number")[0].item(),
-    "int": lambda v, path: _integers([v], path, "an integer")[0].item(),
+    "float": _number,
+    "int": _integer,
     "Floats": lambda v, path: _numbers(v, path, "a list of numbers"),
     "Ints": lambda v, path: _integers(v, path, "a list of integers"),
     "Pairs": _pairs,

@@ -274,12 +274,12 @@ class TestExperiment:
 
     # SHA-256 of the TINY_RUN alpha-compare outputs; comparison.csv without its elapsed column.
     ALPHA_COMPARE_DIGESTS = {
-        "trace_alpha_0.csv": "3b144063106cb071ccec899c8a8f8738a92e0d23f887d4bf6c094d07ac372f0d",
-        "trace_alpha_0.25.csv": "c8331d4166600d99dbaab6ffab093e2e0e40d5f3ff7cf914ba85c757697067e9",
-        "trace_alpha_0.5.csv": "9c2a83a33738c9a482ab72ab2a7967ccf6d9d0bb822e1eb6893fee94de0578af",
+        "trace_alpha_0.csv": "f98f6374bbc322cf7dff1da98f5c20cc3a86e6537a1f08cb54253bc5a3f82c30",
+        "trace_alpha_0.25.csv": "ddc09f296b85f65045dff6f825b695c4e62879b1d44fa8c9b7b453f5400534a1",
+        "trace_alpha_0.5.csv": "9a67cdf4a7901f3e0fba4d43a26aa48ec844926580b57b35271faa6f97ffed30",
         "trace_alpha_0.75.csv": "ce7ad3b3a17aaedc45306cf0e3ba3efe90c428ea4e5b2b3621cfdedb7937606d",
         "trace_alpha_1.csv": "4eba56ae6668683ced5cf98a8abf27b84c9a5a9d9b184f17deb272ced1087ca2",
-        "comparison.csv": "227d309bc40ee853e2c1013d971ea2b5e1ac7b587282876c4146611d19f8d765",
+        "comparison.csv": "780cf1b0be47afe52ff98728f6d77ca13d1fb697bac4029301a293cb8e3c6e1e",
     }
 
     def test_alpha_compare_outputs_are_pinned(self, tmp_path):

@@ -56,11 +56,11 @@ def random_decision(s, seed):
 
 
 def reference_parts(s, d):
-    """Per-twin times and per-device energies of one decision, aggregated in 1-D.
+    """Per-twin times and energies of one decision, gathered first and aggregated in 1-D.
 
-    Each device's chosen column is gathered first and then reduced per
-    twin, the reverse of pricing every server first, so ``evaluate`` can
-    be held to it bit for bit.
+    Each device's chosen column is gathered first and then reduced per twin
+    in device order, the reverse of pricing every server first, so
+    ``evaluate`` can be held to it bit for bit.
     """
     own = s.devices.ownership
     tx, ex, en = _device_matrices(s)
@@ -70,15 +70,28 @@ def reference_parts(s, d):
     np.maximum.at(sync, own, tx[rows, chosen])
     exec_sum = np.zeros(s.num_dts)
     np.add.at(exec_sum, own, ex[rows, chosen])
-    return counts * (sync + exec_sum), en[rows, chosen].tolist()
+    energy = np.zeros(s.num_dts)
+    np.add.at(energy, own, en[rows, chosen])
+    return counts * (sync + exec_sum), energy
 
 
 def reference_evaluate(s, d):
-    """``evaluate`` as the gather-first path: sequential sums of :func:`reference_parts`."""
+    """``evaluate`` as the gather-first path: sequential sums of :func:`reference_parts` in twin order."""
     dt_time, energy = reference_parts(s, d)
-    total_time, total_energy = float(sum(dt_time.tolist())), float(sum(energy))
+    total_time, total_energy = float(sum(dt_time.tolist())), float(sum(energy.tolist()))
     alpha = s.params.alpha
     return CostBreakdown(total_time, total_energy, float(alpha * total_time + (1.0 - alpha) * total_energy))
+
+
+def device_order_energy(s, d):
+    """Total energy as one sequential sum over the devices, in device order.
+
+    A different order of the same additions, so it agrees with ``evaluate``
+    to a few ulps, not bit for bit.
+    """
+    own = s.devices.ownership
+    en = _device_matrices(s)[2]
+    return float(sum(en[np.arange(own.size), np.asarray(d.assignment)[own]].tolist()))
 
 
 def add_at_sums(own, num_dts, rows):
@@ -99,12 +112,11 @@ def add_at_pricing(s):
 
 
 def fancy_index_evaluate(s, d):
-    """``evaluate`` gathering with two 2-D fancy indexes over ``np.arange`` rows."""
+    """``evaluate`` gathering each table with a 2-D fancy index over ``np.arange`` rows."""
     assign = np.asarray(d.assignment, dtype=int)
-    dt_time, _, device_energy = _pricing(s)
-    own = s.devices.ownership
+    dt_time, dt_energy = _pricing(s)[:2]
     total_time = float(sum(dt_time[np.arange(s.num_dts), assign].tolist()))
-    total_energy = float(sum(device_energy[np.arange(own.size), assign[own]].tolist()))
+    total_energy = float(sum(dt_energy[np.arange(s.num_dts), assign].tolist()))
     alpha = s.params.alpha
     return CostBreakdown(total_time, total_energy, float(alpha * total_time + (1.0 - alpha) * total_energy))
 
@@ -397,6 +409,15 @@ class TestPricing:
                     d = random_decision(s, 100 * i + j)
                     assert evaluate(s, d) == reference_evaluate(s, d)
 
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_energy_matches_the_device_order_sum_within_ulps(self, shape):
+        # Adding per-twin subtotals in twin order regroups the device-order sum.
+        for i in range(8):
+            s = generate_random(520 + i, SHAPES[shape])
+            for j in range(3):
+                d = random_decision(s, 100 * i + j)
+                assert evaluate(s, d).total_energy == pytest.approx(device_order_energy(s, d), rel=1e-14)
+
     def test_exact_and_schemes_build_the_matrices_once(self, monkeypatch):
         s = generate_random(41, DESK)
         built = count_builds(monkeypatch)
@@ -447,10 +468,38 @@ class TestPricing:
     def test_cached_tables_are_read_only(self):
         s = generate_random(45, DESK)
         per_dt_cost_table(s)
-        for table in cost_model._pricing(s):
+        dt_time, dt_energy, times, energies = cost_model._pricing(s)
+        for table in (dt_time, dt_energy):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
+        for view in (times, energies):
+            assert view.readonly
+            with pytest.raises(TypeError):
+                view[0] = 0.0
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_pricing_holds_per_twin_tables_and_their_flat_views(self, shape):
+        s = generate_random(47, SHAPES[shape])
+        assert s.devices.num_devices > s.num_dts
+        pricing = cost_model._pricing(s)
+        for held in pricing:
+            # one row per twin, none per device
+            assert np.asarray(held).reshape(s.num_dts, -1).shape == (s.num_dts, s.num_servers_total)
+        dt_time, dt_energy, times, energies = pricing
+        for table, view in ((dt_time, times), (dt_energy, energies)):
+            assert table.shape == (s.num_dts, s.num_servers_total)
+            # the view is the table's own memory, row after row
+            assert view.format == "d" and view.shape == (table.size,)
+            assert np.shares_memory(np.asarray(view), table)
+            assert view.tolist() == table.ravel().tolist()
+
+    def test_narrow_numpy_servers_past_offset_255_are_not_wrapped(self):
+        # 70 twins on 4 servers: the last rows start past 255, which uint8 cannot hold.
+        s = generate_random(48, GeneratorConfig(num_devices=90, num_dts=70))
+        d = random_decision(s, 9)
+        for kind in (np.uint8, np.int8, np.int16):
+            assert evaluate(s, Decision(tuple(kind(j) for j in d.assignment))) == evaluate(s, d)
 
     @pytest.mark.parametrize(
         "copier", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["deepcopy", "pickle"]
@@ -470,8 +519,10 @@ class TestPricing:
         pool, dev = copied.servers, copied.devices
         arrays = (pool.edge_clock_speeds, pool.edge_locations, dev.workloads, dev.locations,
                   dev.bandwidths, dev.ownership)
-        for array in (*cost_model._pricing(copied), *arrays):
+        dt_time, dt_energy, times, energies = cost_model._pricing(copied)
+        for array in (dt_time, dt_energy, *arrays):
             assert not array.flags.writeable
+        assert times.readonly and energies.readonly
 
     def test_pricing_dies_with_its_group(self):
         s = generate_random(43, DESK)
@@ -542,11 +593,11 @@ class TestBitForBit:
     def test_pricing_matches_add_at(self, config):
         for i in range(6):
             s = generate_random(700 + i, config)
-            dt_time, dt_energy, device_energy = _pricing(s)
+            dt_time, dt_energy, times, energies = _pricing(s)
             want_time, want_energy = add_at_pricing(s)
             assert dt_time.tobytes() == want_time.tobytes()
             assert dt_energy.tobytes() == want_energy.tobytes()
-            assert device_energy.tobytes() == _device_matrices(s)[2].tobytes()
+            assert (times.tobytes(), energies.tobytes()) == (dt_time.tobytes(), dt_energy.tobytes())
             assert (dt_time.dtype, dt_energy.dtype) == (np.float64, np.float64)
 
     @pytest.mark.parametrize("shape", list(SHAPES))
@@ -628,8 +679,7 @@ class TestInvariances:
         dt_time, energy = reference_parts(s, d)
         a = s.params.alpha
         for m in range(s.num_dts):
-            member_energy = sum(e for e, g in zip(energy, s.devices.ownership) if g == m)
-            assert table[m, d.assignment[m]] == a * dt_time[m] + (1 - a) * member_energy
-        # evaluate's totals are sequential sums of the chosen per-twin and per-device rows
+            assert table[m, d.assignment[m]] == a * dt_time[m] + (1 - a) * energy[m]
+        # evaluate's totals are sequential sums of the chosen per-twin cells, in twin order
         assert cost.total_time == sum(dt_time.tolist())
-        assert cost.total_energy == sum(energy)
+        assert cost.total_energy == sum(energy.tolist())

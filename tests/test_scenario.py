@@ -393,6 +393,39 @@ class TestDocuments:
         with pytest.raises(ParseError, match=re.escape(field)):
             from_document(json.dumps(doc).replace('"@"', text))
 
+    @pytest.mark.parametrize(
+        "path, text, message",
+        [
+            pytest.param(("params", "gamma"), "false", "field params.gamma must be a number", id="float-bool"),
+            pytest.param(("params", "delta"), "NaN", "field params.delta must be a number", id="float-NaN"),
+            pytest.param(("servers", "cloud_clock_speed"), "-Infinity",
+                         "field servers.cloud_clock_speed must be a number", id="float-Infinity"),
+            pytest.param(("params", "lambda_"), "1" + "0" * 400, "field params.lambda_ must be a number",
+                         id="float-past-double"),
+            pytest.param(("num_dts",), "true", "field num_dts must be an integer", id="int-bool"),
+            pytest.param(("num_dts",), str(2**63), "field num_dts must be an integer", id="int-past-int64"),
+            pytest.param(("num_servers_total",), str(-(2**63) - 1), "field num_servers_total must be an integer",
+                         id="int-below-int64"),
+            pytest.param(("num_dts",), "NaN", "field num_dts must be an integer", id="int-NaN"),
+            pytest.param(("num_dts",), "6.5", "field num_dts must be an integer", id="int-fraction"),
+        ],
+    )
+    def test_a_scalar_of_the_wrong_kind_is_named_in_full(self, path, text, message):
+        doc = json.loads(to_document(generate_random(1, DESK)))
+        *parents, last = path
+        functools.reduce(operator.getitem, parents, doc)[last] = "@"
+        with pytest.raises(ParseError) as info:
+            from_document(json.dumps(doc).replace('"@"', text))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)], ids=["int64-max", "int64-min"])
+    def test_an_int64_extreme_parses_to_the_check_of_the_scenario(self, value):
+        # in range, the value is parsed and only then found to break an invariant
+        doc = json.loads(to_document(generate_random(1, DESK)))
+        doc["num_dts"] = value
+        with pytest.raises(ValidationError):
+            from_document(json.dumps(doc))
+
 
 def _fill_floats(s, value):
     """``s`` with ``value`` in every float field, scalar, list element and coordinate."""

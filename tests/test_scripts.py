@@ -180,13 +180,52 @@ def test_parity_quick_passes_a_copy_of_src_and_fails_a_perturbed_constant(tmp_pa
     assert len(verdicts) == 30 and all(line.startswith("same  ") for line in verdicts)
     assert "same  train-desk/ensemble.npz" in verdicts and "same  solve-full-ddl.out" in verdicts
     assert lines[-1] == "parity: 30 artifacts, 0 differ"
+    done = run_script("parity.py", "--baseline-src", str(copied), "--quick", "--costs-rel", "1e-14")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "parity: 30 artifacts, 0 close, 0 differ"
 
     module = copied / "dtplace" / "scenario.py"
     text = module.read_text()
     assert "\nDELTA = 1.5\n" in text
     module.write_text(text.replace("\nDELTA = 1.5\n", "\nDELTA = 1.5000001\n"))
+    for flag in ([], ["--costs-rel", "1e-14"]):
+        done = run_script("parity.py", "--baseline-src", str(copied), "--quick", *flag)
+        assert done.returncode == 1, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        assert any(line.startswith("DIFF  desk/scenario_100.json: bytes differ") for line in lines)
+        assert any(line.startswith("DIFF  solve-desk-exact.out: ") for line in lines)
+        assert lines[-1].startswith("parity: 30 artifacts, ")
+
+
+def test_parity_costs_rel_lets_only_the_costs_move(tmp_path):
+    # The copy adds each total's twins in reverse order: the same placements
+    # and times, with energies and weighted costs a few ulps away.
+    copied = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copied, ignore=shutil.ignore_patterns("__pycache__"))
+    module = copied / "dtplace" / "cost_model.py"
+    text = module.read_text()
+    line = "    total_energy = sum(map(energies.__getitem__, cells))\n"
+    assert line in text
+    module.write_text(text.replace(line, line.replace("cells)", "reversed(cells))")))
     done = run_script("parity.py", "--baseline-src", str(copied), "--quick")
     assert done.returncode == 1, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
-    assert any(line.startswith("DIFF  desk/scenario_100.json: bytes differ") for line in lines)
-    assert lines[-1].startswith("parity: 30 artifacts, ")
+    plain = [line for line in done.stdout.splitlines() if line.startswith("DIFF  ")]
+    assert plain
+
+    for tol, code in (("1e-14", 0), ("0", 1)):
+        done = run_script("parity.py", "--baseline-src", str(copied), "--quick", "--costs-rel", tol)
+        assert done.returncode == code, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        moved = [line for line in lines if line.startswith(("close ", "DIFF  "))]
+        # the same files move, each either close or, at tolerance 0, still different
+        assert [line.split()[1].rstrip(":") for line in moved] == [line.split()[1].rstrip(":") for line in plain]
+        assert all(line.startswith("close " if code == 0 else "DIFF  ") for line in moved)
+        assert any(line.startswith(("close solve-desk-exact.out", "DIFF  solve-desk-exact.out")) for line in moved)
+        close = len(moved) if code == 0 else 0
+        assert lines[-1] == f"parity: 30 artifacts, {close} close, {len(moved) - close} differ"
+
+
+def test_parity_refuses_a_negative_tolerance():
+    done = run_script("parity.py", "--baseline-src", str(ROOT / "src"), "--costs-rel", "-1")
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1].endswith("--costs-rel must be a number >= 0")
