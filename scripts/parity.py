@@ -12,15 +12,18 @@ under one environment with ``OPENBLAS_NUM_THREADS=1``:
 * ``generate`` at desk shape, at full shape and with ``--server-seed 3``;
 * ``train --iters 1150 --seed 11 --probe 32`` and
   ``train --full --iters 150 --seed 5 --probe 0 --db 64 --batch 32``;
+* ``experiment alpha-compare --iters 1100 --probe 32 --seed 11``;
 * ``solve`` under exact, ro, co, ad and ddl on the 20 desk and the 20 full
   documents, ddl with the tree's own checkpoint of that shape.
 
 Every command writes under its side's work directory by relative paths, so
 their outputs compare as they are.  Files compare byte for byte, CSVs with
 any ``elapsed`` column set aside, ``.npz`` archives array by array
-(``array_equal`` and dtype) and ``solve`` output with its ``elapsed_s`` line
-set aside.  Prints the BLAS core type, one verdict per artifact and a count,
-and exits 1 on any difference.  ``--quick`` runs the same commands on two
+(``array_equal`` and dtype), ``solve`` output with its ``elapsed_s`` line
+set aside and each run's stdout with the ``, <seconds>s`` wall time that
+ends an experiment's grid-point lines set aside.  Prints the BLAS core type,
+one verdict per artifact and a count, and exits 1 on any difference.
+``--quick`` leaves the experiment out and runs the other commands on two
 documents per shape and tiny training runs, in a few seconds.
 
 ``--costs-rel TOL`` lets the evaluated costs move by rounding: the
@@ -37,6 +40,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -52,6 +56,9 @@ SCHEMES = ("exact", "ro", "co", "ad", "ddl")
 # the lines of solve output that start so.
 COST_TRACE, COST_COLUMN = "training_trace.csv", "chosen_q"
 COST_LINES = ("total_energy:", "weighted_cost:")
+
+# The wall time that ends each grid-point line of ``dtplace experiment`` output.
+WALL_TIME = re.compile(r", [0-9]+\.[0-9]s$")
 
 # Solves run in one process per side; each run's output goes to its own file.
 SOLVE_DRIVER = """
@@ -100,6 +107,8 @@ def command_set(quick: bool) -> tuple[list, list]:
             ("train-desk", ["train", "--iters", "1150", "--seed", "11", "--probe", "32"]),
             ("train-full", ["train", "--full", "--iters", "150", "--seed", "5", "--probe", "0",
                             "--db", "64", "--batch", "32"]),
+            ("alpha-compare", ["experiment", "alpha-compare", "--iters", "1100", "--probe", "32",
+                               "--seed", "11"]),
         ]
     solves = []
     for shape, first in (("desk", 100), ("full", 200)):
@@ -186,6 +195,9 @@ def difference(parent: str, change: str, costs_rel: float | None = None) -> tupl
         with open(parent) as fa, open(change) as fb:
             a, b = ([line for line in f if not line.startswith("elapsed_s:")] for f in (fa, fb))
         costs_apart = _solve_costs
+    elif parent.endswith(".stdout"):
+        with open(parent) as fa, open(change) as fb:
+            a, b = ([WALL_TIME.sub("", line) for line in f] for f in (fa, fb))
     else:
         with open(parent, "rb") as fa, open(change, "rb") as fb:
             a, b = fa.read(), fb.read()

@@ -219,7 +219,7 @@ def run_named_experiment(
     rows = None
     if name == "alpha-compare":
         ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
-        rows = harness.run_comparison(probe, list(ALPHA_GRID), ensembles)
+        rows = harness.run_comparison(probe, ensembles)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

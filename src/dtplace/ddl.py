@@ -530,5 +530,5 @@ def load_ensemble(path) -> DdlEnsemble:
             return _from_checkpoint(header, data)
     except ContractError:
         raise
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as e:
+    except (KeyError, TypeError, ValueError, EOFError, RecursionError, zipfile.BadZipFile) as e:
         raise ContractError(f"not an ensemble checkpoint: {e}") from e

@@ -12,9 +12,11 @@ call over the probe, the best-of-K choice that training makes.
 probe, it snapshots the probe costs on a fixed cadence and reports the
 convergence rate between consecutive snapshots: mean over scenarios of
 min/max of the two costs, which is 1 exactly when the chosen decisions'
-costs have stopped moving.  Scheme comparison re-weights the same probe at
-each requested alpha once (re-weights share one encoding of the inputs),
-reads its baselines from that alpha's pass and prices one ensemble per alpha.
+costs have stopped moving.  Scheme comparison re-weights the same probe to
+each alpha it has an ensemble for, reads that copy's baselines and prices
+the ensemble on it.  A re-weighted copy is a plain probe that shares the
+scenarios' device sets, and with them their pricing, but prices its own
+baselines and encodes its own inputs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class ProbeSet:
 
     scenarios: tuple
     seed: int
-    _base = None  # the probe an alpha re-weight was made from; copies leave it behind too
 
     def __getstate__(self):  # copies and pickles rebuild the caches below on first use
         return {"scenarios": self.scenarios, "seed": self.seed}
@@ -57,18 +58,11 @@ class ProbeSet:
         return len(self.scenarios)
 
     @functools.cached_property
-    def _by_alpha(self) -> dict:
-        return {}
-
-    @functools.cached_property
     def raw_inputs(self) -> np.ndarray:
         """Stacked network inputs, read-only, encoded on first use.
 
-        Callers that only price the baselines never encode, and an alpha
-        re-weight reads its base probe's inputs.
+        Callers that only price the baselines never encode.
         """
-        if self._base is not None:
-            return self._base.raw_inputs
         raw = np.stack([ddl.raw_group_input(s) for s in self.scenarios])
         raw.flags.writeable = False
         return raw
@@ -112,21 +106,20 @@ def make_probe(seed: int, count: int, generator: GeneratorConfig) -> ProbeSet:
 
 
 def with_alpha(probe: ProbeSet, alpha: float) -> ProbeSet:
-    """The same scenarios under a different time/energy mix, built once per alpha.
+    """The same scenarios and seed under a different time/energy mix.
 
-    ``probe`` itself comes back when all its scenarios already use ``alpha``.
+    ``probe`` itself comes back when all its scenarios already use ``alpha``,
+    so grid points at the probe's own alpha share its pricing and encoding.
+    Otherwise each call builds a new probe whose scenarios share the
+    originals' device sets and server pools, and with them their pricing.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must lie in [0, 1], got {alpha}")
     if all(s.params.alpha == alpha for s in probe.scenarios):
         return probe
-    if alpha not in probe._by_alpha:
-        mix = [dataclasses.replace(s.params, alpha=alpha) for s in probe.scenarios]
-        scenarios = tuple(dataclasses.replace(s, params=p) for s, p in zip(probe.scenarios, mix))
-        shifted = ProbeSet(scenarios, probe.seed)
-        object.__setattr__(shifted, "_base", probe)
-        probe._by_alpha[alpha] = shifted
-    return probe._by_alpha[alpha]
+    mix = [dataclasses.replace(s.params, alpha=alpha) for s in probe.scenarios]
+    scenarios = tuple(dataclasses.replace(s, params=p) for s, p in zip(probe.scenarios, mix))
+    return ProbeSet(scenarios, probe.seed)
 
 
 def ensemble_probe_costs(ensemble: DdlEnsemble, probe: ProbeSet) -> np.ndarray:
@@ -254,29 +247,26 @@ class ComparisonRow:
     elapsed: float
 
 
-def run_comparison(probe: ProbeSet, alphas, ensembles: dict) -> list:
-    """Price every scheme at every alpha on the re-weighted probe.
+def run_comparison(probe: ProbeSet, ensembles: dict) -> list:
+    """Price every scheme at each alpha of ``ensembles`` on the re-weighted probe.
 
-    Baseline rows read the per-alpha probe's pass, and their ``elapsed``
-    sums the scheme's per-call times.  The ddl row makes one best-of-K choice
-    over the probe and evaluates each winner; its ``elapsed`` times both.
     ``ensembles`` maps each alpha to the ensemble trained under that alpha;
     a network learned labels for one cost mix, so mixes are not interchangeable.
-    Rows come out grouped by alpha in the order exact, ro, co, ad, ddl.
+    Baseline rows read the re-weighted probe's pass, and their ``elapsed``
+    sums the scheme's per-call times.  The ddl row makes one best-of-K choice
+    over the probe and evaluates each winner; its ``elapsed`` times both.
+    Rows come out grouped by alpha in the map's order, each group in the
+    order exact, ro, co, ad, ddl.
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise ContractError("alphas must be nonempty")
-    missing = [a for a in alphas if a not in ensembles]
-    if missing:
-        raise ContractError(f"no trained ensemble supplied for alpha={missing[0]}")
+    if not ensembles:
+        raise ContractError("no trained ensemble supplied")
     rows: list[ComparisonRow] = []
-    for alpha in alphas:
+    for alpha, ensemble in ensembles.items():
         at = with_alpha(probe, alpha)
         rows.extend(ComparisonRow(alpha, name, *means) for name, means in at.baselines.items())
         tables, raw = at.tables, at.raw_inputs  # priced and encoded before the timing starts
         start = time.perf_counter()
-        _, codes, _ = ddl.choose(ensembles[alpha], tables, raw)
+        _, codes, _ = ddl.choose(ensemble, tables, raw)
         costs = [evaluate(s, Decision(tuple(c))) for s, c in zip(at.scenarios, codes.tolist())]
         rows.append(ComparisonRow(alpha, "ddl", *_means(costs), time.perf_counter() - start))
     return rows

@@ -501,7 +501,9 @@ def from_document(data: bytes | str) -> Scenario:
     Raises :class:`ParseError` for malformed input, with a location where the
     JSON parser provides one and the field's name where a value has the
     wrong type: bytes must be UTF-8, numbers must be finite, integers take
-    no fraction and fit 64 bits, and booleans are neither.  Raises
+    no fraction and fit 64 bits, and booleans are neither.  JSON nested past
+    the recursion limit or holding an integer literal past Python's
+    int-string limit is a ``ParseError`` too.  Raises
     :class:`ValidationError`, listing every violation, when the parsed
     scenario breaks invariants.
     """
@@ -514,6 +516,10 @@ def from_document(data: bytes | str) -> Scenario:
         raise ParseError(f"invalid document at byte {e.start}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid document at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid document: nested too deeply") from None
+    except ValueError as e:  # an integer literal past Python's int-string limit
+        raise ParseError(f"invalid document: {e}") from None
 
     for key, expected in (("format", DOCUMENT_FORMAT), ("version", DOCUMENT_VERSION)):
         value = _get(doc, key, "")

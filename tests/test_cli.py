@@ -225,6 +225,18 @@ class TestSolve:
             "error: invalid document at byte 0: not UTF-8 (invalid start byte)"
         ]
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 2000, "error: invalid document: nested too deeply"),
+        ("7" * 4301, "error: invalid document: Exceeds the limit (4300 digits)"),
+    ], ids=["deep-nesting", "long-integer"])
+    def test_json_the_parser_cannot_take_fails_cleanly(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert run("solve", str(path), "--scheme", "exact") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+        assert "Traceback" not in err
+
     def test_full_scale_exact_not_above_cloud_only(self, tmp_path, capsys):
         assert run("generate", "--seed", "2", "--out", str(tmp_path)) == 0
         path = str(tmp_path / "scenario_2.json")

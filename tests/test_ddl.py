@@ -750,7 +750,7 @@ class TestCheckpoint:
         "no-step", "negative-step", "bool-step", "float-step",
         "float-num_dts", "bool-num_dts", "other-num_dts", "other-num_servers",
         "no-learning_rate", "bool-learning_rate", "string-learning_rate", "nan-learning_rate",
-        "zero-learning_rate", "negative-learning_rate",
+        "zero-learning_rate", "negative-learning_rate", "deep-header",
     ])
     def test_wrong_format_rejected(self, tmp_path, kind):
         path = tmp_path / "junk.npz"
@@ -787,6 +787,8 @@ class TestCheckpoint:
                                            "zero": 0, "negative": -1e-3}[kind.split("-")[0]]
             elif kind.endswith("-step"):
                 header["step"] = {"negative": -3, "bool": True, "float": 2.0}[kind[:-5]]
+            elif kind == "deep-header":
+                pass  # written below as JSON nested past the recursion limit
             elif kind.startswith(("float-", "bool-", "other-")):
                 # The desk checkpoint places 6 twins on 4 servers.  5 servers need
                 # 3 bits a twin where 4 need 2; 3 servers, also 2 bits, would pass.
@@ -796,7 +798,8 @@ class TestCheckpoint:
                 for name in ("params", "m", "v"):
                     arrays[f"dnn.{name}"] = arrays[f"dnn.{name}"][:0]
             if "header" in arrays:
-                arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+                text = "[" * 2000 if kind == "deep-header" else json.dumps(header)
+                arrays["header"] = np.frombuffer(text.encode(), dtype=np.uint8)
             with open(path, "wb") as f:
                 np.savez(f, **arrays)
         with pytest.raises(ContractError, match="not an ensemble checkpoint"):

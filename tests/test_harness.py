@@ -337,10 +337,11 @@ class TestComparison:
 
     def test_rows_cover_schemes_and_exact_is_minimum(self):
         probe = make_probe(100, 4, MINI)
-        alphas = [0.0, 0.5, 1.0]
+        alphas = [1.0, 0.0, 0.5]
         ensembles = {a: build_ensemble(mini_train(0, seed=9)) for a in alphas}
-        rows = run_comparison(probe, alphas, ensembles)
+        rows = run_comparison(probe, ensembles)
         assert len(rows) == len(alphas) * 5
+        assert [r.alpha for r in rows[::5]] == alphas  # the groups follow the map's order
         for alpha in alphas:
             group = {r.scheme: r for r in rows if r.alpha == alpha}
             assert list(group) == ["exact", "ro", "co", "ad", "ddl"]
@@ -350,30 +351,30 @@ class TestComparison:
     def test_rows_price_the_same_baselines_as_scheme_means(self):
         probe = make_probe(100, 4, MINI)
         alpha = MINI.alpha
-        rows = run_comparison(probe, [alpha], {alpha: build_ensemble(mini_train(0, seed=9))})
+        rows = run_comparison(probe, {alpha: build_ensemble(mini_train(0, seed=9))})
         means = scheme_means(probe)
         assert [r.scheme for r in rows[:4]] == list(means)
         for row in rows[:4]:
             assert row.mean_q == means[row.scheme]
 
-    def test_each_baseline_runs_once_per_scenario_per_alpha(self, monkeypatch):
-        # Training and comparison read the same per-alpha pass.
+    def test_a_sweep_at_the_probes_alpha_prices_and_encodes_each_scenario_once(self, monkeypatch):
+        # The lr/dnn/db sweeps' path: every grid point and the comparison read the probe itself.
         probe = make_probe(100, 4, MINI)
         calls = collections.Counter()
         for name in BASELINE_FUNCTIONS:
             real = getattr(harness, name)
             monkeypatch.setattr(
-                harness, name,
-                lambda s, *a, _n=name, _f=real: calls.update([(_n, s.params.alpha)]) or _f(s, *a),
+                harness, name, lambda s, *a, _n=name, _f=real: calls.update([(_n, id(s))]) or _f(s, *a)
             )
-        grid = [
-            (f"alpha_{a:g}", mini_train(0, generator=dataclasses.replace(MINI, alpha=a)))
-            for a in (0.25, MINI.alpha)
-        ]
+        encoded = collections.Counter()
+        real = ddl.raw_group_input
+        monkeypatch.setattr(ddl, "raw_group_input", lambda s: encoded.update([id(s)]) or real(s))
+        grid = [(f"lr_{lr:g}", mini_train(0, learning_rate=lr)) for lr in (1e-3, 1e-2)]
         reports = run_training_experiment(grid, probe)
-        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
-        run_comparison(probe, list(ensembles), ensembles)
-        assert calls == {(n, a): len(probe) for n in BASELINE_FUNCTIONS for a in ensembles}
+        assert reports[0].scheme_means == reports[1].scheme_means == scheme_means(probe)
+        run_comparison(probe, {MINI.alpha: reports[0].ensemble})
+        assert calls == {(n, id(s)): 1 for n in BASELINE_FUNCTIONS for s in probe.scenarios}
+        assert encoded == {id(s): 1 for s in probe.scenarios}
 
     def test_every_alpha_and_the_ddl_rows_share_one_pricing(self, monkeypatch):
         # Re-weighted probes share their device sets, and with them one pricing.
@@ -389,31 +390,18 @@ class TestComparison:
         ]
         reports = run_training_experiment(grid, probe)
         ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
-        run_comparison(probe, ALPHA_GRID, ensembles)
+        run_comparison(probe, ensembles)
         assert built == {id(s.devices): 1 for s in probe.scenarios}
 
-    def test_every_alpha_shares_one_encoding(self, monkeypatch):
-        # The encoding reads only the devices and the twin count, which re-weights share.
+    def test_pricing_the_baselines_encodes_nothing(self, monkeypatch):
         probe = make_probe(100, 4, MINI)
-        encoded = collections.Counter()
+        encoded = []
         real = ddl.raw_group_input
-        monkeypatch.setattr(
-            ddl, "raw_group_input", lambda s: encoded.update([id(s.devices)]) or real(s)
-        )
-        scheme_means(with_alpha(probe, 0.25))  # pricing the baselines alone encodes nothing
+        monkeypatch.setattr(ddl, "raw_group_input", lambda s: encoded.append(s) or real(s))
+        scheme_means(probe)
+        scheme_means(with_alpha(probe, 0.25))
+        with_alpha(probe, 0.75).tables
         assert not encoded
-        grid = [
-            (f"alpha_{a:g}", mini_train(0, generator=dataclasses.replace(MINI, alpha=a)))
-            for a in ALPHA_GRID
-        ]
-        reports = run_training_experiment(grid, probe)
-        ensembles = {r.config.generator.alpha: r.ensemble for r in reports}
-        run_comparison(probe, ALPHA_GRID, ensembles)
-        assert encoded == {id(s.devices): 1 for s in probe.scenarios}
-        assert all(with_alpha(probe, a).raw_inputs is probe.raw_inputs for a in ALPHA_GRID)
-        copied = pickle.loads(pickle.dumps(with_alpha(probe, 0.25)))
-        assert np.array_equal(copied.raw_inputs, probe.raw_inputs)  # a copy encodes on its own
-        assert sum(encoded.values()) == 2 * len(probe)
 
     def test_the_ddl_row_chooses_once_per_alpha_over_the_probe(self, monkeypatch):
         probe = make_probe(100, 4, MINI)
@@ -427,18 +415,21 @@ class TestComparison:
 
         monkeypatch.setattr(ddl, "infer", per_scenario)
         monkeypatch.setattr(ddl, "best_of_k", per_scenario)
-        run_comparison(probe, ALPHA_GRID, ensembles)
+        run_comparison(probe, ensembles)
         assert len(calls) == len(ALPHA_GRID)
         for alpha, (ensemble, tables, raw) in zip(ALPHA_GRID, calls):
             at = with_alpha(probe, alpha)
-            assert ensemble is ensembles[alpha] and tables is at.tables and raw is at.raw_inputs
+            assert ensemble is ensembles[alpha]
+            assert np.array_equal(tables, at.tables) and np.array_equal(raw, at.raw_inputs)
 
-    def test_with_alpha_builds_each_weight_once(self):
+    def test_a_reweight_shares_the_device_sets_and_the_seed(self):
         probe = make_probe(100, 3, MINI)
         assert with_alpha(probe, MINI.alpha) is probe
         shifted = with_alpha(probe, 0.25)
-        assert with_alpha(probe, 0.25) is shifted
         assert shifted.seed == probe.seed and shifted.scenarios != probe.scenarios
+        for s, t in zip(probe.scenarios, shifted.scenarios, strict=True):
+            assert t.devices is s.devices and t.servers is s.servers
+        assert np.array_equal(shifted.raw_inputs, probe.raw_inputs)
 
     @pytest.mark.parametrize("alpha", [1.5, -0.5, float("nan")])
     def test_weight_outside_unit_interval_rejected(self, alpha):
@@ -446,7 +437,7 @@ class TestComparison:
         with pytest.raises(ContractError, match="alpha"):
             with_alpha(probe, alpha)
         with pytest.raises(ContractError, match="alpha"):
-            run_comparison(probe, [alpha], {alpha: build_ensemble(mini_train(0, seed=9))})
+            run_comparison(probe, {alpha: build_ensemble(mini_train(0, seed=9))})
 
     @pytest.mark.parametrize("shape", ["mini", "desk"])
     def test_rows_match_the_scheme_major_oracle(self, shape):
@@ -455,7 +446,7 @@ class TestComparison:
         ensembles = {
             a: build_ensemble(mini_train(0, seed=9, generator=generator)) for a in ALPHA_GRID
         }
-        rows = run_comparison(probe, ALPHA_GRID, ensembles)
+        rows = run_comparison(probe, ensembles)
         for alpha in ALPHA_GRID:
             got = [(r.scheme, r.mean_q, r.mean_t, r.mean_e) for r in rows if r.alpha == alpha]
             oracle = reference_comparison_rows(probe.scenarios, probe.seed, alpha, ensembles[alpha])
@@ -464,15 +455,15 @@ class TestComparison:
     def test_alpha_endpoints_reduce_to_time_and_energy(self):
         probe = make_probe(100, 4, MINI)
         ensembles = {a: build_ensemble(mini_train(0, seed=9)) for a in (0.0, 1.0)}
-        rows = run_comparison(probe, [0.0, 1.0], ensembles)
+        rows = run_comparison(probe, ensembles)
         for r in rows:
             target = r.mean_e if r.alpha == 0.0 else r.mean_t
             assert r.mean_q == pytest.approx(target, rel=1e-12)
 
     def test_missing_ensemble_rejected(self):
         probe = make_probe(100, 2, MINI)
-        with pytest.raises(ContractError):
-            run_comparison(probe, [0.5], {})
+        with pytest.raises(ContractError, match="no trained ensemble"):
+            run_comparison(probe, {})
 
 
 class TestCsvOutput:

@@ -91,7 +91,7 @@ def test_bench_writes_one_alternating_pair(tmp_path):
 
 
 def test_bench_takes_its_workloads_from_the_benchmark_spec(tmp_path, monkeypatch, capsys):
-    bench = load_bench()
+    bench = load_script("bench")
     spec = {"workloads": [{"name": "only-here"}], "end_to_end": []}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
@@ -106,8 +106,8 @@ def test_bench_takes_its_workloads_from_the_benchmark_spec(tmp_path, monkeypatch
         bench.main(["--workload", "only-here", *args])
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -126,7 +126,7 @@ def synthetic_runs(parent, change, name, failed=(0, 0)):
 
 
 def test_summary_applies_the_acceptance_rules():
-    summarize = load_bench().summarize
+    summarize = load_script("bench").summarize
     lower = {"p50_ms": {"better": "lower", "bound": 0.25}}
     parent = [0.22, 0.23, 0.24, 0.23, 0.25, 0.21, 0.23, 0.22, 0.24, 0.23]
     # nine of ten pairs won, medians 0.15 against 0.23, parent IQR 0.02
@@ -154,7 +154,7 @@ def test_summary_applies_the_acceptance_rules():
 
 
 def test_summary_refuses_a_gain_that_fails_more_operations():
-    summarize = load_bench().summarize
+    summarize = load_script("bench").summarize
     lower = {"p50_ms": {"better": "lower", "bound": 0.25}}
     parent = [0.22, 0.23, 0.24, 0.23, 0.25, 0.21, 0.23, 0.22, 0.24, 0.23]
     change = [0.15] * 10
@@ -223,6 +223,25 @@ def test_parity_costs_rel_lets_only_the_costs_move(tmp_path):
         assert any(line.startswith(("close solve-desk-exact.out", "DIFF  solve-desk-exact.out")) for line in moved)
         close = len(moved) if code == 0 else 0
         assert lines[-1] == f"parity: 30 artifacts, {close} close, {len(moved) - close} differ"
+
+
+def test_parity_sets_the_experiment_wall_time_aside(tmp_path):
+    parity = load_script("parity")
+    lines = [
+        "alpha_0: final mean probe Q 1368.16, stable at 1050, {t}s\n",
+        "alpha_1: final mean probe Q {q}, stable at never, 12.0s\n",
+        "alpha 0 exact: mean Q 1301.5 (T 9.25, E 1301.5)\n",
+    ]
+
+    def stdout(name, t="4.2", q="1370.73"):
+        path = tmp_path / name
+        path.write_text("".join(lines).format(t=t, q=q))
+        return str(path)
+
+    parent = stdout("parent.stdout")
+    assert parity.difference(parent, stdout("slower.stdout", t="61.9")) == ("same", None)
+    verdict, why = parity.difference(parent, stdout("moved.stdout", t="61.9", q="1370.74"))
+    assert verdict == "DIFF" and why.startswith("first difference at line 2 ")
 
 
 def test_parity_refuses_a_negative_tolerance():
