@@ -325,7 +325,8 @@ def choose(ensemble: DdlEnsemble, tables: np.ndarray, raw_batch: np.ndarray):
     ``(count, num_dts)`` and its gathered cost ``(count,)``.
     """
     if tables.shape != (len(raw_batch), ensemble.num_dts, ensemble.num_servers):
-        raise ContractError("cost tables do not match the ensemble or the raw batch")
+        raise ContractError(f"cost tables of shape {tables.shape} do not match {ensemble.num_dts} twins, "
+                            f"{ensemble.num_servers} servers and a raw batch of {len(raw_batch)}")
     codes = propose_batch(ensemble, raw_batch)
     rows, twins = np.arange(len(tables)), np.arange(ensemble.num_dts)
     costs = tables[rows[:, None, None], twins[:, None], codes.transpose(1, 2, 0)].sum(axis=1)
@@ -428,29 +429,26 @@ def train(config: TrainConfig, callback=None) -> TrainResult:
 
 
 def _update(ensemble, db, rng, batch_size) -> list[float]:
-    """One training step: per-network batches, averaged extractor gradient."""
+    """One training step: per-network batches, the extractor on the K-average of its flat gradients."""
     ext = ensemble.extractor
     m, width = ensemble.num_dts, INPUT_WIDTH
     ensemble.step += 1
-    ext_grads = None
+    ext_sum = None
     losses = []
     for dnn in ensemble.dnns:
         states, targets = db.sample(rng, batch_size)
         flat = states.reshape(batch_size * m, width)
         emb, activations = ext.forward(flat, keep=True)
         result = dnn.backward(emb.reshape(batch_size, -1), targets)
-        dnn.adam_step(result.gradients, ensemble.step, ensemble.learning_rate)
+        dnn.adam_step(result.gradient, ensemble.step, ensemble.learning_rate)
         upstream = result.input_gradient.reshape(batch_size * m, -1)
         back = ext.backward_from_output(upstream, activations)
-        if ext_grads is None:
-            ext_grads = back
+        if ext_sum is None:
+            ext_sum = back  # not zeros + back, which would turn -0.0 into +0.0
         else:
-            for (aw, ab), (gw, gb) in zip(ext_grads, back):
-                aw += gw
-                ab += gb
+            ext_sum += back
         losses.append(result.loss)
-    k = ensemble.num_dnns
-    ext.adam_step([(gw / k, gb / k) for gw, gb in ext_grads], ensemble.step, ensemble.learning_rate)
+    ext.adam_step(ext_sum / ensemble.num_dnns, ensemble.step, ensemble.learning_rate)
     return losses
 
 

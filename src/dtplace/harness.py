@@ -43,6 +43,9 @@ from .exact import (
 from .cost_model import Decision, evaluate, per_dt_cost_table
 from .scenario import GeneratorConfig, generate_random
 
+# The convergence rate from which a run counts as converged.
+CONVERGED = 0.99
+
 
 @dataclass(frozen=True, eq=False)
 class ProbeSet:
@@ -170,8 +173,8 @@ class ExperimentReport:
     scheme_means: dict
     elapsed: float
 
-    def iterations_to_converge(self, threshold: float = 0.99) -> int | None:
-        """First snapshot at/after database fill from which C stays >= threshold.
+    def iterations_to_converge(self) -> int | None:
+        """First snapshot at/after database fill from which C stays >= ``CONVERGED``.
 
         Snapshots taken while the database is still filling are skipped:
         weights are frozen there, so their C is 1.0 vacuously.
@@ -182,7 +185,7 @@ class ExperimentReport:
             if p.iteration >= self.config.db_capacity and not math.isnan(p.convergence)
         ]
         for i, p in enumerate(pts):
-            if all(q.convergence >= threshold for q in pts[i:]):
+            if all(q.convergence >= CONVERGED for q in pts[i:]):
                 return p.iteration
         return None
 

@@ -17,13 +17,15 @@ Adam moments ``m`` and ``v``, and it keeps the vectors it is given: it
 neither copies them nor writes them on construction, so the rows of one
 matrix that stacks several models of one architecture can each be a model.
 ``weights`` and ``biases`` are per-layer views into ``params`` (in the order
-w0, b0, w1, b1, ...; ``layer_views`` cuts a moment vector or a whole stack
-the same way), so an Adam step is one pass over three vectors and writes
-through every view.  Write into the views; do not rebind them.  Adam's
-betas and epsilon are the module constants ``BETA1``, ``BETA2`` and
-``EPS``; a model keeps neither a step count nor a learning rate, its owner
-passes both to ``adam_step``.  A model copies and pickles as its
-architecture and copies of its three vectors, so a copy owns fresh ones.
+w0, b0, w1, b1, ...; ``layer_views`` cuts a moment vector, a gradient or a
+whole stack the same way).  A gradient is one vector in that layout, which
+backprop fills layer by layer, so gradients add as vectors and an Adam step
+is one pass over four vectors that writes through every view.  Write into
+the views; do not rebind them.  Adam's betas and epsilon are the module
+constants ``BETA1``, ``BETA2`` and ``EPS``; a model keeps neither a step
+count nor a learning rate, its owner passes both to ``adam_step``.  A
+model copies and pickles as its architecture and copies of its three
+vectors, so a copy owns fresh ones.
 
 ``feed_forward`` is the one layer loop: ``a·Wᵀ + b``, then the
 activation, over ``layer_views`` of one model or of a ``(K, P)`` stack of
@@ -32,7 +34,7 @@ and checks the input batch.  ``forward``, ``backward`` and the ensemble's
 proposals all run it.  Backprop reads only the layer outputs it keeps: each
 activation's derivative is a function of its output.
 
-``backward`` returns the gradient on its input, which is what chains a
+``backward`` also returns the gradient on its input, which is what chains a
 decision network to the extractor.  ``backward_from_output`` serves the
 extractor, a network with an identity head whose input is data: it takes
 the activations ``forward(x, keep=True)`` returned and stops at the first
@@ -107,9 +109,9 @@ class MlpArch:
 
 @dataclass
 class BackwardResult:
-    """Per-layer ``(d_weights, d_biases)`` plus input gradient and loss."""
+    """Parameter gradient in the layout of ``params``, input gradient and loss."""
 
-    gradients: list[tuple[np.ndarray, np.ndarray]]
+    gradient: np.ndarray
     input_gradient: np.ndarray
     loss: float
 
@@ -184,10 +186,6 @@ class MlpModel:
         return type(self), (self.arch, self.params.copy(), self.m.copy(), self.v.copy())
 
     @property
-    def num_layers(self) -> int:
-        return len(self.arch.activations)
-
-    @property
     def dtype(self) -> np.dtype:
         return self.params.dtype
 
@@ -201,15 +199,16 @@ class MlpModel:
         return (kept[-1], kept) if keep else kept
 
     def _backprop(self, post, delta):
-        """Per-layer gradients for the output residual ``delta``, and the first layer's residual."""
-        gradients = []
-        for i in range(self.num_layers - 1, -1, -1):
-            gradients.append((delta.T @ post[i], delta.sum(axis=0)))
+        """Flat gradient for the output residual ``delta``, and the first layer's residual."""
+        gradient = np.empty_like(self.params)
+        d_ws, d_bs = layer_views(self.arch, gradient)
+        for i in range(len(d_ws) - 1, -1, -1):
+            np.matmul(delta.T, post[i], out=d_ws[i])
+            delta.sum(axis=0, out=d_bs[i])
             if i > 0:
                 act = self.arch.activations[i - 1]
                 delta = (delta @ self.weights[i]) * act.derivative(post[i])
-        gradients.reverse()
-        return gradients, delta
+        return gradient, delta
 
     def backward(self, x, targets) -> BackwardResult:
         """Gradient of the mean binary cross-entropy over the batch.
@@ -230,11 +229,11 @@ class MlpModel:
         u = f.shape[0]
         clamped = np.clip(f, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
         loss = float(-(t * np.log(clamped) + (1.0 - t) * np.log(1.0 - clamped)).sum() / u)
-        gradients, delta = self._backprop(post, (f - t) / u)
-        return BackwardResult(gradients, delta @ self.weights[0], loss)
+        gradient, delta = self._backprop(post, (f - t) / u)
+        return BackwardResult(gradient, delta @ self.weights[0], loss)
 
-    def backward_from_output(self, output_gradient, activations) -> list:
-        """Per-layer ``(d_weights, d_biases)`` for an upstream gradient on the identity head.
+    def backward_from_output(self, output_gradient, activations) -> np.ndarray:
+        """Parameter gradient, shaped like ``params``, for an upstream gradient on the identity head.
 
         ``activations`` are what ``forward(x, keep=True)`` returned for the
         batch ``x``.  The input is taken to be data, so no gradient is
@@ -247,27 +246,23 @@ class MlpModel:
             raise ContractError("output gradient shape does not match the forward batch")
         return self._backprop(activations, g)[0]
 
-    def adam_step(self, gradients, step: int, learning_rate: float) -> None:
+    def adam_step(self, gradient, step: int, learning_rate: float) -> None:
         """Adam update number ``step`` (counted from 1), with bias correction; mutates the model.
 
-        The gradients are concatenated in the layout of ``params``, so the
-        update is one pass over the flat parameter and moment vectors.
+        ``gradient`` is an array shaped like ``params``, in its layout, so the
+        update is one pass over the flat parameter, moment and gradient vectors.
         """
         if step < 1:
             raise ContractError("Adam steps are counted from 1")
-        if len(gradients) != self.num_layers:
-            raise ContractError("gradient count does not match layer count")
-        for i, (d_w, d_b) in enumerate(gradients):
-            if d_w.shape != self.weights[i].shape or d_b.shape != self.biases[i].shape:
-                raise ContractError(f"gradient shape mismatch at layer {i}")
-        g = np.concatenate([a.ravel() for pair in gradients for a in pair])
+        if not (isinstance(gradient, np.ndarray) and gradient.shape == self.params.shape):
+            raise ContractError(f"the gradient must be an array of shape {self.params.shape}")
         correct1 = 1.0 - BETA1 ** step
         correct2 = 1.0 - BETA2 ** step
         m, v = self.m, self.v
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += (1.0 - BETA1) * gradient
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
+        v += (1.0 - BETA2) * gradient * gradient
         self.params -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + EPS)
 
 

@@ -179,25 +179,19 @@ def _clear_of_relu_kinks(model, x, margin=1e-3) -> bool:
 
 
 def _finite_difference_worst(model, x, targets, eps=1e-6) -> float:
-    analytic = model.backward(x, targets)
+    # the flat gradient is in the layout of the flat parameters
+    flat_p, flat_g = model.params, model.backward(x, targets).gradient
     worst = 0.0
-    for layer in range(model.num_layers):
-        pairs = (
-            (model.weights[layer], analytic.gradients[layer][0]),
-            (model.biases[layer], analytic.gradients[layer][1]),
-        )
-        for params, grads in pairs:
-            flat_p, flat_g = params.ravel(), grads.ravel()
-            for j in range(flat_p.size):
-                original = flat_p[j]
-                flat_p[j] = original + eps
-                up = model.backward(x, targets).loss
-                flat_p[j] = original - eps
-                down = model.backward(x, targets).loss
-                flat_p[j] = original
-                numeric = (up - down) / (2 * eps)
-                denom = max(abs(numeric), abs(flat_g[j]), 1e-8)
-                worst = max(worst, abs(numeric - flat_g[j]) / denom)
+    for j in range(flat_p.size):
+        original = flat_p[j]
+        flat_p[j] = original + eps
+        up = model.backward(x, targets).loss
+        flat_p[j] = original - eps
+        down = model.backward(x, targets).loss
+        flat_p[j] = original
+        numeric = (up - down) / (2 * eps)
+        denom = max(abs(numeric), abs(flat_g[j]), 1e-8)
+        worst = max(worst, abs(numeric - flat_g[j]) / denom)
     return worst
 
 

@@ -191,6 +191,20 @@ class TestSolve:
         assert len(errors) == 1 and errors[0].startswith("error: not an ensemble checkpoint: ")
         assert "Traceback" not in err
 
+    def test_ddl_on_another_server_count_names_both_shapes(self, tmp_path, capsys):
+        # 3 servers in the checkpoint, 4 in the document: both give 2 bits per twin
+        assert run("train", "--iters", "0", "--seed", "3", "--out", str(tmp_path), *TINY) == 0
+        wider = ["--devices", "8", "--dts", "3", "--edges", "3"]
+        assert run("generate", "--seed", "4", "--out", str(tmp_path), *wider) == 0
+        capsys.readouterr()
+        scenario, checkpoint = str(tmp_path / "scenario_4.json"), str(tmp_path / "ensemble.npz")
+        assert run("solve", scenario, "--scheme", "ddl", "--checkpoint", checkpoint) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "error: cost tables of shape (1, 3, 4) do not match 3 twins, 3 servers "
+            "and a raw batch of 1"
+        ]
+
     def test_negative_seed_is_usage_error(self, scenario_path, capsys):
         capsys.readouterr()
         assert run("solve", scenario_path, "--scheme", "ro", "--seed", "-1") == 2

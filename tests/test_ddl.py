@@ -474,11 +474,9 @@ class TestTrain:
             assert (ta.iteration, ta.chosen_q, ta.chosen_dnn) == (tb.iteration, tb.chosen_q, tb.chosen_dnn)
             # losses are NaN before the database fills, so compare elementwise
             assert np.array_equal(ta.losses, tb.losses, equal_nan=True)
-        for i in range(a.ensemble.extractor.num_layers):
-            assert np.array_equal(a.ensemble.extractor.weights[i], b.ensemble.extractor.weights[i])
+        assert np.array_equal(a.ensemble.extractor.params, b.ensemble.extractor.params)
         for da, db_ in zip(a.ensemble.dnns, b.ensemble.dnns):
-            for i in range(da.num_layers):
-                assert np.array_equal(da.weights[i], db_.weights[i])
+            assert np.array_equal(da.params, db_.params)
 
     def test_seed_changes_outcome(self):
         cfg = desk_config(iterations=15, db_capacity=10, batch_size=6, num_dnns=3)
@@ -873,8 +871,8 @@ class TestCheckpoint:
         assert np.array_equal(emb_a, emb_b)
         ga = result.ensemble.dnns[0].backward(np.repeat(emb_a, 4, axis=0), targets)
         gb = loaded.dnns[0].backward(np.repeat(emb_b, 4, axis=0), targets)
-        result.ensemble.dnns[0].adam_step(ga.gradients, result.ensemble.step + 1, 1e-3)
-        loaded.dnns[0].adam_step(gb.gradients, loaded.step + 1, loaded.learning_rate)
+        result.ensemble.dnns[0].adam_step(ga.gradient, result.ensemble.step + 1, 1e-3)
+        loaded.dnns[0].adam_step(gb.gradient, loaded.step + 1, loaded.learning_rate)
         assert np.array_equal(result.ensemble.dnns[0].weights[0], loaded.dnns[0].weights[0])
 
 
@@ -910,7 +908,7 @@ def step_toward_other_codes(ensemble, k, raw):
     emb = ensemble.extractor.forward(raw.reshape(b * m, width)).reshape(b, -1)
     dnn = ensemble.dnns[k]
     targets = (dnn.forward(emb) <= 0.5).astype(float)
-    dnn.adam_step(dnn.backward(emb, targets).gradients, ensemble.step + 1, ensemble.learning_rate)
+    dnn.adam_step(dnn.backward(emb, targets).gradient, ensemble.step + 1, ensemble.learning_rate)
 
 
 class TestStackedNetworks:

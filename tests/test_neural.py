@@ -20,29 +20,17 @@ def bce_loss(model, x, t):
 
 
 def finite_difference_grads(model, x, t, h=1e-6):
-    """Central differences on every parameter; the analytic-gradient oracle."""
-    grads = []
-    for i in range(model.num_layers):
-        d_w = np.zeros_like(model.weights[i])
-        for idx in np.ndindex(*model.weights[i].shape):
-            orig = model.weights[i][idx]
-            model.weights[i][idx] = orig + h
-            up = bce_loss(model, x, t)
-            model.weights[i][idx] = orig - h
-            down = bce_loss(model, x, t)
-            model.weights[i][idx] = orig
-            d_w[idx] = (up - down) / (2 * h)
-        d_b = np.zeros_like(model.biases[i])
-        for idx in np.ndindex(*model.biases[i].shape):
-            orig = model.biases[i][idx]
-            model.biases[i][idx] = orig + h
-            up = bce_loss(model, x, t)
-            model.biases[i][idx] = orig - h
-            down = bce_loss(model, x, t)
-            model.biases[i][idx] = orig
-            d_b[idx] = (up - down) / (2 * h)
-        grads.append((d_w, d_b))
-    return grads
+    """Central differences on every parameter, laid out like ``params``; the analytic-gradient oracle."""
+    grad = np.zeros_like(model.params)
+    for j in range(model.params.size):
+        orig = model.params[j]
+        model.params[j] = orig + h
+        up = bce_loss(model, x, t)
+        model.params[j] = orig - h
+        down = bce_loss(model, x, t)
+        model.params[j] = orig
+        grad[j] = (up - down) / (2 * h)
+    return grad
 
 
 def cast(model, dtype):
@@ -51,12 +39,8 @@ def cast(model, dtype):
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-            worst = max(worst, float((np.abs(a - n) / scale).max()))
-    return worst
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / scale).max())
 
 
 class TestForward:
@@ -105,7 +89,7 @@ class TestBackward:
         t = rng.integers(0, 2, size=(5, 3)).astype(float)
         result = model.backward(x, t)
         numeric = finite_difference_grads(model, x, t)
-        assert max_relative_error(result.gradients, numeric) < 1e-4
+        assert max_relative_error(result.gradient, numeric) < 1e-4
 
     def test_matches_finite_differences_identity_hidden(self):
         rng = np.random.default_rng(8)
@@ -114,7 +98,7 @@ class TestBackward:
         t = rng.integers(0, 2, size=(4, 2)).astype(float)
         result = model.backward(x, t)
         numeric = finite_difference_grads(model, x, t)
-        assert max_relative_error(result.gradients, numeric) < 1e-4
+        assert max_relative_error(result.gradient, numeric) < 1e-4
 
     def test_perfect_prediction_zeroes_output_bias_gradient(self):
         # With zero weights the output is sigmoid(bias); picking the target
@@ -134,9 +118,9 @@ class TestBackward:
         # over a duplicated input cancels the residual.
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
         t = np.array([[0.0], [1.0]])
-        result = model.backward(x, t)
-        assert np.allclose(result.gradients[-1][1], 0.0)
-        assert np.allclose(result.gradients[-1][0], 0.0)
+        d_ws, d_bs = layer_views(arch, model.backward(x, t).gradient)
+        assert np.allclose(d_bs[-1], 0.0)
+        assert np.allclose(d_ws[-1], 0.0)
 
     def test_duplicated_batch_keeps_mean_gradient(self):
         rng = np.random.default_rng(9)
@@ -145,9 +129,7 @@ class TestBackward:
         t = rng.integers(0, 2, size=(3, 2)).astype(float)
         once = model.backward(x, t)
         twice = model.backward(np.vstack([x, x]), np.vstack([t, t]))
-        for (gw1, gb1), (gw2, gb2) in zip(once.gradients, twice.gradients):
-            assert np.allclose(gw1, gw2)
-            assert np.allclose(gb1, gb2)
+        assert np.allclose(once.gradient, twice.gradient)
         assert twice.loss == pytest.approx(once.loss, rel=1e-12)
 
     def test_non_binary_targets_rejected(self):
@@ -187,23 +169,19 @@ class TestBackward:
 
         hidden, activations = front.forward(x, keep=True)
         back_result = back.backward(hidden, t)
-        front_gradients = front.backward_from_output(back_result.input_gradient, activations)
+        front_gradient = front.backward_from_output(back_result.input_gradient, activations)
 
-        chained = [*front_gradients, *back_result.gradients]
-        assert len(chained) == len(joint_result.gradients) == 3
-        for (cw, cb), (jw, jb) in zip(chained, joint_result.gradients):
-            assert np.allclose(cw, jw)
-            assert np.allclose(cb, jb)
+        # the joint layout is the front's layers followed by the back's
+        chained = np.concatenate([front_gradient, back_result.gradient])
+        assert chained.shape == joint_result.gradient.shape == joint.params.shape
+        assert np.allclose(chained, joint_result.gradient)
 
 
 class TestDtype:
     ARCH = MlpArch((5, 4, 3), (RELU, SIG))
 
     def arrays(self, result):
-        for d_w, d_b in result.gradients:
-            yield d_w
-            yield d_b
-        yield result.input_gradient
+        return result.gradient, result.input_gradient
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_computes_in_parameter_dtype(self, dtype):
@@ -221,8 +199,8 @@ class TestDtype:
         extractor = cast(init_random(MlpArch((5, 4, 3), (RELU, IDENT)), seed=4), dtype)
         _, activations = extractor.forward(x, keep=True)
         upstream = extractor.backward_from_output(np.ones((6, 3), dtype=other), activations)
-        assert all(a.dtype == dtype for pair in upstream for a in pair)
-        model.adam_step(result.gradients, 1, 1e-3)
+        assert upstream.dtype == dtype
+        model.adam_step(result.gradient, 1, 1e-3)
         for views in named_layers(model).values():
             assert all(a.dtype == dtype for a in views)
 
@@ -258,8 +236,8 @@ class TestAdam:
     def test_first_step_closed_form(self):
         arch = MlpArch((1, 1), (SIG,))
         model = from_layers(arch, [np.array([[2.0]])], [np.array([1.0])])
-        g = np.array([[0.5]])
-        model.adam_step([(g, np.array([0.25]))], 1, 0.01)
+        # the flat layout is w0 then b0
+        model.adam_step(np.array([0.5, 0.25]), 1, 0.01)
         # First bias-corrected step is lr * g / (|g| + eps), i.e. nearly lr.
         expected_w = 2.0 - 0.01 * 0.5 / (0.5 + 1e-8)
         expected_b = 1.0 - 0.01 * 0.25 / (0.25 + 1e-8)
@@ -269,24 +247,23 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
         w_before = model.weights[0].copy()
-        zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero, 1, 1e-3)
+        model.adam_step(np.zeros_like(model.params), 1, 1e-3)
         assert np.array_equal(model.weights[0], w_before)
 
     def test_moments_decay_after_real_step(self):
         model = init_random(MlpArch((3, 2), (SIG,)), seed=5)
-        g = [(np.ones_like(model.weights[0]), np.ones_like(model.biases[0]))]
-        model.adam_step(g, 1, 1e-3)
+        model.adam_step(np.ones_like(model.params), 1, 1e-3)
         m_w, _ = layer_views(model.arch, model.m)
         m_after_first = m_w[0].copy()
-        zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
-        model.adam_step(zero, 2, 1e-3)
+        model.adam_step(np.zeros_like(model.params), 2, 1e-3)
         assert np.allclose(m_w[0], 0.9 * m_after_first)
 
     def test_identical_models_stay_identical(self):
         a = init_random(MlpArch((4, 3), (SIG,)), seed=6)
         b = copy.deepcopy(a)
-        g = [(np.full_like(a.weights[0], 0.1), np.full_like(a.biases[0], -0.2))]
+        g = np.empty_like(a.params)
+        g_w, g_b = layer_views(a.arch, g)
+        g_w[0][...], g_b[0][...] = 0.1, -0.2
         a.adam_step(g, 1, 1e-3)
         b.adam_step(g, 1, 1e-3)
         assert np.array_equal(a.weights[0], b.weights[0])
@@ -294,12 +271,15 @@ class TestAdam:
 
     def test_gradient_shape_mismatch_rejected(self):
         model = init_random(MlpArch((4, 3), (SIG,)), seed=6)
-        with pytest.raises(ContractError):
-            model.adam_step([(np.zeros((2, 2)), np.zeros(3))], 1, 1e-3)
+        n = model.params.size
+        # per-layer pairs of the right shapes, a short, a long and a 2-D vector, and a list
+        pairs = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
+        for bad in (pairs, np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), [0.0] * n):
+            with pytest.raises(ContractError, match="the gradient must be an array"):
+                model.adam_step(bad, 1, 1e-3)
         # steps count from 1: step 0 would divide the moments by a zero bias correction
-        zero = [(np.zeros_like(model.weights[0]), np.zeros_like(model.biases[0]))]
         with pytest.raises(ContractError, match="counted from 1"):
-            model.adam_step(zero, 0, 1e-3)
+            model.adam_step(np.zeros(n), 0, 1e-3)
 
     def test_training_reduces_loss(self):
         rng = np.random.default_rng(30)
@@ -308,7 +288,7 @@ class TestAdam:
         t = (rng.random((64, 4)) < 0.5).astype(float)
         first = model.backward(x, t).loss
         for step in range(1, 201):
-            model.adam_step(model.backward(x, t).gradients, step, 1e-3)
+            model.adam_step(model.backward(x, t).gradient, step, 1e-3)
         last = model.backward(x, t).loss
         assert last < first
 
@@ -329,7 +309,7 @@ class TestFlatBuffers:
         for step in range(1, 4):
             x = rng.normal(size=(6, 5))
             t = rng.integers(0, 2, size=(6, 3)).astype(float)
-            model.adam_step(model.backward(x, t).gradients, step, 1e-3)
+            model.adam_step(model.backward(x, t).gradient, step, 1e-3)
         return model
 
     def test_views_share_the_flat_buffers(self):
@@ -347,7 +327,7 @@ class TestFlatBuffers:
         views = model.weights
         rng = np.random.default_rng(6)
         x = rng.normal(size=(6, 5))
-        model.adam_step(model.backward(x, np.ones((6, 3))).gradients, 4, 1e-3)
+        model.adam_step(model.backward(x, np.ones((6, 3))).gradient, 4, 1e-3)
         assert model.weights is views
         assert all(not np.array_equal(w, b) for w, b in zip(model.weights, before))
 
@@ -401,7 +381,7 @@ class TestFlatBuffers:
     )
     def test_copies_of_a_row_own_fresh_vectors_with_the_whole_state(self, copier):
         trained = cast(self.trained(), np.float32)
-        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradients, 1, 1e-3)
+        trained.adam_step(trained.backward(np.ones((2, 5)), np.ones((2, 3))).gradient, 1, 1e-3)
         stack = self.stack(dtype=np.float32)
         for buf, flat in zip(stack, (trained.params, trained.m, trained.v)):
             buf[1] = flat
@@ -450,7 +430,7 @@ class TestFlatBuffers:
             stack[0][k] = init_random(self.ARCH, seed=k).params
             models.append(MlpModel(self.ARCH, stack[0][k], stack[1][k], stack[2][k]))
         weights, biases = layer_views(self.ARCH, stack[0])
-        for i in range(models[0].num_layers):
+        for i in range(len(models[0].weights)):
             assert weights[i].shape == (3, *models[0].weights[i].shape)
             assert np.shares_memory(weights[i], stack[0]) and np.shares_memory(biases[i], stack[0])
             for k, model in enumerate(models):
@@ -491,7 +471,7 @@ class TestCheckpoint:
             for step in range(1, 4):
                 x = rng.normal(size=(4, 6))
                 t = rng.integers(0, 2, size=(4, 3)).astype(float)
-                model.adam_step(model.backward(x, t).gradients, step, 0.005)
+                model.adam_step(model.backward(x, t).gradient, step, 0.005)
 
             loaded = pickle.loads(pickle.dumps(model))
             assert loaded.arch == model.arch
@@ -506,6 +486,6 @@ class TestCheckpoint:
             assert np.array_equal(out, model.forward(x))
             t = rng.integers(0, 2, size=(2, 3)).astype(float)
             for net in (model, loaded):
-                net.adam_step(net.backward(x, t).gradients, 4, 0.005)
+                net.adam_step(net.backward(x, t).gradient, 4, 0.005)
             for flat in ("params", "m", "v"):
                 assert np.array_equal(getattr(loaded, flat), getattr(model, flat))
